@@ -20,7 +20,7 @@ import math
 import sys
 
 from .core import DivergenceError, ModelParams, iterate
-from .dynamics import find_cycle_births, lyapunov, scan
+from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
 from .equilibria import (
     BoundaryTag,
     classify_boundary,
@@ -202,8 +202,7 @@ def cmd_analyze(opts: dict) -> int:
             doc["endemic"] = en_json
         else:
             doc["endemic"] = None
-        ra, rb = p.beta / th.beta0 * 1.0, p.beta / ((p.a + 1.0) * p.K)
-        doc["reproduction_candidates"] = [ra, rb]
+        doc["reproduction_candidates"] = list(reproduction_candidates(p))
     else:
         doc["thresholds"] = None
         doc["endemic"] = None

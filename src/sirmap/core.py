@@ -15,9 +15,15 @@ collapses it onto the planar map.
 All arithmetic is double precision.  Orbits are guarded against
 divergence: once ``|S| + |I|`` exceeds :data:`DIVERGENCE_BOUND` the
 iteration stops and the escape step is reported.
+
+:func:`step` is the single-step map (elementwise on numpy arrays, as the
+invariance probe uses it) and :func:`_advance` the one guarded plain-map
+loop, behind :func:`iterate` and the plain stretches of ``dynamics``.
+Only the tangent kernel ``dynamics._tangent`` keeps its own fused step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -114,12 +120,12 @@ class ModelParams:
     K: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"require r > 0, got r={self.r}")
-        if not self.beta > 0:
-            raise ValueError(f"require beta > 0, got beta={self.beta}")
-        if self.a < 0:
-            raise ValueError(f"require a >= 0, got a={self.a}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"require finite r > 0, got r={self.r}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"require finite beta > 0, got beta={self.beta}")
+        if not 0 <= self.a < math.inf:
+            raise ValueError(f"require finite a >= 0, got a={self.a}")
         if not 0 < self.K < 1:
             raise ValueError(f"require 0 < K < 1, got K={self.K}")
 
@@ -145,14 +151,14 @@ class UnscaledParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.rho > 0:
-            raise ValueError(f"require rho > 0, got rho={self.rho}")
-        if not self.c > 0:
-            raise ValueError(f"require c > 0, got c={self.c}")
-        if not self.beta > 0:
-            raise ValueError(f"require beta > 0, got beta={self.beta}")
-        if self.a < 0:
-            raise ValueError(f"require a >= 0, got a={self.a}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"require finite rho > 0, got rho={self.rho}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"require finite c > 0, got c={self.c}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"require finite beta > 0, got beta={self.beta}")
+        if not 0 <= self.a < math.inf:
+            raise ValueError(f"require finite a >= 0, got a={self.a}")
         if self.mu < 0 or self.gamma < 0:
             raise ValueError("require mu >= 0 and gamma >= 0")
         if not 0 < self.mu + self.gamma < 1:
@@ -280,6 +286,25 @@ class Orbit:
         return self.escaped_at is not None
 
 
+def _advance(p: ModelParams, x0, n: int):
+    """Run ``n`` guarded map steps from ``x0``; return ``(S, I, escaped_at)``.
+
+    The guard is checked before each step, so the last state is returned
+    unchecked; ``escaped_at`` is the index of the out-of-bounds state, or
+    None.
+    """
+    S, I = float(x0[0]), float(x0[1])
+    r, beta, a, K = p.r, p.beta, p.a, p.K
+    bound = DIVERGENCE_BOUND
+    # `not (total <= bound)` also catches NaN
+    for k in range(n):
+        if not (abs(S) + abs(I) <= bound):
+            return S, I, k
+        force = beta * S * I / (1.0 + a * S)
+        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+    return S, I, None
+
+
 def iterate(
     p: ModelParams,
     x0: tuple[float, float],
@@ -294,23 +319,13 @@ def iterate(
     """
     if n_transient < 0 or n_keep < 0:
         raise ValueError("n_transient and n_keep must be non-negative")
-    S, I = float(x0[0]), float(x0[1])
-    r, beta, a, K = p.r, p.beta, p.a, p.K
-    bound = DIVERGENCE_BOUND
-
-    # `not (total <= bound)` also catches NaN
-    for n in range(n_transient):
-        if not (abs(S) + abs(I) <= bound):
-            return Orbit(states=np.empty((0, 2)), escaped_at=n)
-        force = beta * S * I / (1.0 + a * S)
-        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-
+    S, I, k = _advance(p, x0, n_transient)
+    if k is not None:
+        return Orbit(states=np.empty((0, 2)), escaped_at=k)
     out = np.empty((n_keep, 2), dtype=np.float64)
     for k in range(n_keep):
-        if not (abs(S) + abs(I) <= bound):
+        out[k] = S, I
+        S, I, escaped = _advance(p, (S, I), 1)
+        if escaped is not None:
             return Orbit(states=out[:k].copy(), escaped_at=n_transient + k)
-        out[k, 0] = S
-        out[k, 1] = I
-        force = beta * S * I / (1.0 + a * S)
-        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
     return Orbit(states=out, escaped_at=None)

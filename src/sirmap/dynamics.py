@@ -2,8 +2,13 @@
 
 Heavy loops are written either as plain-float Python (per-orbit work,
 where numpy array overhead would dominate) or as numpy-vectorised code
-over many seeds at once (the tangent-system Newton solver, region
-probes).
+over many seeds at once (the tangent-system Newton solver).
+
+Plain-map stretches run through ``core._advance``.  :func:`_tangent`
+fuses the map step, its Jacobian and a two-column QR of the tangent frame
+for ``lyapunov`` and ``scan``.  Its step forms the incidence as
+``phi * I``, which rounds differently from ``core.step``, and the scan
+and Lyapunov outputs follow that orbit bit for bit.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from .core import (
     ModelParams,
     Orbit,
     TOL_CYCLE,
+    _advance,
     iterate,
 )
 from .equilibria import beta0_threshold
@@ -35,6 +41,58 @@ __all__ = [
     "reproduction_candidates",
     "decay_envelope_check",
 ]
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)  # tangent frame (q11, q21, q12, q22)
+_FRAME_WARMUP = 2000
+
+
+def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
+    """Run ``n`` guarded steps of the map and its QR-orthonormalised frame.
+
+    Returns ``(S, I, frame, log_r11, log_r22, escaped_at)`` with the log
+    sums over the steps run; ``escaped_at`` is as in ``core._advance``.
+    Row ``k < len(out)`` of ``out``, if given, receives the state before step ``k``.
+    """
+    S, I = x0
+    r, beta, a, K = p.r, p.beta, p.a, p.K
+    q11, q21, q12, q22 = frame
+    m = 0 if out is None else out.shape[0]
+    bound, tiny, hypot, log = DIVERGENCE_BOUND, 1.0e-300, math.hypot, math.log
+    two_r, retain = 2.0 * r, 1.0 - K
+    s1 = s2 = 0.0
+    for k in range(n):
+        if not (abs(S) + abs(I) <= bound):
+            return S, I, (q11, q21, q12, q22), s1, s2, k
+        if k < m:
+            out[k, 0] = S
+            out[k, 1] = I
+        # Jacobian [[j11, -phi], [j21, j22]] at (S, I)
+        den = 1.0 + a * S
+        phi = beta * S / den
+        j21 = I * (beta / (den * den))
+        j11 = r - two_r * S - j21
+        j22 = retain + phi
+        force = phi * I
+        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+        m11 = j11 * q11 - phi * q21
+        m21 = j21 * q11 + j22 * q21
+        m12 = j11 * q12 - phi * q22
+        m22 = j21 * q12 + j22 * q22
+        r11 = hypot(m11, m21)
+        if r11 < tiny:
+            r11 = tiny
+        q11, q21 = m11 / r11, m21 / r11
+        r12 = q11 * m12 + q21 * m22
+        v1 = m12 - r12 * q11
+        v2 = m22 - r12 * q21
+        r22 = hypot(v1, v2)
+        if r22 < tiny:
+            r22 = tiny
+        q12, q22 = v1 / r22, v2 / r22
+        s1 += log(r11)
+        s2 += log(r22)
+    return S, I, (q11, q21, q12, q22), s1, s2, None
 
 
 def lyapunov(
@@ -55,60 +113,20 @@ def lyapunov(
         raise ValueError(f"need n >= 1000 for a meaningful estimate, got n={n}")
     if transient < 0:
         raise ValueError("transient must be non-negative")
-    S, I = float(x0[0]), float(x0[1])
-    r, beta, a, K = p.r, p.beta, p.a, p.K
-    bound = DIVERGENCE_BOUND
-
-    for k in range(transient):
-        if not (abs(S) + abs(I) <= bound):
-            raise DivergenceError(k)
-        force = beta * S * I / (1.0 + a * S)
-        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-
-    q11, q21 = 1.0, 0.0
-    q12, q22 = 0.0, 1.0
-    s1 = 0.0
-    s2 = 0.0
-    tiny = 1.0e-300
+    S, I, k = _advance(p, x0, transient)
+    if k is not None:
+        raise DivergenceError(k)
     # Warm up the orthonormal frame before averaging.  Starting from the
     # identity next to an invariant coordinate direction, the frame can
     # need O(10^3) steps to swing onto the dominant direction (the
     # misalignment may start at denormal size), which would otherwise
     # leak a 1/n bias into both exponents.
-    q_warm = 2000
-    for k in range(q_warm + n):
-        if not (abs(S) + abs(I) <= bound):
-            raise DivergenceError(transient + k)
-        den = 1.0 + a * S
-        phi = beta * S / den
-        dphi = beta / (den * den)
-        j11 = r - 2.0 * r * S - I * dphi
-        j12 = -phi
-        j21 = I * dphi
-        j22 = 1.0 - K + phi
-
-        force = phi * I
-        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-
-        m11 = j11 * q11 + j12 * q21
-        m21 = j21 * q11 + j22 * q21
-        m12 = j11 * q12 + j12 * q22
-        m22 = j21 * q12 + j22 * q22
-        r11 = math.hypot(m11, m21)
-        if r11 < tiny:
-            r11 = tiny
-        q11, q21 = m11 / r11, m21 / r11
-        r12 = q11 * m12 + q21 * m22
-        v1 = m12 - r12 * q11
-        v2 = m22 - r12 * q21
-        r22 = math.hypot(v1, v2)
-        if r22 < tiny:
-            r22 = tiny
-        q12, q22 = v1 / r22, v2 / r22
-        if k >= q_warm:
-            s1 += math.log(r11)
-            s2 += math.log(r22)
-
+    S, I, frame, _, _, k = _tangent(p, (S, I), _IDENTITY, _FRAME_WARMUP)
+    if k is not None:
+        raise DivergenceError(transient + k)
+    _, _, _, s1, s2, k = _tangent(p, (S, I), frame, n)
+    if k is not None:
+        raise DivergenceError(transient + _FRAME_WARMUP + k)
     l1, l2 = s1 / n, s2 / n
     return (l1, l2) if l1 >= l2 else (l2, l1)
 
@@ -180,79 +198,34 @@ def scan(
     if keep < 1:
         raise ValueError("keep must be >= 1")
     values = np.linspace(prange[0], prange[1], steps)
-    s_samples = np.full((steps, keep), np.nan)
-    i_samples = np.full((steps, keep), np.nan)
+    samples = np.full((steps, keep, 2), np.nan)
     lyap_max = np.full(steps, np.nan)
     escapes: list[tuple[int, int]] = []
 
-    state = (float(x0[0]), float(x0[1]))
+    cold = (float(x0[0]), float(x0[1]))
+    state = cold
     n_lyap = max(keep, 1000)
     for row, val in enumerate(values):
         q = replace(p, **{parameter_name: float(val)})
-        S, I = state
-        r, beta, a, K = q.r, q.beta, q.a, q.K
-        escaped_at: int | None = None
-
-        for k in range(transient):
-            if not (abs(S) + abs(I) <= DIVERGENCE_BOUND):
-                escaped_at = k
-                break
-            force = beta * S * I / (1.0 + a * S)
-            S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-
+        S, I, escaped_at = _advance(q, state, transient)
         if escaped_at is None:
-            q11, q21, q12, q22 = 1.0, 0.0, 0.0, 1.0
-            acc1 = 0.0
-            tiny = 1.0e-300
-            for k in range(n_lyap):
-                if not (abs(S) + abs(I) <= DIVERGENCE_BOUND):
-                    escaped_at = transient + k
-                    break
-                if k < keep:
-                    s_samples[row, k] = S
-                    i_samples[row, k] = I
-                den = 1.0 + a * S
-                phi = beta * S / den
-                dphi = beta / (den * den)
-                j11 = r - 2.0 * r * S - I * dphi
-                j12 = -phi
-                j21 = I * dphi
-                j22 = 1.0 - K + phi
-                force = phi * I
-                S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-                m11 = j11 * q11 + j12 * q21
-                m21 = j21 * q11 + j22 * q21
-                m12 = j11 * q12 + j12 * q22
-                m22 = j21 * q12 + j22 * q22
-                r11 = math.hypot(m11, m21)
-                if r11 < tiny:
-                    r11 = tiny
-                q11, q21 = m11 / r11, m21 / r11
-                r12 = q11 * m12 + q21 * m22
-                v1 = m12 - r12 * q11
-                v2 = m22 - r12 * q21
-                r22 = math.hypot(v1, v2)
-                if r22 < tiny:
-                    r22 = tiny
-                q12, q22 = v1 / r22, v2 / r22
-                acc1 += math.log(r11)
-            if escaped_at is None:
-                lyap_max[row] = acc1 / n_lyap
-
+            S, I, _, log_r11, _, k = _tangent(q, (S, I), _IDENTITY, n_lyap, samples[row])
+            if k is None:
+                lyap_max[row] = log_r11 / n_lyap
+            else:
+                escaped_at = transient + k
         if escaped_at is not None:
             escapes.append((row, escaped_at))
-            s_samples[row, :] = np.nan
-            i_samples[row, :] = np.nan
-            lyap_max[row] = np.nan
-            state = (float(x0[0]), float(x0[1]))
+            samples[row] = np.nan
+            state = cold
         else:
             state = (S, I)
 
     return ScanResult(
         parameter=parameter_name,
         values=values,
-        s_samples=s_samples,
-        i_samples=i_samples,
+        s_samples=np.ascontiguousarray(samples[:, :, 0]),
+        i_samples=np.ascontiguousarray(samples[:, :, 1]),
         lyap_max=lyap_max,
         escapes=escapes,
     )
@@ -431,8 +404,9 @@ def decay_envelope_check(p: ModelParams, x0, n: int = 200) -> bool:
 
         (1-K)^k * I0  <=  I_k  <=  (beta/(1+a) + 1 - K)^k * I0.
 
-    Returns False as soon as any inequality fails (a tiny relative
-    slack of 1e-12 absorbs rounding).
+    Returns False if any of the ``n + 1`` states leaves the divergence
+    guard or as soon as any inequality fails (a tiny relative slack of
+    1e-12 absorbs rounding).
     """
     if not p.beta < (1.0 + p.a) * p.K:
         raise ValueError(
@@ -447,17 +421,16 @@ def decay_envelope_check(p: ModelParams, x0, n: int = 200) -> bool:
     if I0 == 0.0:
         return True
 
+    orbit = iterate(p, (S0, I0), 0, n + 1)
+    if orbit.escaped:
+        return False
     g1 = 1.0 - p.K
     g2 = p.beta / (1.0 + p.a) + 1.0 - p.K
     env_lo = 1.0
     env_hi = 1.0
-    S, I = S0, I0
+    I = I0
     slack = 1.0 + 1.0e-12
-    for _ in range(n):
-        if not (abs(S) + abs(I) <= DIVERGENCE_BOUND):
-            return False
-        force = p.beta * S * I / (1.0 + p.a * S)
-        S, I_next = p.r * S * (1.0 - S) - force, (1.0 - p.K) * I + force
+    for I_next in orbit.I[1:].tolist():
         env_lo *= g1
         env_hi *= g2
         if not (0.0 < I_next < I):

@@ -12,7 +12,7 @@ yields three candidate trapping regions:
 
 * case 1, ``u* <= 1``: the closed triangle ``x, y >= 0, x + y <= u*``;
 * case 2, ``u* > 1``: the ceiling line is capped by the nullcline on
-  a sub-interval of [0, 1]; the regionis ``0 <= x <= 1, 0 <= y <=
+  a sub-interval of [0, 1]; the region is ``0 <= x <= 1, 0 <= y <=
   min(u* - x, nullcline(x))`` and the two caps cross once;
 * case 3 (a = 1 only): as case 2 but with both crossings of the line
   and the parabola interior to (0, 1).
@@ -20,7 +20,8 @@ yields three candidate trapping regions:
 ``applicable_region`` hands out the region whose sufficient parameter
 conditions hold; ``invariance_probe`` bombards a region with uniform
 starts and reports any escape (these are findings about the region, not
-errors).
+errors).  The probe steps its whole ensemble with ``core.step`` on numpy
+arrays and drops exited orbits, keeping their original indices.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, step
 
 __all__ = [
     "RegionSpec",
@@ -44,6 +45,8 @@ __all__ = [
 
 #: Outward slack applied to every membership inequality.
 MEMBERSHIP_TOL = 1.0e-12
+#: Constraints in checking order; the last two bound cases 2 and 3 only.
+_CONSTRAINTS = ("S<0", "I<0", "S+I>u*", "S>1", "I>nullcline")
 
 
 def u_star(p: ModelParams) -> float:
@@ -160,23 +163,15 @@ class ProbeReport:
     escapes: list[EscapeRecord]
 
 
-def _violation_labels(region: RegionSpec, S, I, tol):
-    """Per-point first-violated-constraint labels ('' = inside)."""
-    n = S.shape[0]
-    labels = np.full(n, "", dtype=object)
-    checks = [
-        ("S<0", S < -tol),
-        ("I<0", I < -tol),
-        ("S+I>u*", S + I > region.u_star + tol),
-    ]
+def _first_violation(region: RegionSpec, S, I, tol):
+    """Per-point exit mask and index into _CONSTRAINTS of the first violation."""
+    checks = [S < -tol, I < -tol, S + I > region.u_star + tol]
     if region.case != 1:
-        checks.append(("S>1", S > 1.0 + tol))
+        checks.append(S > 1.0 + tol)
         with np.errstate(invalid="ignore"):
-            checks.append(("I>nullcline", I > region.nullcline(S) + tol))
-    for name, mask in checks:
-        fresh = mask & (labels == "")
-        labels[fresh] = name
-    return labels
+            checks.append(I > region.nullcline(S) + tol)
+    bad = np.stack(checks)
+    return bad.any(axis=0), bad.argmax(axis=0)
 
 
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -234,35 +229,24 @@ def invariance_probe(
         raise ValueError("samples and steps must be positive")
     rng = np.random.default_rng(seed)
     S, I = _sample_region(region, samples, rng)
-    alive = np.ones(samples, dtype=bool)
+    index = np.arange(samples)
     escapes: list[EscapeRecord] = []
     escape_count = 0
-    r, beta, a, K = p.r, p.beta, p.a, p.K
 
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            force = beta * S * I / (1.0 + a * S)
-            S_new = r * S * (1.0 - S) - force
-            I_new = (1.0 - K) * I + force
-            S = np.where(alive, S_new, S)
-            I = np.where(alive, I_new, I)
-            labels = _violation_labels(region, S, I, MEMBERSHIP_TOL)
-            out = alive & (labels != "")
+            S, I = step(p, (S, I))
+            out, code = _first_violation(region, S, I, MEMBERSHIP_TOL)
             if out.any():
-                for idx in np.nonzero(out)[0]:
-                    escape_count += 1
-                    if len(escapes) < max_records:
-                        escapes.append(
-                            EscapeRecord(
-                                index=int(idx),
-                                step=k,
-                                point=(float(S[idx]), float(I[idx])),
-                                constraint=str(labels[idx]),
-                            )
-                        )
-                alive &= labels == ""
-            if not alive.any():
-                break
+                hits = np.flatnonzero(out)
+                escape_count += hits.size
+                for j in hits[: max(0, max_records - len(escapes))]:
+                    point = (float(S[j]), float(I[j]))
+                    escapes.append(EscapeRecord(int(index[j]), k, point, _CONSTRAINTS[code[j]]))
+                live = np.flatnonzero(~out)
+                S, I, index = S[live], I[live], index[live]
+                if index.size == 0:
+                    break
 
     return ProbeReport(
         region=region,

@@ -40,6 +40,11 @@ class TestDispatchAndErrors:
         code, _, err = run_cli(capsys, "analyze", "--K", "1.5")
         assert code == 2
         assert "error:" in err
+        for flag, value in (("--a", "nan"), ("--r", "inf"), ("--beta", "inf")):
+            code, out, err = run_cli(capsys, "analyze", flag, value)
+            assert code == 2, (flag, value)
+            assert out == ""
+            assert f"finite {flag[2:]}" in err
 
     def test_scan_without_range_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--param", "r")
@@ -87,6 +92,15 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "unknown option" in err
+
+    def test_config_rejects_non_finite_parameter(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        for key, value in (("a", "nan"), ("r", "inf"), ("beta", "inf")):
+            cfg.write_text(f"{key} = {value}\n")
+            code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+            assert code == 2, (key, value)
+            assert out == ""
+            assert f"finite {key}" in err
 
     def test_config_rejects_bare_line(self, capsys, tmp_path):
         cfg = tmp_path / "opts.cfg"

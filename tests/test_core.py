@@ -49,14 +49,20 @@ class TestModelParams:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError, match="r > 0"):
             ModelParams(r=0.0, beta=1, a=1, K=0.5)
+        with pytest.raises(ValueError, match="finite r"):
+            ModelParams(r=math.inf, beta=1, a=1, K=0.5)
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError, match="beta > 0"):
             ModelParams(r=2, beta=-1, a=1, K=0.5)
+        with pytest.raises(ValueError, match="finite beta"):
+            ModelParams(r=2, beta=math.inf, a=1, K=0.5)
 
     def test_rejects_negative_a(self):
         with pytest.raises(ValueError, match="a >= 0"):
             ModelParams(r=2, beta=1, a=-0.1, K=0.5)
+        with pytest.raises(ValueError, match="finite a"):
+            ModelParams(r=2, beta=1, a=math.nan, K=0.5)
 
     def test_rejects_K_out_of_range(self):
         with pytest.raises(ValueError, match="0 < K < 1"):
@@ -86,6 +92,13 @@ class TestScaling:
     def test_rejects_bad_removal(self):
         with pytest.raises(ValueError):
             UnscaledParams(rho=1, c=1, beta=1, a=0, mu=0.6, gamma=0.5, lam=0.5)
+
+    @pytest.mark.parametrize("field", ["rho", "c", "beta", "a", "mu", "gamma", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        good = dict(rho=1, c=1, beta=1, a=0.5, mu=0.2, gamma=0.3, lam=0.5)
+        with pytest.raises(ValueError, match=field):
+            UnscaledParams(**{**good, field: value})
 
     @given(
         rho=st.floats(0.2, 3.0),

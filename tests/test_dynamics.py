@@ -3,6 +3,7 @@ parameter scans, cycle births on the invariant axis, and the decay
 envelope check."""
 
 import math
+from dataclasses import replace
 from functools import cmp_to_key
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sirmap.cli import PRESETS
 from sirmap import (
     DivergenceError,
     ModelParams,
@@ -88,6 +90,123 @@ def _min_abs_multiplier(r, n, seeds=1200):
     if not minimal.any():
         return None
     return float(np.min(np.abs(dv[minimal])))
+
+
+def _seed_qr(p, x0, transient, warm, n, keep=0):
+    """Reference tangent path: a plain-float copy of the original loops.
+
+    Runs ``transient`` guarded map steps, then ``warm + n`` steps of the
+    map fused with its Jacobian and a two-column QR of the tangent frame
+    (started from the identity), summing ``log r11`` and ``log r22`` over
+    the last ``n``.  The first ``keep`` states of the QR stretch are
+    recorded.  Returns ``(state, samples, s1, s2, escaped_at)`` with
+    ``escaped_at`` counted from ``x0``.
+    """
+    S, I = float(x0[0]), float(x0[1])
+    r, beta, a, K = p.r, p.beta, p.a, p.K
+    samples = []
+    for k in range(transient):
+        if not (abs(S) + abs(I) <= 1.0e6):
+            return (S, I), samples, 0.0, 0.0, k
+        force = beta * S * I / (1.0 + a * S)
+        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+    q11, q21, q12, q22 = 1.0, 0.0, 0.0, 1.0
+    s1 = s2 = 0.0
+    for k in range(warm + n):
+        if not (abs(S) + abs(I) <= 1.0e6):
+            return (S, I), samples, s1, s2, transient + k
+        if k < keep:
+            samples.append((S, I))
+        den = 1.0 + a * S
+        phi = beta * S / den
+        dphi = beta / (den * den)
+        j11 = r - 2.0 * r * S - I * dphi
+        j12 = -phi
+        j21 = I * dphi
+        j22 = 1.0 - K + phi
+        force = phi * I
+        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+        m11 = j11 * q11 + j12 * q21
+        m21 = j21 * q11 + j22 * q21
+        m12 = j11 * q12 + j12 * q22
+        m22 = j21 * q12 + j22 * q22
+        r11 = max(math.hypot(m11, m21), 1.0e-300)
+        q11, q21 = m11 / r11, m21 / r11
+        r12 = q11 * m12 + q21 * m22
+        v1 = m12 - r12 * q11
+        v2 = m22 - r12 * q21
+        r22 = max(math.hypot(v1, v2), 1.0e-300)
+        q12, q22 = v1 / r22, v2 / r22
+        if k >= warm:
+            s1 += math.log(r11)
+            s2 += math.log(r22)
+    return (S, I), samples, s1, s2, None
+
+
+def _preset(name):
+    spec = PRESETS[name]
+    p = ModelParams(r=spec["r"], beta=spec["beta"], a=spec["a"], K=spec["K"])
+    return p, (spec["s0"], spec["i0"])
+
+
+class TestTangentPathOracle:
+    """lyapunov and scan reproduce the reference QR loop bit for bit."""
+
+    @pytest.mark.parametrize("preset", ["axis-chaos", "invariant-curve"])
+    def test_lyapunov_exact(self, preset):
+        p, x0 = _preset(preset)
+        n, transient = 20_000, 1_000
+        _, _, s1, s2, escaped_at = _seed_qr(p, x0, transient, 2000, n)
+        assert escaped_at is None
+        l1, l2 = s1 / n, s2 / n
+        assert lyapunov(p, x0, n=n, transient=transient) == (max(l1, l2), min(l1, l2))
+
+    @pytest.mark.parametrize("s0", [0.3, 0.34])
+    def test_lyapunov_escape_step_exact(self, s0):
+        # Just past r = 4 the axis orbit leaks out late: s0 = 0.3 during
+        # the frame warm-up, s0 = 0.34 during the averaging stretch.
+        p = ModelParams(r=4.0 + 1.0e-6, beta=0.5, a=1.0, K=0.5)
+        *_, escaped_at = _seed_qr(p, (s0, 0.0), 0, 2000, 5000)
+        assert escaped_at is not None
+        with pytest.raises(DivergenceError) as exc:
+            lyapunov(p, (s0, 0.0), n=5000, transient=0)
+        assert exc.value.step == escaped_at
+
+    @pytest.mark.parametrize(
+        "p, prange, steps, x0, transient, keep",
+        [
+            # rows 0-5 escape in the transient, row 6 restarts cold
+            (ModelParams(r=3.9, beta=1.1, a=1.0, K=0.5), (4.3, 3.9), 9, (0.5, 0.1), 40, 6),
+            # row 0 escapes in the QR stretch, row 1 restarts cold
+            (ModelParams(r=3.9, beta=0.5, a=1.0, K=0.5), (4.002, 3.95), 8, (0.3, 0.0), 50, 5),
+        ],
+    )
+    def test_scan_exact_through_escape_and_cold_restart(
+        self, p, prange, steps, x0, transient, keep
+    ):
+        values = np.linspace(prange[0], prange[1], steps)
+        want = np.full((steps, keep, 2), np.nan)
+        want_lyap = np.full(steps, np.nan)
+        want_escapes = []
+        state = x0
+        for row, val in enumerate(values):
+            q = replace(p, r=float(val))
+            end, samples, s1, _, escaped_at = _seed_qr(q, state, transient, 0, 1000, keep)
+            if escaped_at is None:
+                want[row] = samples
+                want_lyap[row] = s1 / 1000
+                state = end
+            else:
+                want_escapes.append((row, escaped_at))
+                state = x0
+        last_escaped = want_escapes[-1][0]
+        assert not np.isnan(want_lyap[last_escaped + 1])  # the cold restart runs clean
+
+        res = scan(p, "r", prange, steps, x0=x0, transient=transient, keep=keep)
+        assert res.escapes == want_escapes
+        np.testing.assert_array_equal(res.s_samples, want[:, :, 0])
+        np.testing.assert_array_equal(res.i_samples, want[:, :, 1])
+        np.testing.assert_array_equal(res.lyap_max, want_lyap)
 
 
 class TestLyapunov:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sirmap import (
+    EscapeRecord,
     ModelParams,
     RegionSpec,
     State,
@@ -16,6 +17,7 @@ from sirmap import (
     step,
     u_star,
 )
+from sirmap.positivity import MEMBERSHIP_TOL, _sample_region
 
 # five sets per region case, each verified escape-free at depth
 CASE1_SETS = [
@@ -170,6 +172,72 @@ class TestInvarianceProbe:
         p = ModelParams(r=2, beta=1.5, a=1, K=0.25)
         with pytest.raises(ValueError):
             invariance_probe(p, samples=0, steps=10)
+
+
+def _scalar_probe(p, region, samples, steps, seed):
+    """Reference for invariance_probe: one orbit at a time with core.step.
+
+    Each start is stepped as a plain-float State and stopped at its first
+    exit, labelled by the first violated constraint in the documented
+    order.  Records come back ordered by step, then sample index.
+    """
+    S0, I0 = _sample_region(region, samples, np.random.default_rng(seed))
+    tol = MEMBERSHIP_TOL
+    records = []
+    for index in range(samples):
+        x = State(float(S0[index]), float(I0[index]))
+        for k in range(1, steps + 1):
+            x = step(p, x)
+            S, I = x
+            checks = [
+                ("S<0", S < -tol),
+                ("I<0", I < -tol),
+                ("S+I>u*", S + I > region.u_star + tol),
+            ]
+            if region.case != 1:
+                checks += [
+                    ("S>1", S > 1.0 + tol),
+                    ("I>nullcline", I > region.nullcline(S) + tol),
+                ]
+            failed = [name for name, bad in checks if bad]
+            if failed:
+                records.append(EscapeRecord(index, k, (S, I), failed[0]))
+                break
+    return sorted(records, key=lambda e: (e.step, e.index))
+
+
+def _hand_built(case, r, beta, a, K, v, u=None):
+    p = ModelParams(r=r, beta=beta, a=a, K=K)
+    return p, RegionSpec(case=case, params=p, u_star=u_star(p) if u is None else u, v=v)
+
+
+class TestProbeOracle:
+    @pytest.mark.parametrize(
+        "p, region, want",
+        [
+            # the hand-built case-3 region of TestInvarianceProbe
+            (*_hand_built(3, 3.0, 2.0, 1.0, 0.1, v=1.5), {"I>nullcline"}),
+            # the leaking curved-region preset
+            (ModelParams(r=3.98, beta=2.8, a=1.0, K=0.5), None, {"I>nullcline"}),
+            # a capped region with r > 4, where S overshoots 1
+            (*_hand_built(2, 4.5, 0.3, 1.0, 0.5, v=15.0, u=1.5), {"S>1", "S+I>u*", "I>nullcline"}),
+            # a triangle under too high a ceiling: exits over many steps
+            (*_hand_built(1, 3.5, 1.0, 0.2, 0.3, v=3.5, u=1.2), {"S+I>u*", "S<0"}),
+        ],
+    )
+    def test_records_match_scalar_orbits(self, p, region, want):
+        region = region or applicable_region(p)
+        samples, steps, seed = 300, 80, 0
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        assert {e.constraint for e in expected} == want
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=seed, region=region, max_records=samples
+        )
+        assert rep.escape_count == len(expected)
+        assert rep.escapes == expected
+        capped = invariance_probe(p, samples=samples, steps=steps, seed=seed, region=region)
+        assert capped.escape_count == len(expected)
+        assert capped.escapes == expected[:50]
 
 
 class TestCeilingLemma:
