@@ -7,140 +7,23 @@ fixed points, stability thresholds, bifurcation-boundary labels and
 normal-form coefficients, locates cycle births on the invariant axis,
 estimates Lyapunov exponents, and probes candidate positively invariant
 regions.
+
+The public names are those each module lists in its ``__all__``.
 """
-from .core import (
-    DEFAULT_MAX_PERIOD,
-    DEFAULT_TRANSIENT,
-    DEFAULT_WINDOW,
-    DIVERGENCE_BOUND,
-    TOL_BOUNDARY,
-    TOL_CYCLE,
-    TOL_HYP,
-    DivergenceError,
-    FullState,
-    ModelParams,
-    Orbit,
-    State,
-    UnscaledParams,
-    incidence,
-    iterate,
-    jacobian,
-    scale_params,
-    step,
-    step_full,
-)
-from .equilibria import (
-    BoundaryTag,
-    EigenData,
-    FixedPointReport,
-    StabilityClass,
-    Thresholds,
-    beta0_threshold,
-    beta1_formula,
-    beta2_threshold,
-    classify_boundary,
-    disease_free,
-    eigen_from_matrix,
-    endemic,
-    period2_branch,
-    resonance_growth,
-    thresholds,
-)
-from .normal_forms import (
-    RESONANCE_EXCLUSION,
-    MultilinearForms,
-    NormalFormData,
-    ResonanceError,
-    finite_difference_forms,
-    flip_coefficient,
-    iterate_forms,
-    ns_coefficient,
-    rho_prime_at_ns,
-    shifted_forms,
-)
-from .dynamics import (
-    CycleBirth,
-    ScanResult,
-    decay_envelope_check,
-    detect_period,
-    find_cycle_births,
-    lyapunov,
-    reproduction_candidates,
-    scan,
-    sharkovskii_precedes,
-)
-from .positivity import (
-    EscapeRecord,
-    ProbeReport,
-    RegionSpec,
-    applicable_region,
-    contains,
-    invariance_probe,
-    u_star,
-)
+from . import core, dynamics, equilibria, normal_forms, positivity
+from .core import *  # noqa: F403
+from .equilibria import *  # noqa: F403
+from .normal_forms import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .positivity import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_PERIOD",
-    "DEFAULT_TRANSIENT",
-    "DEFAULT_WINDOW",
-    "DIVERGENCE_BOUND",
-    "RESONANCE_EXCLUSION",
-    "TOL_BOUNDARY",
-    "TOL_CYCLE",
-    "TOL_HYP",
-    "BoundaryTag",
-    "CycleBirth",
-    "DivergenceError",
-    "EigenData",
-    "EscapeRecord",
-    "FixedPointReport",
-    "FullState",
-    "ModelParams",
-    "MultilinearForms",
-    "NormalFormData",
-    "Orbit",
-    "ProbeReport",
-    "RegionSpec",
-    "ResonanceError",
-    "ScanResult",
-    "StabilityClass",
-    "State",
-    "Thresholds",
-    "UnscaledParams",
-    "applicable_region",
-    "beta0_threshold",
-    "beta1_formula",
-    "beta2_threshold",
-    "classify_boundary",
-    "contains",
-    "decay_envelope_check",
-    "detect_period",
-    "disease_free",
-    "eigen_from_matrix",
-    "endemic",
-    "finite_difference_forms",
-    "find_cycle_births",
-    "flip_coefficient",
-    "incidence",
-    "invariance_probe",
-    "iterate",
-    "iterate_forms",
-    "jacobian",
-    "lyapunov",
-    "ns_coefficient",
-    "period2_branch",
-    "reproduction_candidates",
-    "resonance_growth",
-    "rho_prime_at_ns",
-    "scale_params",
-    "scan",
-    "sharkovskii_precedes",
-    "shifted_forms",
-    "step",
-    "step_full",
-    "thresholds",
-    "u_star",
+    *core.__all__,
+    *equilibria.__all__,
+    *normal_forms.__all__,
+    *dynamics.__all__,
+    *positivity.__all__,
     "__version__",
 ]

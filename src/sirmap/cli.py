@@ -8,7 +8,12 @@ seed); structured reports as JSON.
 Option precedence: built-in defaults < --preset < --config file (flat
 key=value lines) < explicit flags.
 
-Exit codes: 0 success, 2 configuration error, 3 divergence.
+JSON output is strict: a report holding a non-finite number is refused
+as a configuration error.  Inputs that would make a subcommand store more
+than ``MAX_STORED_FLOATS`` numbers are refused before any allocation.
+
+Exit codes: 0 success, 2 configuration error (including arithmetic
+overflow on out-of-range input), 3 divergence.
 """
 from __future__ import annotations
 
@@ -32,6 +37,9 @@ from .normal_forms import ResonanceError, flip_coefficient, ns_coefficient, rho_
 from .positivity import applicable_region, invariance_probe
 
 _SQRT2 = math.sqrt(2.0)
+#: Most floats one subcommand may hold in its sample arrays (80 MB); the
+#: peak memory of scan, regions and simulate runs 4-10x their stored floats.
+MAX_STORED_FLOATS = 10**7
 
 PRESETS: dict[str, dict] = {
     # single-orbit parameter sets
@@ -145,8 +153,33 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit_json(doc: dict, out: str | None) -> None:
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"the report holds a non-finite number ({exc})") from None
+    _emit(text, out)
+
+
+def _check_size(what: str, floats: int) -> None:
+    if floats > MAX_STORED_FLOATS:
+        raise ValueError(
+            f"{what} would store {floats} floats, more than the limit of {MAX_STORED_FLOATS}"
+        )
+
+
 def _eig_json(mu: complex) -> list[float]:
     return [float(mu.real), float(mu.imag)]
+
+
+def _normal_form_json(at: str, nf, **extra) -> dict:
+    return {
+        "at": at,
+        "kind": nf.kind,
+        "coefficient": nf.coefficient,
+        "branch_stable": nf.branch_stable,
+        **extra,
+    }
 
 
 def _report_json(rep) -> dict:
@@ -159,6 +192,7 @@ def _report_json(rep) -> dict:
 
 
 def cmd_simulate(opts: dict) -> int:
+    _check_size("simulate --steps", 2 * opts["steps"])
     p = _params(opts)
     orbit = iterate(p, (opts["s0"], opts["i0"]), opts["transient"], opts["steps"])
     buf = io.StringIO()
@@ -211,32 +245,18 @@ def cmd_analyze(opts: dict) -> int:
     doc["normal_form"] = None
     try:
         if tag0 == BoundaryTag.FLIP:
-            nf = flip_coefficient(p, df)
-            doc["normal_form"] = {
-                "at": "disease_free",
-                "kind": nf.kind,
-                "coefficient": nf.coefficient,
-                "branch_stable": nf.branch_stable,
-            }
+            doc["normal_form"] = _normal_form_json("disease_free", flip_coefficient(p, df))
         elif tag1 == BoundaryTag.FLIP:
-            nf = flip_coefficient(p, endemic(p))
-            doc["normal_form"] = {
-                "at": "endemic",
-                "kind": nf.kind,
-                "coefficient": nf.coefficient,
-                "branch_stable": nf.branch_stable,
-            }
+            doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(p, endemic(p)))
         elif tag1 == BoundaryTag.NEIMARK_SACKER:
             nf = ns_coefficient(p)
-            doc["normal_form"] = {
-                "at": "endemic",
-                "kind": nf.kind,
-                "coefficient": nf.coefficient,
-                "branch_stable": nf.branch_stable,
-                "theta0": nf.theta0,
-                "eigenvalue": _eig_json(nf.eigenvalue),
-                "modulus_slope": rho_prime_at_ns(p),
-            }
+            doc["normal_form"] = _normal_form_json(
+                "endemic",
+                nf,
+                theta0=nf.theta0,
+                eigenvalue=_eig_json(nf.eigenvalue),
+                modulus_slope=rho_prime_at_ns(p),
+            )
         elif tag1 in (
             BoundaryTag.RESONANCE_12,
             BoundaryTag.RESONANCE_13,
@@ -262,13 +282,14 @@ def cmd_analyze(opts: dict) -> int:
         else None
     )
 
-    _emit(json.dumps(doc, indent=2), opts["out"])
+    _emit_json(doc, opts["out"])
     return 0
 
 
 def cmd_scan(opts: dict) -> int:
     if opts["param"] is None or opts["lo"] is None or opts["hi"] is None:
         raise ValueError("scan needs --param, --lo and --hi (or a preset providing them)")
+    _check_size("scan --steps x --keep", 2 * opts["steps"] * opts["keep"])
     p = _params(opts)
     result = scan(
         p,
@@ -299,16 +320,17 @@ def cmd_scan(opts: dict) -> int:
 def cmd_cycles(opts: dict) -> int:
     births = find_cycle_births(opts["n"], (opts["lo"], opts["hi"]))
     doc = {"n": births.n, "r_values": [float(r) for r in births.r_values]}
-    _emit(json.dumps(doc, indent=2), opts["out"])
+    _emit_json(doc, opts["out"])
     return 0
 
 
 def cmd_regions(opts: dict) -> int:
+    _check_size("regions --samples", 2 * opts["samples"])
     p = _params(opts)
     region = applicable_region(p)
     if region is None:
         doc = {"region": None, "note": "no invariance region applies at these parameters"}
-        _emit(json.dumps(doc, indent=2), opts["out"])
+        _emit_json(doc, opts["out"])
         return 0
     report = invariance_probe(
         p, samples=opts["samples"], steps=opts["steps"], seed=opts["seed"]
@@ -334,7 +356,7 @@ def cmd_regions(opts: dict) -> int:
             for e in report.escapes
         ],
     }
-    _emit(json.dumps(doc, indent=2), opts["out"])
+    _emit_json(doc, opts["out"])
     return 0
 
 
@@ -347,7 +369,7 @@ def cmd_lyapunov(opts: dict) -> int:
         "n": opts["steps"],
         "transient": opts["transient"],
     }
-    _emit(json.dumps(doc, indent=2), opts["out"])
+    _emit_json(doc, opts["out"])
     return 0
 
 
@@ -406,6 +428,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: arithmetic overflow; an input is out of range", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,15 +131,11 @@ def lyapunov(
     return (l1, l2) if l1 >= l2 else (l2, l1)
 
 
-def detect_period(
-    orbit,
-    max_period: int = DEFAULT_MAX_PERIOD,
-    tol: float = TOL_CYCLE,
-) -> int | None:
+def detect_period(orbit, max_period: int = DEFAULT_MAX_PERIOD) -> int | None:
     """Smallest period ``<= max_period`` the samples settle on, else None.
 
     A period ``q`` is accepted when ``|x[i+q] - x[i]|`` stays below
-    ``tol`` in the sup norm across the whole sample window.  The window
+    ``TOL_CYCLE`` in the sup norm across the whole sample window.  The window
     must hold at least ``4 * max_period`` samples.
     """
     pts = orbit.states if isinstance(orbit, Orbit) else np.asarray(orbit, dtype=np.float64)
@@ -151,7 +147,7 @@ def detect_period(
             f"{max_period}, got {pts.shape[0]}"
         )
     for q in range(1, max_period + 1):
-        if float(np.max(np.abs(pts[q:] - pts[:-q]))) <= tol:
+        if float(np.max(np.abs(pts[q:] - pts[:-q]))) <= TOL_CYCLE:
             return q
     return None
 

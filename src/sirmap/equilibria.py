@@ -18,7 +18,6 @@ trace/determinant quadratic, never from a general eigensolver.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -86,7 +85,7 @@ class EigenData:
     theta0: float | None
 
 
-def eigen_from_matrix(A: np.ndarray, unit_tol: float = TOL_HYP) -> EigenData:
+def eigen_from_matrix(A: np.ndarray) -> EigenData:
     """Eigen data for a real 2x2 matrix from its characteristic quadratic."""
     T = float(A[0, 0] + A[1, 1])
     D = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
@@ -103,14 +102,14 @@ def eigen_from_matrix(A: np.ndarray, unit_tol: float = TOL_HYP) -> EigenData:
         mu1 = complex(sigma, omega)
         mu2 = complex(sigma, -omega)
         theta0 = None
-        if abs(abs(mu1) - 1.0) <= unit_tol:
+        if abs(abs(mu1) - 1.0) <= TOL_HYP:
             theta0 = math.atan2(omega, sigma)
     return EigenData(trace=T, det=D, mu1=mu1, mu2=mu2, sigma=sigma, omega=omega, theta0=theta0)
 
 
-def _classify(e: EigenData, tol: float = TOL_HYP) -> StabilityClass:
+def _classify(e: EigenData) -> StabilityClass:
     m1, m2 = abs(e.mu1), abs(e.mu2)
-    if abs(m1 - 1.0) <= tol or abs(m2 - 1.0) <= tol:
+    if abs(m1 - 1.0) <= TOL_HYP or abs(m2 - 1.0) <= TOL_HYP:
         return StabilityClass.NON_HYPERBOLIC
     if e.omega > 0.0:
         return StabilityClass.STABLE_FOCUS if m1 < 1.0 else StabilityClass.UNSTABLE_FOCUS
@@ -135,9 +134,21 @@ class FixedPointReport:
     residual: float
 
 
-def _residual(p: ModelParams, x: State) -> float:
-    y = step(p, x)
+def _residual(p: ModelParams, x: State, k: int = 1) -> float:
+    """Sup-norm distance between ``x`` and its image under ``k`` map steps."""
+    y = x
+    for _ in range(k):
+        y = step(p, y)
     return max(abs(y.S - x.S), abs(y.I - x.I))
+
+
+def _report(
+    p: ModelParams, kind: FixedPointKind, x: State, e: EigenData, k: int = 1
+) -> FixedPointReport:
+    """Report on a point fixed by the k-th iterate, classified from ``e``."""
+    return FixedPointReport(
+        kind=kind, location=x, eigen=e, stability=_classify(e), residual=_residual(p, x, k)
+    )
 
 
 def disease_free(p: ModelParams) -> FixedPointReport:
@@ -161,13 +172,7 @@ def disease_free(p: ModelParams) -> FixedPointReport:
         omega=0.0,
         theta0=None,
     )
-    return FixedPointReport(
-        kind="disease_free",
-        location=loc,
-        eigen=e,
-        stability=_classify(e),
-        residual=_residual(p, loc),
-    )
+    return _report(p, "disease_free", loc, e)
 
 
 def endemic(p: ModelParams) -> FixedPointReport | None:
@@ -187,13 +192,7 @@ def endemic(p: ModelParams) -> FixedPointReport | None:
     I1 = (p.r - 1.0) / den - p.r * p.K / (den * den)
     loc = State(S1, I1)
     e = eigen_from_matrix(jacobian(p, loc))
-    return FixedPointReport(
-        kind="endemic",
-        location=loc,
-        eigen=e,
-        stability=_classify(e),
-        residual=_residual(p, loc),
-    )
+    return _report(p, "endemic", loc, e)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +287,15 @@ def thresholds(r: float, a: float, K: float) -> Thresholds:
     )
 
 
-def classify_boundary(
-    p: ModelParams,
-    which: Literal["E0", "E1"],
-    tol: float = TOL_BOUNDARY,
-) -> BoundaryTag | None:
+def classify_boundary(p: ModelParams, which: Literal["E0", "E1"]) -> BoundaryTag | None:
     """Label the codimension-1/2 boundary passing through ``p``, if any.
 
-    Matching is absolute within ``tol`` on both r and beta.  Codim-2
+    Matching is absolute within ``TOL_BOUNDARY`` on both r and beta.  Codim-2
     points win over the codim-1 curves meeting there: the fold-flip
     corner at (r, beta) = (3, beta0), and the 1:2 / 1:3 / 1:4 resonances
     on the NS curve at r_max, r_tilde and r_bar.
     """
-    r, beta = p.r, p.beta
+    r, beta, tol = p.r, p.beta, TOL_BOUNDARY
     if which == "E0":
         if abs(r - 1.0) <= tol:
             return BoundaryTag.FOLD
@@ -356,15 +351,5 @@ def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:
     x_minus = State(s_minus, 0.0)
     x_plus = State(s_plus, 0.0)
 
-    A2 = jacobian(p, x_plus) @ jacobian(p, x_minus)
-    e = eigen_from_matrix(A2)
-    stab = _classify(e)
-
-    def make(x: State) -> FixedPointReport:
-        y = step(p, step(p, x))
-        res = max(abs(y.S - x.S), abs(y.I - x.I))
-        return FixedPointReport(
-            kind="period2", location=x, eigen=e, stability=stab, residual=res
-        )
-
-    return make(x_minus), make(x_plus)
+    e = eigen_from_matrix(jacobian(p, x_plus) @ jacobian(p, x_minus))
+    return _report(p, "period2", x_minus, e, 2), _report(p, "period2", x_plus, e, 2)

@@ -33,6 +33,7 @@ from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, jacobian, step
 from .equilibria import (
     BoundaryTag,
     FixedPointReport,
+    _residual,
     eigen_from_matrix,
     endemic,
     thresholds,
@@ -44,7 +45,6 @@ __all__ = [
     "NormalFormData",
     "shifted_forms",
     "iterate_forms",
-    "finite_difference_forms",
     "flip_coefficient",
     "ns_coefficient",
     "rho_prime_at_ns",
@@ -54,6 +54,8 @@ __all__ = [
 #: Radius (in r) around the strong resonances where the NS coefficient
 #: is refused rather than computed.
 RESONANCE_EXCLUSION = 1.0e-6
+#: Largest fixed-point residual (sup norm) accepted for normal-form work.
+TOL_RESIDUAL = 1.0e-10
 
 
 class ResonanceError(ValueError):
@@ -113,40 +115,47 @@ def _point_tensors(p: ModelParams, x) -> MultilinearForms:
     return MultilinearForms(A=A, B=B, C=C)
 
 
-def shifted_forms(
-    p: ModelParams, fp, residual_tol: float = 1.0e-10
-) -> MultilinearForms:
+def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> MultilinearForms:
+    """Forms of the k-th iterate at a point that the k-th iterate fixes.
+
+    The larger of ``residual`` (one the caller already holds) and the
+    recomputed k-step residual must not exceed :data:`TOL_RESIDUAL`.
+    """
+    x = State(float(x[0]), float(x[1]))
+    res = max(residual, _residual(p, x, k))
+    if res > TOL_RESIDUAL:
+        raise ValueError(
+            f"normal-form work requires a fixed point: residual {res:.3e} "
+            f"exceeds {TOL_RESIDUAL:.1e} at {tuple(x)}"
+        )
+    return iterate_forms(p, x, k)
+
+
+def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
     """Derivative tensors of the map at a fixed point.
 
-    ``fp`` must actually be fixed: the one-step residual is checked
-    against ``residual_tol`` and a ``ValueError`` is raised otherwise.
-    These are the forms of the map shifted so the fixed point sits at
-    the origin (shifting does not change derivatives).
+    ``fp`` must actually be fixed: a one-step residual above
+    :data:`TOL_RESIDUAL` raises ``ValueError``.  These are the forms of
+    the map shifted so the fixed point sits at the origin (shifting does
+    not change derivatives).
     """
-    x = State(float(fp[0]), float(fp[1]))
-    y = step(p, x)
-    res = max(abs(y.S - x.S), abs(y.I - x.I))
-    if res > residual_tol:
-        raise ValueError(
-            f"shifted_forms requires a fixed point: residual {res:.3e} "
-            f"exceeds {residual_tol:.1e} at {tuple(x)}"
-        )
-    return _point_tensors(p, x)
+    return _cycle_forms(p, fp, 1)
 
 
 def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
     """Exact derivative tensors of the k-th iterate of the map at ``x``.
 
-    Composes the one-step tensors along the orbit of ``x`` with the
-    chain rule for second and third derivatives.
+    Starts from the one-step tensors at ``x`` and composes those of each
+    later orbit point with the chain rule for second and third
+    derivatives.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    A = np.eye(2)
-    B = np.zeros((2, 2, 2))
-    C = np.zeros((2, 2, 2, 2))
     z = (float(x[0]), float(x[1]))
-    for _ in range(k):
+    forms = _point_tensors(p, z)
+    A, B, C = forms.A, forms.B, forms.C
+    for _ in range(k - 1):
+        z = step(p, z)
         f = _point_tensors(p, z)
         # chain rule: the mixed term pairs the outer B with the inner B on
         # each of the three argument slots, keeping the tensor symmetric
@@ -161,85 +170,6 @@ def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
             "imn,mj,nk->ijk", f.B, A, A
         )
         A = f.A @ A
-        z = step(p, z)
-    return MultilinearForms(A=A, B=B, C=C)
-
-
-def _iterate_jacobian(p: ModelParams, x, k: int) -> np.ndarray:
-    J = np.eye(2)
-    z = (float(x[0]), float(x[1]))
-    for _ in range(k):
-        J = jacobian(p, z) @ J
-        z = step(p, z)
-    return J
-
-
-def finite_difference_forms(
-    p: ModelParams, x, k: int = 1, base_step: float = 1.0e-4
-) -> MultilinearForms:
-    """Derivative tensors of the k-th iterate by finite differences.
-
-    Differentiates the exact orbit Jacobian with central differences
-    plus one Richardson extrapolation level; the step in each direction
-    is ``base_step`` scaled by the coordinate magnitude.  Serves as the
-    generic fallback and as an independent oracle for the closed-form
-    and composed tensors.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    A = _iterate_jacobian(p, x, k)
-
-    def dJ(h_vec: np.ndarray) -> np.ndarray:
-        return _iterate_jacobian(p, x + h_vec, k) - _iterate_jacobian(p, x - h_vec, k)
-
-    def d2J(h_vec: np.ndarray) -> np.ndarray:
-        return (
-            _iterate_jacobian(p, x + h_vec, k)
-            - 2.0 * A
-            + _iterate_jacobian(p, x - h_vec, k)
-        )
-
-    B = np.zeros((2, 2, 2))
-    C = np.zeros((2, 2, 2, 2))
-    steps = [base_step * max(1.0, abs(x[j])) for j in range(2)]
-    for j in range(2):
-        h = steps[j]
-        e = np.zeros(2)
-        e[j] = h
-        coarse = dJ(e) / (2.0 * h)
-        fine = dJ(e / 2.0) / h
-        B[:, :, j] = (4.0 * fine - coarse) / 3.0
-        coarse2 = d2J(e) / (h * h)
-        fine2 = d2J(e / 2.0) / (h * h / 4.0)
-        C[:, :, j, j] = (4.0 * fine2 - coarse2) / 3.0
-
-    # mixed third partials from cross differences of the Jacobian
-    h0, h1 = steps
-    e0 = np.array([h0, 0.0])
-    e1 = np.array([0.0, h1])
-
-    def cross(scale: float) -> np.ndarray:
-        a, b = e0 * scale, e1 * scale
-        return (
-            _iterate_jacobian(p, x + a + b, k)
-            - _iterate_jacobian(p, x + a - b, k)
-            - _iterate_jacobian(p, x - a + b, k)
-            + _iterate_jacobian(p, x - a - b, k)
-        ) / (4.0 * (h0 * scale) * (h1 * scale))
-
-    coarse_x = cross(1.0)
-    fine_x = cross(0.5)
-    C[:, :, 0, 1] = C[:, :, 1, 0] = (4.0 * fine_x - coarse_x) / 3.0
-
-    # symmetrise to remove finite-difference noise
-    B = 0.5 * (B + B.transpose(0, 2, 1))
-    C = (
-        C
-        + C.transpose(0, 1, 3, 2)
-        + C.transpose(0, 2, 1, 3)
-        + C.transpose(0, 2, 3, 1)
-        + C.transpose(0, 3, 1, 2)
-        + C.transpose(0, 3, 2, 1)
-    ) / 6.0
     return MultilinearForms(A=A, B=B, C=C)
 
 
@@ -284,30 +214,25 @@ def _null_vector(M: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def flip_coefficient(
-    p: ModelParams, fp: FixedPointReport, tol: float = TOL_HYP
-) -> NormalFormData:
+def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     """Cubic normal-form coefficient at an eigenvalue -1 boundary.
 
     Accepts a report for the disease-free point, the endemic point, or
     one point of the axis 2-cycle; in the latter case the expansion is
-    taken for the second iterate at that point.  Requires the relevant
-    Jacobian to have an eigenvalue within ``tol`` of -1 and ``A - I``
-    to be invertible.
+    taken for the second iterate at that point.  Requires the report's
+    residual and the recomputed one to stay within :data:`TOL_RESIDUAL`,
+    the relevant Jacobian to have an eigenvalue within ``TOL_HYP`` of -1
+    and ``A - I`` to be invertible.
     """
-    if fp.residual > 1.0e-10:
-        raise ValueError(
-            f"fixed-point residual {fp.residual:.3e} too large for normal-form work"
-        )
     k = 2 if fp.kind == "period2" else 1
-    forms = iterate_forms(p, fp.location, k) if k > 1 else shifted_forms(p, fp.location)
+    forms = _cycle_forms(p, fp.location, k, fp.residual)
     A = forms.A
     e = eigen_from_matrix(A)
     candidates = [e.mu1, e.mu2]
     mu = min(candidates, key=lambda m: abs(m + 1.0))
-    if abs(mu + 1.0) > tol:
+    if abs(mu + 1.0) > TOL_HYP:
         raise ValueError(
-            f"flip coefficient needs an eigenvalue -1 within {tol:.1e}; "
+            f"flip coefficient needs an eigenvalue -1 within {TOL_HYP:.1e}; "
             f"closest is {mu:.12g}"
         )
     I2 = np.eye(2)
@@ -338,20 +263,20 @@ def flip_coefficient(
     )
 
 
-def ns_coefficient(p: ModelParams, tol: float = TOL_BOUNDARY) -> NormalFormData:
+def ns_coefficient(p: ModelParams) -> NormalFormData:
     """First coefficient ``d`` at the Neimark-Sacker boundary of E1.
 
-    Requires ``beta`` to sit on the NS curve within ``tol`` and the
+    Requires ``beta`` to sit on the NS curve within ``TOL_BOUNDARY`` and the
     growth value to stay clear (by :data:`RESONANCE_EXCLUSION` in r) of
     the strong resonances at r_bar, r_tilde and r_max, where the
     coefficient is undefined; those are refused with
     :class:`ResonanceError` naming the resonance.
     """
     th = thresholds(p.r, p.a, p.K)
-    if abs(p.beta - th.beta2) > tol:
+    if abs(p.beta - th.beta2) > TOL_BOUNDARY:
         raise ValueError(
             f"ns_coefficient requires beta on the NS curve: "
-            f"|beta - beta2| = {abs(p.beta - th.beta2):.3e} exceeds {tol:.1e}"
+            f"|beta - beta2| = {abs(p.beta - th.beta2):.3e} exceeds {TOL_BOUNDARY:.1e}"
         )
     for r_star, tag in (
         (th.r_max, BoundaryTag.RESONANCE_12),
@@ -368,7 +293,7 @@ def ns_coefficient(p: ModelParams, tol: float = TOL_BOUNDARY) -> NormalFormData:
         raise ValueError("endemic point absent at these parameters")
     forms = shifted_forms(p, rep.location)
     A = forms.A
-    e = eigen_from_matrix(A)
+    e = rep.eigen
     if abs(e.det - 1.0) > 1.0e-9:
         raise ValueError(
             f"determinant at E1 is {e.det:.12g}, not 1: point is off the NS curve"
@@ -422,7 +347,7 @@ def rho_prime_at_ns(p: ModelParams) -> float:
     rep = endemic(p)
     if rep is None:
         raise ValueError("endemic point absent; no eigenvalue pair to track")
-    e = eigen_from_matrix(jacobian(p, rep.location))
+    e = rep.eigen
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; modulus derivative not defined this way")
 
@@ -436,8 +361,7 @@ def rho_prime_at_ns(p: ModelParams) -> float:
         rr = endemic(q)
         if rr is None:
             raise ValueError("finite-difference probe left the endemic region")
-        ee = eigen_from_matrix(jacobian(q, rr.location))
-        return math.sqrt(ee.det)
+        return math.sqrt(rr.eigen.det)
 
     h = 1.0e-6 * max(1.0, abs(beta))
     fd = (modulus(beta + h) - modulus(beta - h)) / (2.0 * h)

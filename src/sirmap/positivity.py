@@ -130,18 +130,12 @@ def applicable_region(p: ModelParams) -> RegionSpec | None:
     return None
 
 
-def contains(region: RegionSpec, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Point membership with outward slack ``tol`` on each inequality."""
-    S, I = float(x[0]), float(x[1])
-    if S < -tol or I < -tol:
-        return False
-    if S + I > region.u_star + tol:
-        return False
-    if region.case == 1:
-        return True
-    if S > 1.0 + tol:
-        return False
-    return I <= float(region.nullcline(S)) + tol
+def contains(region: RegionSpec, x) -> bool:
+    """Point membership with outward slack ``MEMBERSHIP_TOL`` on each inequality.
+
+    A point with a NaN coordinate lies outside every region.
+    """
+    return bool(_holds(region, np.float64(x[0]), np.float64(x[1]), MEMBERSHIP_TOL).all())
 
 
 class EscapeRecord(NamedTuple):
@@ -163,15 +157,19 @@ class ProbeReport:
     escapes: list[EscapeRecord]
 
 
-def _first_violation(region: RegionSpec, S, I, tol):
-    """Per-point exit mask and index into _CONSTRAINTS of the first violation."""
-    checks = [S < -tol, I < -tol, S + I > region.u_star + tol]
+def _holds(region: RegionSpec, S, I, tol):
+    """Which region inequalities each point meets: one row per _CONSTRAINTS entry.
+
+    Each inequality gets outward slack ``tol``; a NaN coordinate fails
+    every inequality it enters.  The first False in a column names the
+    point's first violation.
+    """
+    holds = [S >= -tol, I >= -tol, S + I <= region.u_star + tol]
     if region.case != 1:
-        checks.append(S > 1.0 + tol)
+        holds.append(S <= 1.0 + tol)
         with np.errstate(invalid="ignore"):
-            checks.append(I > region.nullcline(S) + tol)
-    bad = np.stack(checks)
-    return bad.any(axis=0), bad.argmax(axis=0)
+            holds.append(I <= region.nullcline(S) + tol)
+    return np.stack(holds)
 
 
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +188,8 @@ def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndar
             break
         cand_S = rng.uniform(0.0, x_hi, size=2 * need + 16)
         cand_I = rng.uniform(0.0, y_hi, size=2 * need + 16)
-        good = cand_S + cand_I <= u
-        if region.case != 1:
-            good &= cand_I <= region.nullcline(cand_S)
+        # no slack: starts lie in the region itself
+        good = _holds(region, cand_S, cand_I, 0.0).all(axis=0)
         take = min(int(good.sum()), need)
         idx = np.nonzero(good)[0][:take]
         S[got : got + take] = cand_S[idx]
@@ -236,14 +233,16 @@ def invariance_probe(
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
             S, I = step(p, (S, I))
-            out, code = _first_violation(region, S, I, MEMBERSHIP_TOL)
-            if out.any():
-                hits = np.flatnonzero(out)
+            ok = _holds(region, S, I, MEMBERSHIP_TOL)
+            inside = ok.all(axis=0)
+            if not inside.all():
+                hits = np.flatnonzero(~inside)
                 escape_count += hits.size
                 for j in hits[: max(0, max_records - len(escapes))]:
                     point = (float(S[j]), float(I[j]))
-                    escapes.append(EscapeRecord(int(index[j]), k, point, _CONSTRAINTS[code[j]]))
-                live = np.flatnonzero(~out)
+                    constraint = _CONSTRAINTS[ok[:, j].argmin()]
+                    escapes.append(EscapeRecord(int(index[j]), k, point, constraint))
+                live = np.flatnonzero(inside)
                 S, I, index = S[live], I[live], index[live]
                 if index.size == 0:
                     break

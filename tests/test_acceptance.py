@@ -31,7 +31,6 @@ from sirmap import (
     disease_free,
     endemic,
     find_cycle_births,
-    finite_difference_forms,
     flip_coefficient,
     invariance_probe,
     iterate,
@@ -47,6 +46,8 @@ from sirmap import (
 from sirmap.core import State
 from sirmap.equilibria import beta1_formula
 from sirmap.normal_forms import ResonanceError
+
+from oracles import finite_difference_forms
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

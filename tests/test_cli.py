@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from sirmap import cli
 from sirmap.cli import PRESETS, main
 from sirmap.equilibria import beta2_threshold, thresholds
 
@@ -69,6 +70,45 @@ class TestDispatchAndErrors:
             capsys, "lyapunov", "--r", "40", "--steps", "2000", "--transient", "0"
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # beta2, r_bar, r_tilde and r_max come out infinite
+            ["--r", "2", "--a", "1.7e308", "--K", "0.5", "--beta", "1"],
+            # u* overflows
+            ["--r", "1e308", "--beta", "1", "--a", "1", "--K", "0.5"],
+            # the flip tensors overflow
+            ["--r", "3", "--a", "1.7e308", "--K", "0.5", "--beta", "1"],
+        ],
+    )
+    def test_out_of_range_analysis_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--param", "r", "--lo", "2", "--hi", "3", "--steps", "2",
+             "--keep", "1000000000000000"],
+            ["regions", "--preset", "triangle-region", "--samples", "1000000000000000"],
+            ["simulate", "--steps", "1000000000000000"],
+        ],
+    )
+    def test_oversized_request_refused_before_allocating(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
+
+    def test_size_limit_counts_scan_samples(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STORED_FLOATS", 20)
+        argv = ["scan", "--param", "r", "--lo", "2.8", "--hi", "3.0", "--steps", "2",
+                "--transient", "10"]
+        assert run_cli(capsys, *argv, "--keep", "5")[0] == 0
+        assert run_cli(capsys, *argv, "--keep", "6")[0] == 2
 
 
 class TestConfigPrecedence:

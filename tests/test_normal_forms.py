@@ -12,7 +12,6 @@ from sirmap import (
     beta2_threshold,
     disease_free,
     endemic,
-    finite_difference_forms,
     flip_coefficient,
     iterate_forms,
     ns_coefficient,
@@ -22,6 +21,8 @@ from sirmap import (
     thresholds,
 )
 from sirmap.normal_forms import ResonanceError
+
+from oracles import chain_rule_forms, finite_difference_forms
 
 R26 = 1.0 + math.sqrt(6.0)
 # closed forms for the two flip coefficients on the axis 2-cycle at r = 1+sqrt(6)
@@ -80,6 +81,15 @@ class TestFlipOnPeriodTwoBranch:
         assert abs(nf_hi.coefficient - C2_HIGH) < 1.0e-6
         assert abs(nf_lo.eigenvalue + 1.0) < 1.0e-9
         assert abs(nf_hi.eigenvalue + 1.0) < 1.0e-9
+
+    def test_wandering_point_rejected(self):
+        # a report whose location the second iterate does not fix is
+        # refused even when its recorded residual claims otherwise
+        p = ModelParams(r=R26, beta=0.5, a=1.0, K=0.5)
+        lo, _ = period2_branch(p)
+        fp = dataclasses.replace(lo, location=lo.location._replace(S=lo.location.S + 1.0e-3))
+        with pytest.raises(ValueError, match="residual"):
+            flip_coefficient(p, fp)
 
     def test_midbranch_rejected(self):
         # at r = 3.3 the 2-cycle exists but its multiplier is not -1 yet
@@ -207,3 +217,19 @@ class TestFormsConsistency:
         p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
         with pytest.raises(ValueError, match="k"):
             iterate_forms(p, (0.4, 0.2), 0)
+
+
+class TestIterateFormsOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_identity_seeded_chain_rule(self, k):
+        # starting from the first step's tensors instead of the identity
+        # and zeros must not change a single bit
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            r, beta, a, K = rng.uniform([0.5, 0.1, 0.0, 0.05], [4.0, 4.0, 3.0, 0.95])
+            p = ModelParams(r=r, beta=beta, a=a, K=K)
+            x = rng.uniform(0.0, 1.0, size=2)
+            got = iterate_forms(p, x, k)
+            want = chain_rule_forms(p, x, k)
+            for name in ("A", "B", "C"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (name, p, x)

@@ -124,6 +124,13 @@ class TestContains:
         assert contains(reg, (0.0, v))
         assert not contains(reg, (0.0, v + 1e-9))
 
+    @pytest.mark.parametrize("params", [CASE1_SETS[0], CASE2_SETS[0], CASE3_SETS[0]])
+    def test_nan_coordinate_is_outside(self, params):
+        # the first two are the triangle-region and capped-region presets
+        reg = applicable_region(ModelParams(*params))
+        for point in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+            assert not contains(reg, point), point
+
 
 class TestInvarianceProbe:
     @pytest.mark.parametrize("params,case", ALL_SETS)

@@ -1,12 +1,16 @@
-"""Source-structure guards: one map step, one tangent QR loop.
+"""Source-structure guards: one implementation of each decision.
 
 The per-step infected update ``(1 - K) * I + force`` may appear only in
 the map kernels, and ``math.hypot`` (the QR normalisation) only in the
 tangent kernel.  A new hand-inlined copy of either fails here; route the
 new caller through ``core.step``, ``core._advance`` or
-``dynamics._tangent`` instead.
+``dynamics._tangent`` instead.  Likewise the fixed-point residual lives
+only in ``equilibria._residual``, the one-step derivative tensors are
+composed only by ``normal_forms.iterate_forms``, and tolerances are
+module constants, not parameters of the public functions.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import sirmap
@@ -45,6 +49,28 @@ def _is_hypot(node) -> bool:
     )
 
 
+def _is_residual(node) -> bool:
+    """``max(abs(<x>), abs(<y>))``: the sup-norm gap between a point and its image."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "max"
+        and len(node.args) == 2
+        and all(
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "abs"
+            for arg in node.args
+        )
+    )
+
+
+def _calls_point_tensors(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_point_tensors"
+    )
+
+
 def _occurrences(predicate):
     """(file, innermost enclosing function or None, line) of each match."""
     found = []
@@ -74,3 +100,24 @@ def test_infected_update_only_in_step_kernels():
 def test_hypot_only_in_tangent_kernel():
     sites = _occurrences(_is_hypot)
     assert {func for _, func, _ in sites} == QR_KERNELS, sites
+
+
+def test_residual_only_in_equilibria_residual():
+    sites = _occurrences(_is_residual)
+    assert {(path, func) for path, func, _ in sites} == {("equilibria.py", "_residual")}, sites
+
+
+def test_point_tensors_composed_only_by_iterate_forms():
+    sites = _occurrences(_calls_point_tensors)
+    assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+
+
+def test_no_public_tolerance_parameters():
+    knobs = [
+        f"{name}({param})"
+        for name in sirmap.__all__
+        if inspect.isfunction(getattr(sirmap, name))
+        for param in inspect.signature(getattr(sirmap, name)).parameters
+        if param.endswith("tol")
+    ]
+    assert knobs == []
