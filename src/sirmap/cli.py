@@ -12,8 +12,9 @@ JSON output is strict: a report holding a non-finite number is refused
 as a configuration error.  Inputs that would make a subcommand store more
 than ``MAX_STORED_FLOATS`` numbers are refused before any allocation.
 
-Exit codes: 0 success, 2 configuration error (including arithmetic
-overflow on out-of-range input), 3 divergence.
+Exit codes: 0 success, 2 configuration error (including a non-finite
+initial state and arithmetic overflow on out-of-range input), 3
+divergence.
 """
 from __future__ import annotations
 
@@ -131,6 +132,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    for key in ("s0", "i0"):
+        if not math.isfinite(merged[key]):
+            raise ValueError(f"require a finite initial state, got {key}={merged[key]}")
     merged["out"] = args.out
     return merged
 
@@ -247,7 +251,7 @@ def cmd_analyze(opts: dict) -> int:
         if tag0 == BoundaryTag.FLIP:
             doc["normal_form"] = _normal_form_json("disease_free", flip_coefficient(p, df))
         elif tag1 == BoundaryTag.FLIP:
-            doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(p, endemic(p)))
+            doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(p, en))
         elif tag1 == BoundaryTag.NEIMARK_SACKER:
             nf = ns_coefficient(p)
             doc["normal_form"] = _normal_form_json(

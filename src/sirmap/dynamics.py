@@ -2,7 +2,8 @@
 
 Heavy loops are written either as plain-float Python (per-orbit work,
 where numpy array overhead would dominate) or as numpy-vectorised code
-over many seeds at once (the tangent-system Newton solver).
+over blocks of seeds (the tangent-system Newton solver, which runs each
+cache-sized block through every update with preallocated buffers).
 
 Plain-map stretches run through ``core._advance``.  :func:`_tangent`
 fuses the map step, its Jacobian and a two-column QR of the tangent frame
@@ -243,6 +244,59 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n) if n % d == 0]
 
 
+#: Newton seeds solved together.  A block's work array (10 rows of 16,384
+#: floats, 1.3 MB) and its seeds stay in a 2 MiB L2 through all the
+#: updates; blocks of 2,048 to 32,768 seeds measured, this size was fastest.
+_NEWTON_BLOCK = 16384
+_WORK_ROWS = 10
+
+
+def _tangency_residual(n: int, x0: np.ndarray, r: np.ndarray, w: np.ndarray):
+    """G = (f^n(x0) - x0, (f^n)'(x0) - 1) with forward sensitivities.
+
+    Writes into the rows of the work array ``w`` (``_WORK_ROWS`` x
+    ``len(x0)``) and returns views of its first five, (G1, G2, s, v, m),
+    where the Newton Jacobian is [[G2, s], [v, m]] since
+    d(x_n)/d(x_0) - 1 = G2.  Rows 5..9 are scratch.  Every element is
+    rounded as in the expression in the comment above its ufunc calls.
+    """
+    x, u, s, v, m, fx, fxr, fxx, a, b = w
+    np.copyto(x, x0)
+    u.fill(1.0)  # d x_n / d x_0
+    s.fill(0.0)  # d x_n / d r
+    v.fill(0.0)  # d u / d x_0
+    m.fill(0.0)  # d u / d r
+    np.multiply(-2.0, r, out=fxx)
+    for _ in range(n):
+        # fxr = 1 - 2*x; fx = r*fxr
+        np.multiply(2.0, x, out=fxr)
+        np.subtract(1.0, fxr, out=fxr)
+        np.multiply(r, fxr, out=fx)
+        # v = fxx*u*u + fx*v
+        np.multiply(fxx, u, out=a)
+        np.multiply(a, u, out=b)
+        np.multiply(fx, v, out=v)
+        np.add(b, v, out=v)
+        # m = fxx*u*s + fxr*u + fx*m
+        np.multiply(a, s, out=a)
+        np.multiply(fxr, u, out=b)
+        np.add(a, b, out=a)
+        np.multiply(fx, m, out=m)
+        np.add(a, m, out=m)
+        # s = fx*s + x*(1 - x)
+        np.subtract(1.0, x, out=a)
+        np.multiply(x, a, out=b)
+        np.multiply(fx, s, out=s)
+        np.add(s, b, out=s)
+        # u = fx*u; x = r*x*(1 - x)
+        np.multiply(fx, u, out=u)
+        np.multiply(r, x, out=x)
+        np.multiply(x, a, out=x)
+    np.subtract(x, x0, out=x)
+    np.subtract(u, 1.0, out=u)
+    return x, u, s, v, m
+
+
 def find_cycle_births(
     n: int,
     r_window: tuple[float, float] = (3.0, 4.0),
@@ -257,7 +311,10 @@ def find_cycle_births(
     hold simultaneously; this routine solves that 2x2 system in (x, r)
     with a damped Newton iteration over a dense seed grid, keeps roots
     whose orbit has minimal period exactly n, and merges r-values closer
-    than 1e-6.
+    than 1e-6.  The grid is solved in blocks of ``_NEWTON_BLOCK`` seeds,
+    each taken through all ``newton_iters`` updates and the final residual
+    check before the next; every seed runs every update, and its
+    arithmetic does not depend on the block it falls in.
 
     The system also holds where the n/2-cycle doubles, since there
     ``(f^n)' = ((f^(n/2))')^2 = 1``.  Newton converges only linearly at
@@ -279,56 +336,53 @@ def find_cycle_births(
     R, X = np.meshgrid(r_seeds, x_seeds)
     R = R.ravel().copy()
     X = X.ravel().copy()
-
-    def tangency_residual(xx, rr):
-        """G = (f^n(x) - x, (f^n)'(x) - 1) with forward sensitivities.
-
-        Returns (G1, G2, s, v, m) where the Newton Jacobian is
-        [[G2', s], [v, m]] with G2' = d(x_n)/dx0 - 1 = G2.
-        """
-        x = xx.copy()
-        u = np.ones_like(x)      # d x_n / d x_0
-        s = np.zeros_like(x)     # d x_n / d r
-        v = np.zeros_like(x)     # d u / d x_0
-        m = np.zeros_like(x)     # d u / d r
-        for _ in range(n):
-            fx = rr * (1.0 - 2.0 * x)
-            fxx = -2.0 * rr
-            fr = x * (1.0 - x)
-            fxr = 1.0 - 2.0 * x
-            v = fxx * u * u + fx * v
-            m = fxx * u * s + fxr * u + fx * m
-            s = fx * s + fr
-            u = fx * u
-            x = rr * x * (1.0 - x)
-        return x - xx, u - 1.0, s, v, m
+    ok = np.empty(X.shape, dtype=bool)
+    work = np.empty((_WORK_ROWS, min(_NEWTON_BLOCK, X.shape[0])))
 
     with np.errstate(all="ignore"):
-        for _ in range(newton_iters):
-            g1, g2, s_, v_, m_ = tangency_residual(X, R)
-            j11, j12, j21, j22 = g2, s_, v_, m_
-            det = j11 * j22 - j12 * j21
-            det = np.where(np.abs(det) < 1.0e-14, np.nan, det)
-            dx = -(j22 * g1 - j12 * g2) / det
-            dr = -(-j21 * g1 + j11 * g2) / det
-            np.clip(dx, -0.05, 0.05, out=dx)
-            np.clip(dr, -0.05, 0.05, out=dr)
-            X += dx
-            R += dr
-            np.clip(X, 1.0e-6, 1.0 - 1.0e-6, out=X)
-            np.clip(R, lo - 0.05, hi + 0.05, out=R)
+        for start in range(0, X.shape[0], _NEWTON_BLOCK):
+            stop = min(start + _NEWTON_BLOCK, X.shape[0])
+            Xb, Rb = X[start:stop], R[start:stop]
+            w = work[:, : stop - start]
+            det, dx, dr, t = w[5:9]
+            for _ in range(newton_iters):
+                g1, g2, s_, v_, m_ = _tangency_residual(n, Xb, Rb, w)
+                # det = g2*m - s*v, NaN where |det| < 1e-14
+                np.multiply(g2, m_, out=det)
+                np.multiply(s_, v_, out=t)
+                np.subtract(det, t, out=det)
+                np.copyto(det, np.nan, where=np.abs(det, out=t) < 1.0e-14)
+                # dx = -(m*g1 - s*g2) / det
+                np.multiply(m_, g1, out=dx)
+                np.multiply(s_, g2, out=t)
+                np.subtract(dx, t, out=dx)
+                np.negative(dx, out=dx)
+                np.divide(dx, det, out=dx)
+                # dr = -(-v*g1 + g2*g2) / det
+                np.negative(v_, out=dr)
+                np.multiply(dr, g1, out=dr)
+                np.multiply(g2, g2, out=t)
+                np.add(dr, t, out=dr)
+                np.negative(dr, out=dr)
+                np.divide(dr, det, out=dr)
+                np.clip(dx, -0.05, 0.05, out=dx)
+                np.clip(dr, -0.05, 0.05, out=dr)
+                Xb += dx
+                Rb += dr
+                np.clip(Xb, 1.0e-6, 1.0 - 1.0e-6, out=Xb)
+                np.clip(Rb, lo - 0.05, hi + 0.05, out=Rb)
 
-        g1, g2, _, _, _ = tangency_residual(X, R)
-        ok = (
-            np.isfinite(g1)
-            & np.isfinite(g2)
-            & (np.abs(g1) <= 1.0e-12)
-            & (np.abs(g2) <= 1.0e-10)
-            & (R >= lo)
-            & (R <= hi)
-            & (X > 0.0)
-            & (X < 1.0)
-        )
+            g1, g2, _, _, _ = _tangency_residual(n, Xb, Rb, w)
+            ok[start:stop] = (
+                np.isfinite(g1)
+                & np.isfinite(g2)
+                & (np.abs(g1) <= 1.0e-12)
+                & (np.abs(g2) <= 1.0e-10)
+                & (Rb >= lo)
+                & (Rb <= hi)
+                & (Xb > 0.0)
+                & (Xb < 1.0)
+            )
 
     roots_x = X[ok]
     roots_r = R[ok]

@@ -1,10 +1,14 @@
-"""Test-only reference implementations for the normal-form tensors.
+"""Test-only reference implementations.
 
 ``finite_difference_forms`` differentiates the exact orbit Jacobian
 numerically, independent of the closed-form tensors, and
 ``chain_rule_forms`` composes the one-step tensors from the identity, the
 way ``sirmap.normal_forms.iterate_forms`` did before it started from the
-first step's tensors.  Tests compare the library against both.
+first step's tensors.  ``full_grid_cycle_births`` is the Newton tangency
+solve of ``sirmap.find_cycle_births`` as it ran before the solve moved to
+blocks of seeds and preallocated buffers: every seed of the grid at once,
+with fresh temporaries for each expression.  Tests compare the library
+against all three.
 """
 import numpy as np
 
@@ -110,3 +114,92 @@ def finite_difference_forms(
         + C.transpose(0, 3, 2, 1)
     ) / 6.0
     return MultilinearForms(A=A, B=B, C=C)
+
+
+def full_grid_cycle_births(
+    n: int,
+    r_window: tuple[float, float] = (3.0, 4.0),
+    n_r_seeds: int = 400,
+    n_x_seeds: int = 400,
+    newton_iters: int = 60,
+) -> np.ndarray:
+    """Birth parameters of period-n axis orbits, solved over the whole grid.
+
+    Returns the merged ``r_values`` that ``find_cycle_births`` must
+    reproduce bit for bit.
+    """
+    lo, hi = float(r_window[0]), float(r_window[1])
+    r_seeds = np.linspace(lo + 1.0e-4, hi, n_r_seeds)
+    x_seeds = np.linspace(0.005, 0.995, n_x_seeds)
+    R, X = np.meshgrid(r_seeds, x_seeds)
+    R = R.ravel().copy()
+    X = X.ravel().copy()
+
+    def tangency_residual(xx, rr):
+        x = xx.copy()
+        u = np.ones_like(x)      # d x_n / d x_0
+        s = np.zeros_like(x)     # d x_n / d r
+        v = np.zeros_like(x)     # d u / d x_0
+        m = np.zeros_like(x)     # d u / d r
+        for _ in range(n):
+            fx = rr * (1.0 - 2.0 * x)
+            fxx = -2.0 * rr
+            fr = x * (1.0 - x)
+            fxr = 1.0 - 2.0 * x
+            v = fxx * u * u + fx * v
+            m = fxx * u * s + fxr * u + fx * m
+            s = fx * s + fr
+            u = fx * u
+            x = rr * x * (1.0 - x)
+        return x - xx, u - 1.0, s, v, m
+
+    with np.errstate(all="ignore"):
+        for _ in range(newton_iters):
+            g1, g2, s_, v_, m_ = tangency_residual(X, R)
+            j11, j12, j21, j22 = g2, s_, v_, m_
+            det = j11 * j22 - j12 * j21
+            det = np.where(np.abs(det) < 1.0e-14, np.nan, det)
+            dx = -(j22 * g1 - j12 * g2) / det
+            dr = -(-j21 * g1 + j11 * g2) / det
+            np.clip(dx, -0.05, 0.05, out=dx)
+            np.clip(dr, -0.05, 0.05, out=dr)
+            X += dx
+            R += dr
+            np.clip(X, 1.0e-6, 1.0 - 1.0e-6, out=X)
+            np.clip(R, lo - 0.05, hi + 0.05, out=R)
+
+        g1, g2, _, _, _ = tangency_residual(X, R)
+        ok = (
+            np.isfinite(g1)
+            & np.isfinite(g2)
+            & (np.abs(g1) <= 1.0e-12)
+            & (np.abs(g2) <= 1.0e-10)
+            & (R >= lo)
+            & (R <= hi)
+            & (X > 0.0)
+            & (X < 1.0)
+        )
+
+    roots_x = X[ok]
+    roots_r = R[ok]
+
+    # keep only orbits whose minimal period is exactly n
+    keep = np.ones(roots_x.shape[0], dtype=bool)
+    for d in (d for d in range(1, n) if n % d == 0):
+        y = roots_x.copy()
+        for _ in range(d):
+            y = roots_r * y * (1.0 - y)
+        keep &= np.abs(y - roots_x) > 1.0e-9
+    roots_r = roots_r[keep]
+
+    roots_r.sort()
+    merged: list[float] = []
+    cluster: list[float] = []
+    for rv in roots_r:
+        if cluster and rv - cluster[-1] > 1.0e-6:
+            merged.append(float(np.mean(cluster)))
+            cluster = []
+        cluster.append(float(rv))
+    if cluster:
+        merged.append(float(np.mean(cluster)))
+    return np.array(merged)

@@ -103,6 +103,21 @@ class TestDispatchAndErrors:
         assert out == ""
         assert "limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--preset", "locked-ten", "--s0", "nan", "--steps", "3"],
+            ["lyapunov", "--preset", "axis-chaos", "--s0", "inf"],
+            # "--i0 -inf" would stop in argparse, which reads "-inf" as a flag
+            ["scan", "--preset", "flip-cascade-scan", "--i0=-inf"],
+        ],
+    )
+    def test_non_finite_initial_state_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite initial state" in err
+
     def test_size_limit_counts_scan_samples(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_STORED_FLOATS", 20)
         argv = ["scan", "--param", "r", "--lo", "2.8", "--hi", "3.0", "--steps", "2",

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import full_grid_cycle_births
+from sirmap import dynamics
 from sirmap.cli import PRESETS
 from sirmap import (
     DivergenceError,
@@ -442,6 +444,28 @@ class TestCycleBirths:
         p = ModelParams(r=BIRTHS[3][0] + 1.0e-4, beta=1.1, a=1.0, K=0.5)
         orb = iterate(p, (0.8, 0.2), n_transient=200_000, n_keep=4 * 64)
         assert detect_period(orb) == 3
+
+
+class TestCycleBirthOracle:
+    """The blocked Newton solve returns the full-grid solve's values bit for bit."""
+
+    # 61 x 37 = 2,257 seeds: four blocks of 500 and a ragged one of 257
+    SMALL = {"n_r_seeds": 61, "n_x_seeds": 37}
+
+    @pytest.mark.parametrize(
+        "n, window", [(n, (3.0, 4.0)) for n in range(3, 9)] + [(8, (3.9, 4.0))]
+    )
+    def test_small_grid_ragged_blocks(self, n, window, monkeypatch):
+        monkeypatch.setattr(dynamics, "_NEWTON_BLOCK", 500)
+        expected = full_grid_cycle_births(n, window, **self.SMALL)
+        assert expected.size > 0
+        got = find_cycle_births(n, window, **self.SMALL).r_values
+        assert np.array_equal(got, expected)
+
+    def test_default_grid(self):
+        # 160,000 seeds end in a ragged block at the module's block size
+        assert 160_000 % dynamics._NEWTON_BLOCK != 0
+        assert np.array_equal(find_cycle_births(3).r_values, full_grid_cycle_births(3))
 
 
 class TestSharkovskii:

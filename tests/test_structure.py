@@ -6,8 +6,10 @@ tangent kernel.  A new hand-inlined copy of either fails here; route the
 new caller through ``core.step``, ``core._advance`` or
 ``dynamics._tangent`` instead.  Likewise the fixed-point residual lives
 only in ``equilibria._residual``, the one-step derivative tensors are
-composed only by ``normal_forms.iterate_forms``, and tolerances are
-module constants, not parameters of the public functions.
+composed only by ``normal_forms.iterate_forms``, the sensitivity update
+of the cycle-birth tangency recurrence (its ``fxx``/``fxr`` terms) only by
+``dynamics._tangency_residual``, and tolerances are module constants, not
+parameters of the public functions.
 """
 import ast
 import inspect
@@ -71,6 +73,11 @@ def _calls_point_tensors(node) -> bool:
     )
 
 
+def _is_tangency_sensitivity(node) -> bool:
+    """A use of the second derivatives ``fxx`` or ``fxr`` of the logistic step."""
+    return isinstance(node, ast.Name) and node.id in ("fxx", "fxr")
+
+
 def _occurrences(predicate):
     """(file, innermost enclosing function or None, line) of each match."""
     found = []
@@ -110,6 +117,13 @@ def test_residual_only_in_equilibria_residual():
 def test_point_tensors_composed_only_by_iterate_forms():
     sites = _occurrences(_calls_point_tensors)
     assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+
+
+def test_tangency_recurrence_only_in_tangency_residual():
+    sites = _occurrences(_is_tangency_sensitivity)
+    assert {(path, func) for path, func, _ in sites} == {
+        ("dynamics.py", "_tangency_residual")
+    }, sites
 
 
 def test_no_public_tolerance_parameters():
