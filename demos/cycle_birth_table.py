@@ -2,10 +2,11 @@
 susceptible axis and check each first window dynamically.
 
 With the infected mass extinct the map restricts to x -> r x (1 - x),
-so period-n orbits appear at tangencies of the n-th iterate.  The table
-of births for n = 3..7 goes to ./demo_out/cycle_births.json; for each
-first birth the script then iterates just past the tangency and shows
-the settled period.
+so period-n orbits appear at saddle-node tangencies of the n-th iterate
+or, for even n, where an n/2-cycle doubles.  The births for n = 3..7 are
+printed with their kind and their r values go to
+./demo_out/cycle_births.json; for each first birth the script then
+iterates just past it and shows the settled period.
 """
 
 import json
@@ -22,8 +23,9 @@ def main():
     for n in range(3, 8):
         births = find_cycle_births(n)
         table[n] = [float(r) for r in births.r_values]
-        vals = ", ".join(f"{r:.7f}" for r in births.r_values)
-        print(f"n={n}: {len(table[n])} births at r = {vals}")
+        print(f"n={n}: {len(table[n])} births")
+        for r, kind in zip(births.r_values, births.kinds):
+            print(f"  r = {r:.7f}  {kind}")
 
     path = OUT / "cycle_births.json"
     path.write_text(json.dumps(table, indent=2))

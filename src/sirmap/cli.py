@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from .core import DivergenceError, ModelParams, iterate
@@ -387,8 +388,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3`` as a value, as argparse already reads ``-0.001``.
+
+    ``-inf`` and ``-nan`` still read as flags.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--r", type=float, default=None, help="growth factor")
     common.add_argument("--beta", type=float, default=None, help="transmission strength")
     common.add_argument("--a", type=float, default=None, help="saturation coefficient")
@@ -402,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", type=str, default=None, help="named parameter bundle")
     common.add_argument("--config", type=str, default=None, help="flat key=value option file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sirmap",
         description="Numerical laboratory for a planar SIR map with saturated incidence",
     )
@@ -415,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--hi", type=float, default=None, help="sweep end")
     ps.add_argument("--keep", type=int, default=None, help="attractor samples per row")
     pc = sub.add_parser("cycles", parents=[common], help="axis period-n birth parameters")
-    pc.add_argument("--n", type=int, default=None, help="cycle length (3..8)")
+    pc.add_argument("--n", type=int, default=None, help="cycle length (3..12)")
     pc.add_argument("--lo", type=float, default=None, help="window start")
     pc.add_argument("--hi", type=float, default=None, help="window end")
     pr = sub.add_parser("regions", parents=[common], help="positivity region + invariance probe")

@@ -1,9 +1,8 @@
 """Orbit-level machinery: Lyapunov exponents, periods, scans, cycle births.
 
-Heavy loops are written either as plain-float Python (per-orbit work,
-where numpy array overhead would dominate) or as numpy-vectorised code
-over blocks of seeds (the tangent-system Newton solver, which runs each
-cache-sized block through every update with preallocated buffers).
+Heavy loops are plain-float Python: the work runs one orbit at a time
+(one per scan row, per Lyapunov estimate, per cycle birth), where numpy
+array overhead would dominate.
 
 Plain-map stretches run through ``core._advance``.  :func:`_tangent`
 fuses the map step, its Jacobian and a two-column QR of the tangent frame
@@ -13,6 +12,7 @@ and Lyapunov outputs follow that orbit bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -232,69 +232,98 @@ def scan(
 class CycleBirth:
     """Parameter values where period-n orbits of the axis map are born.
 
-    ``r_values`` holds the saddle-node tangencies and, for even n, the
-    period-doublings of the n/2-cycle (see :func:`find_cycle_births`).
+    ``r_values`` is sorted and ``kinds`` is aligned with it: a
+    ``"saddle-node"`` birth creates a pair of period-n orbits, where
+    ``f^n(x) = x`` and ``(f^n)'(x) = 1``; a ``"period-doubling"`` birth
+    (even n only) sheds one from the n/2-cycle, where ``f^(n/2)(x) = x``
+    and ``(f^(n/2))'(x) = -1``.
     """
 
     n: int
     r_values: np.ndarray
+    kinds: tuple[str, ...]
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n) if n % d == 0]
+def _tangency_residual(n: int, x0: float, r: float):
+    """``(f^n(x0) - x0, u, s, v, m)`` for ``f(x) = r x (1 - x)``.
 
-
-#: Newton seeds solved together.  A block's work array (10 rows of 16,384
-#: floats, 1.3 MB) and its seeds stay in a 2 MiB L2 through all the
-#: updates; blocks of 2,048 to 32,768 seeds measured, this size was fastest.
-_NEWTON_BLOCK = 16384
-_WORK_ROWS = 10
-
-
-def _tangency_residual(n: int, x0: np.ndarray, r: np.ndarray, w: np.ndarray):
-    """G = (f^n(x0) - x0, (f^n)'(x0) - 1) with forward sensitivities.
-
-    Writes into the rows of the work array ``w`` (``_WORK_ROWS`` x
-    ``len(x0)``) and returns views of its first five, (G1, G2, s, v, m),
-    where the Newton Jacobian is [[G2, s], [v, m]] since
-    d(x_n)/d(x_0) - 1 = G2.  Rows 5..9 are scratch.  Every element is
-    rounded as in the expression in the comment above its ufunc calls.
+    ``u = (f^n)'(x0)``, ``s = d f^n / dr``, ``v = du/dx0`` and
+    ``m = du/dr``, carried forward along the orbit.
     """
-    x, u, s, v, m, fx, fxr, fxx, a, b = w
-    np.copyto(x, x0)
-    u.fill(1.0)  # d x_n / d x_0
-    s.fill(0.0)  # d x_n / d r
-    v.fill(0.0)  # d u / d x_0
-    m.fill(0.0)  # d u / d r
-    np.multiply(-2.0, r, out=fxx)
+    x, u, s, v, m = x0, 1.0, 0.0, 0.0, 0.0
+    fxx = -2.0 * r
     for _ in range(n):
-        # fxr = 1 - 2*x; fx = r*fxr
-        np.multiply(2.0, x, out=fxr)
-        np.subtract(1.0, fxr, out=fxr)
-        np.multiply(r, fxr, out=fx)
-        # v = fxx*u*u + fx*v
-        np.multiply(fxx, u, out=a)
-        np.multiply(a, u, out=b)
-        np.multiply(fx, v, out=v)
-        np.add(b, v, out=v)
-        # m = fxx*u*s + fxr*u + fx*m
-        np.multiply(a, s, out=a)
-        np.multiply(fxr, u, out=b)
-        np.add(a, b, out=a)
-        np.multiply(fx, m, out=m)
-        np.add(a, m, out=m)
-        # s = fx*s + x*(1 - x)
-        np.subtract(1.0, x, out=a)
-        np.multiply(x, a, out=b)
-        np.multiply(fx, s, out=s)
-        np.add(s, b, out=s)
-        # u = fx*u; x = r*x*(1 - x)
-        np.multiply(fx, u, out=u)
-        np.multiply(r, x, out=x)
-        np.multiply(x, a, out=x)
-    np.subtract(x, x0, out=x)
-    np.subtract(u, 1.0, out=u)
-    return x, u, s, v, m
+        fxr = 1.0 - 2.0 * x
+        fx = r * fxr
+        v = fxx * u * u + fx * v
+        m = fxx * u * s + fxr * u + fx * m
+        s = fx * s + x * (1.0 - x)
+        u = fx * u
+        x = r * x * (1.0 - x)
+    return x - x0, u, s, v, m
+
+
+def _superstable(word: str) -> float | None:
+    """The r at which 1/2 visits the sides ``word`` (L/R of 1/2) and returns.
+
+    Metropolis-Stein-Stein inverse iteration from r = 4: pull 1/2 back
+    along the word to the critical value r/4 and take 4 times it as the
+    next r, until the change stops shrinking.  A word that is not
+    admissible meets a negative square root, or its orbit does not
+    follow it; either gives None.
+    """
+    r, last = 4.0, math.inf
+    while True:
+        x = 0.5
+        for side in reversed(word):
+            d = 0.25 - x / r
+            if d < 0.0:
+                return None
+            x = 0.5 + math.sqrt(d) if side == "R" else 0.5 - math.sqrt(d)
+        change = abs(4.0 * x - r)
+        r = 4.0 * x
+        if change >= last:
+            break
+        last = change
+    x = 0.5
+    for side in word:
+        x = r * x * (1.0 - x)
+        if not (x > 0.5 if side == "R" else x < 0.5):
+            return None
+    return r
+
+
+def _superstable_words(m: int) -> list[tuple[str, float]]:
+    """Every admissible period-m word with its superstable r."""
+    found = []
+    for letters in itertools.product("LR", repeat=m - 1):
+        word = "".join(letters)
+        r = _superstable(word)
+        if r is not None:
+            found.append((word, r))
+    return found
+
+
+def _birth(n: int, r: float, multiplier: float) -> float:
+    """Solve ``f^n(x) = x, (f^n)'(x) = multiplier`` by Newton from (1/2, r).
+
+    ``r`` is superstable for period n, so the start solves the system
+    with multiplier 0.  Raises if the iteration does not converge.
+    """
+    x = 0.5
+    # every word up to n = 14 converges in at most 6 steps; after a step
+    # below 1e-14 the quadratic error is below rounding
+    for _ in range(50):
+        g, u, s, v, m = _tangency_residual(n, x, r)
+        h = u - multiplier
+        det = (u - 1.0) * m - s * v
+        dx = (m * g - s * h) / det
+        dr = ((u - 1.0) * h - v * g) / det
+        x -= dx
+        r -= dr
+        if abs(dx) <= 1.0e-14 and abs(dr) <= 1.0e-14:
+            return r
+    raise ArithmeticError(f"no period-{n} orbit with multiplier {multiplier} near r = {r}")
 
 
 def find_cycle_births(
@@ -304,110 +333,42 @@ def find_cycle_births(
     n_x_seeds: int = 400,
     newton_iters: int = 60,
 ) -> CycleBirth:
-    """Solve the tangency system for the axis (logistic) restriction.
+    """Every birth of a period-n orbit of the axis (logistic) map in ``r_window``.
 
-    On the invariant axis I = 0 the map reduces to ``x -> r x (1 - x)``.
-    A period-n orbit is born where ``f^n(x) = x`` and ``(f^n)'(x) = 1``
-    hold simultaneously; this routine solves that 2x2 system in (x, r)
-    with a damped Newton iteration over a dense seed grid, keeps roots
-    whose orbit has minimal period exactly n, and merges r-values closer
-    than 1e-6.  The grid is solved in blocks of ``_NEWTON_BLOCK`` seeds,
-    each taken through all ``newton_iters`` updates and the final residual
-    check before the next; every seed runs every update, and its
-    arithmetic does not depend on the block it falls in.
+    On the invariant axis I = 0 the map reduces to ``f(x) = r x (1 - x)``.
+    Each birth makes an orbit that is stable for a while and superstable
+    (passing through 1/2) at one r, and the sides of 1/2 that its other
+    points visit spell an admissible word (Metropolis, Stein & Stein,
+    J. Combin. Theory A 15 (1973) 25-44).  So the births are enumerated
+    from the words: every period-n word that is not the harmonic
+    ``V mu V`` of a period-n/2 word ``V`` (``mu`` is L when ``V`` holds an
+    odd number of R's, else R) gives a saddle-node, and every period-n/2
+    word gives a period-doubling.  One Newton solve per birth takes the
+    multiplier of the word's orbit from 0 at its superstable point to +1
+    or -1; both are regular roots.  The window filters the solved births;
+    a solve that does not converge raises.
 
-    The system also holds where the n/2-cycle doubles, since there
-    ``(f^n)' = ((f^(n/2))')^2 = 1``.  Newton converges only linearly at
-    such a pitchfork, and the roots it returns are split by more than the
-    1e-9 period filter, so ``r_values`` holds these period-doubling births
-    as well as the saddle-node tangencies: n = 4 includes 1 + sqrt(6),
-    n = 6 includes 3.84150 and n = 8 includes 3.54409 and 3.96077.
-
-    ``n`` must lie in 3..8 and the window inside (3, 4].
+    ``n`` must lie in 3..12 and the window inside (3, 4].  ``n_r_seeds``,
+    ``n_x_seeds`` and ``newton_iters`` are ignored; they remain for
+    callers that pass them by name.
     """
-    if not isinstance(n, int) or not 3 <= n <= 8:
-        raise ValueError(f"n must be an integer in 3..8, got {n}")
+    if not isinstance(n, int) or not 3 <= n <= 12:
+        raise ValueError(f"n must be an integer in 3..12, got {n}")
     lo, hi = float(r_window[0]), float(r_window[1])
     if not (3.0 <= lo < hi <= 4.0):
         raise ValueError(f"r_window must sit inside (3, 4], got {r_window}")
 
-    r_seeds = np.linspace(lo + 1.0e-4, hi, n_r_seeds)
-    x_seeds = np.linspace(0.005, 0.995, n_x_seeds)
-    R, X = np.meshgrid(r_seeds, x_seeds)
-    R = R.ravel().copy()
-    X = X.ravel().copy()
-    ok = np.empty(X.shape, dtype=bool)
-    work = np.empty((_WORK_ROWS, min(_NEWTON_BLOCK, X.shape[0])))
-
-    with np.errstate(all="ignore"):
-        for start in range(0, X.shape[0], _NEWTON_BLOCK):
-            stop = min(start + _NEWTON_BLOCK, X.shape[0])
-            Xb, Rb = X[start:stop], R[start:stop]
-            w = work[:, : stop - start]
-            det, dx, dr, t = w[5:9]
-            for _ in range(newton_iters):
-                g1, g2, s_, v_, m_ = _tangency_residual(n, Xb, Rb, w)
-                # det = g2*m - s*v, NaN where |det| < 1e-14
-                np.multiply(g2, m_, out=det)
-                np.multiply(s_, v_, out=t)
-                np.subtract(det, t, out=det)
-                np.copyto(det, np.nan, where=np.abs(det, out=t) < 1.0e-14)
-                # dx = -(m*g1 - s*g2) / det
-                np.multiply(m_, g1, out=dx)
-                np.multiply(s_, g2, out=t)
-                np.subtract(dx, t, out=dx)
-                np.negative(dx, out=dx)
-                np.divide(dx, det, out=dx)
-                # dr = -(-v*g1 + g2*g2) / det
-                np.negative(v_, out=dr)
-                np.multiply(dr, g1, out=dr)
-                np.multiply(g2, g2, out=t)
-                np.add(dr, t, out=dr)
-                np.negative(dr, out=dr)
-                np.divide(dr, det, out=dr)
-                np.clip(dx, -0.05, 0.05, out=dx)
-                np.clip(dr, -0.05, 0.05, out=dr)
-                Xb += dx
-                Rb += dr
-                np.clip(Xb, 1.0e-6, 1.0 - 1.0e-6, out=Xb)
-                np.clip(Rb, lo - 0.05, hi + 0.05, out=Rb)
-
-            g1, g2, _, _, _ = _tangency_residual(n, Xb, Rb, w)
-            ok[start:stop] = (
-                np.isfinite(g1)
-                & np.isfinite(g2)
-                & (np.abs(g1) <= 1.0e-12)
-                & (np.abs(g2) <= 1.0e-10)
-                & (Rb >= lo)
-                & (Rb <= hi)
-                & (Xb > 0.0)
-                & (Xb < 1.0)
-            )
-
-    roots_x = X[ok]
-    roots_r = R[ok]
-
-    # keep only orbits whose minimal period is exactly n
-    keep = np.ones(roots_x.shape[0], dtype=bool)
-    for d in _divisors(n):
-        y = roots_x.copy()
-        for _ in range(d):
-            y = roots_r * y * (1.0 - y)
-        keep &= np.abs(y - roots_x) > 1.0e-9
-    roots_r = roots_r[keep]
-
-    roots_r.sort()
-    merged: list[float] = []
-    cluster: list[float] = []
-    for rv in roots_r:
-        if cluster and rv - cluster[-1] > 1.0e-6:
-            merged.append(float(np.mean(cluster)))
-            cluster = []
-        cluster.append(float(rv))
-    if cluster:
-        merged.append(float(np.mean(cluster)))
-
-    return CycleBirth(n=n, r_values=np.array(merged))
+    births, harmonics = [], set()
+    for v, r in _superstable_words(n // 2) if n % 2 == 0 else []:
+        births.append((_birth(n // 2, r, -1.0), "period-doubling"))
+        harmonics.add(v + ("L" if v.count("R") % 2 else "R") + v)
+    for w, r in _superstable_words(n):
+        if w not in harmonics:
+            births.append((_birth(n, r, 1.0), "saddle-node"))
+    births = sorted(b for b in births if lo <= b[0] <= hi)
+    return CycleBirth(
+        n=n, r_values=np.array([r for r, _ in births]), kinds=tuple(k for _, k in births)
+    )
 
 
 def _decompose(k: int) -> tuple[int, int]:

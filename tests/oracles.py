@@ -4,11 +4,12 @@
 numerically, independent of the closed-form tensors, and
 ``chain_rule_forms`` composes the one-step tensors from the identity, the
 way ``sirmap.normal_forms.iterate_forms`` did before it started from the
-first step's tensors.  ``full_grid_cycle_births`` is the Newton tangency
-solve of ``sirmap.find_cycle_births`` as it ran before the solve moved to
-blocks of seeds and preallocated buffers: every seed of the grid at once,
-with fresh temporaries for each expression.  Tests compare the library
-against all three.
+first step's tensors.  ``full_grid_cycle_births`` is the damped Newton
+tangency solve over a 400 x 400 seed grid that ``sirmap.find_cycle_births``
+ran before it enumerated kneading words; ``mpmath_birth`` solves one
+birth's defining system at 40 digits, and ``primitive_orbits`` counts the
+orbits of minimal period n of x -> 4x(1-x).  Tests compare the library
+against all of them.
 """
 import numpy as np
 
@@ -125,8 +126,9 @@ def full_grid_cycle_births(
 ) -> np.ndarray:
     """Birth parameters of period-n axis orbits, solved over the whole grid.
 
-    Returns the merged ``r_values`` that ``find_cycle_births`` must
-    reproduce bit for bit.
+    Returns the merged ``r_values``: the saddle-node tangencies and, where
+    Newton stalls at a pitchfork, the period-doublings of the n/2-cycle
+    (the latter only to about 4e-11).
     """
     lo, hi = float(r_window[0]), float(r_window[1])
     r_seeds = np.linspace(lo + 1.0e-4, hi, n_r_seeds)
@@ -203,3 +205,49 @@ def full_grid_cycle_births(
     if cluster:
         merged.append(float(np.mean(cluster)))
     return np.array(merged)
+
+
+def mpmath_birth(m: int, multiplier: int, r: float):
+    """Solve ``f^m(x) = x, (f^m)'(x) = multiplier`` at 40 digits, f = r x (1 - x).
+
+    Newton (``mpmath.findroot``) starts from (1/2, r): the orbit born at a
+    saddle-node or period-doubling passes near the critical point.
+    Returns ``(r, residual, drift)`` as mpmath numbers, ``drift`` being the
+    smallest ``|f^d(x) - x|`` over the proper divisors d of m >= 2.
+    """
+    import mpmath as mp
+
+    def orbit(x, r, k):
+        dx = 1
+        for _ in range(k):
+            dx *= r * (1 - 2 * x)
+            x = r * x * (1 - x)
+        return x, dx
+
+    def system(x, r):
+        y, dy = orbit(x, r, m)
+        return y - x, dy - multiplier
+
+    with mp.workdps(40):
+        root = mp.findroot(system, (mp.mpf(0.5), mp.mpf(r)))
+        x, r = root[0], root[1]
+        residual = max(abs(g) for g in system(x, r))
+        drift = min(abs(orbit(x, r, d)[0] - x) for d in range(1, m) if m % d == 0)
+        return r, residual, drift
+
+
+def primitive_orbits(n: int) -> int:
+    """Number of orbits of minimal period n of x -> 4x(1-x) (Moebius count)."""
+
+    def mobius(k: int) -> int:
+        sign, q = 1, 2
+        while q * q <= k:
+            if k % q == 0:
+                k //= q
+                if k % q == 0:
+                    return 0
+                sign = -sign
+            q += 1
+        return -sign if k > 1 else sign
+
+    return sum(mobius(n // d) * 2**d for d in range(1, n + 1) if n % d == 0) // n

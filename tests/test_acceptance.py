@@ -47,7 +47,7 @@ from sirmap.core import State
 from sirmap.equilibria import beta1_formula
 from sirmap.normal_forms import ResonanceError
 
-from oracles import finite_difference_forms
+from oracles import finite_difference_forms, primitive_orbits
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -176,30 +176,23 @@ def test_c4_cycle_birth_lists():
     t0 = time.perf_counter()
     parts, ok = [], True
     for n, vals in C4_LISTED.items():
-        found = find_cycle_births(n).r_values
+        births = find_cycle_births(n)
+        found = births.r_values
         hits = sum(1 for v in vals if np.min(np.abs(found - v)) <= C4_TOL[n])
-        parts.append(f"n={n}: {hits}/{len(vals)} listed values matched ({len(found)} found)")
-        if hits < len(vals) or len(found) != len(vals):
+        # the births labelled period-doubling are exactly the listed ones
+        doublings = [r for r, k in zip(found, births.kinds) if k == "period-doubling"]
+        listed = C4_PERIOD_DOUBLING.get(n, [])
+        kinds_ok = len(doublings) == len(listed) and all(
+            abs(r - v) <= C4_TOL[n] for r, v in zip(doublings, listed)
+        )
+        parts.append(
+            f"n={n}: {hits}/{len(vals)} listed values matched ({len(found)} found), "
+            f"{len(doublings)} period-doubling"
+        )
+        if hits < len(vals) or len(found) != len(vals) or not kinds_ok:
             ok = False
     dt = time.perf_counter() - t0
     _report("C4 cycle birth lists", ok and dt < 60.0, "; ".join(parts) + f", {dt:.1f}s")
-
-
-def _primitive_orbits(n: int) -> int:
-    """Number of orbits of minimal period n of x -> 4x(1-x) (Moebius count)."""
-
-    def mobius(k: int) -> int:
-        sign, q = 1, 2
-        while q * q <= k:
-            if k % q == 0:
-                k //= q
-                if k % q == 0:
-                    return 0
-                sign = -sign
-            q += 1
-        return -sign if k > 1 else sign
-
-    return sum(mobius(n // d) * 2**d for d in range(1, n + 1) if n % d == 0) // n
 
 
 def test_c2_c4_references_certified():
@@ -254,8 +247,8 @@ def test_c2_c4_references_certified():
             # orbit at r = 4 was born at a listed value: two per saddle-node,
             # one per period-doubling
             orbits = 2 * (len(vals) - len(doublings)) + len(doublings)
-            if orbits != _primitive_orbits(n):
-                bad.append(f"n={n}: births give {orbits} orbits, r=4 has {_primitive_orbits(n)}")
+            if orbits != primitive_orbits(n):
+                bad.append(f"n={n}: births give {orbits} orbits, r=4 has {primitive_orbits(n)}")
 
         a, K = mp.mpf(1), mp.mpf("0.5")
 

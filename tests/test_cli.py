@@ -118,6 +118,19 @@ class TestDispatchAndErrors:
         assert out == ""
         assert err.startswith("error:") and "finite initial state" in err
 
+    def test_negative_exponent_value_after_space(self, capsys):
+        argv = ["simulate", "--s0", "0.5", "--transient", "5", "--steps", "3"]
+        code, joined, _ = run_cli(capsys, *argv, "--i0=-1e-3")
+        assert code == 0
+        code, spaced, _ = run_cli(capsys, *argv, "--i0", "-1e-3")
+        assert code == 0
+        assert spaced.encode() == joined.encode()
+        # "-inf" still reads as a flag, so the value is missing
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--i0", "-inf"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_size_limit_counts_scan_samples(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_STORED_FLOATS", 20)
         argv = ["scan", "--param", "r", "--lo", "2.8", "--hi", "3.0", "--steps", "2",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_grid_cycle_births
+from oracles import full_grid_cycle_births, mpmath_birth, primitive_orbits
 from sirmap import dynamics
 from sirmap.cli import PRESETS
 from sirmap import (
@@ -398,11 +398,11 @@ class TestCycleBirths:
         assert abs(res.r_values[0] - BIRTHS[5][0]) < 1.0e-8
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError, match="3..8"):
+        with pytest.raises(ValueError, match="3..12"):
             find_cycle_births(2)
-        with pytest.raises(ValueError, match="3..8"):
-            find_cycle_births(9)
-        with pytest.raises(ValueError, match="3..8"):
+        with pytest.raises(ValueError, match="3..12"):
+            find_cycle_births(13)
+        with pytest.raises(ValueError, match="3..12"):
             find_cycle_births(5.0)
 
     def test_rejects_bad_window(self):
@@ -447,25 +447,63 @@ class TestCycleBirths:
 
 
 class TestCycleBirthOracle:
-    """The blocked Newton solve returns the full-grid solve's values bit for bit."""
+    """Every birth is certified by an independent solve, and none is missing."""
 
-    # 61 x 37 = 2,257 seeds: four blocks of 500 and a ragged one of 257
-    SMALL = {"n_r_seeds": 61, "n_x_seeds": 37}
+    # superstable period-n orbits of the logistic family (OEIS A000048);
+    # each is born at exactly one saddle-node or period-doubling
+    SUPERSTABLE = {2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9, 8: 16, 9: 28, 10: 51, 11: 93, 12: 170}
 
-    @pytest.mark.parametrize(
-        "n, window", [(n, (3.0, 4.0)) for n in range(3, 9)] + [(8, (3.9, 4.0))]
-    )
-    def test_small_grid_ragged_blocks(self, n, window, monkeypatch):
-        monkeypatch.setattr(dynamics, "_NEWTON_BLOCK", 500)
-        expected = full_grid_cycle_births(n, window, **self.SMALL)
-        assert expected.size > 0
-        got = find_cycle_births(n, window, **self.SMALL).r_values
-        assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_each_birth_solves_its_system_at_40_digits(self, n):
+        pytest.importorskip("mpmath")
+        res = find_cycle_births(n)
+        for r, kind in zip(res.r_values, res.kinds):
+            # a saddle-node solves the period-n system with multiplier +1, a
+            # period-doubling the n/2 system with multiplier -1
+            m, multiplier = (n, 1) if kind == "saddle-node" else (n // 2, -1)
+            exact, residual, drift = mpmath_birth(m, multiplier, r)
+            assert residual < 1.0e-30, (n, r, kind)
+            assert abs(exact - r) <= 1.0e-13, (n, r, kind, float(exact))
+            # the orbit solved has minimal period m, so the orbit born has period n
+            assert drift > 1.0e-3, (n, r, kind)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_counts_and_orbit_identity(self, n):
+        res = find_cycle_births(n)
+        saddle_nodes = res.kinds.count("saddle-node")
+        doublings = res.kinds.count("period-doubling")
+        assert len(res.kinds) == len(res.r_values) == saddle_nodes + doublings
+        assert len(res.r_values) == self.SUPERSTABLE[n]
+        assert doublings == (self.SUPERSTABLE[n // 2] if n % 2 == 0 else 0)
+        assert np.all(np.diff(res.r_values) > 0.0)
+        # every period-n orbit of 4x(1-x) was born at one of these values:
+        # two per saddle-node, one per period-doubling
+        assert 2 * saddle_nodes + doublings == primitive_orbits(n)
 
     def test_default_grid(self):
-        # 160,000 seeds end in a ragged block at the module's block size
-        assert 160_000 % dynamics._NEWTON_BLOCK != 0
-        assert np.array_equal(find_cycle_births(3).r_values, full_grid_cycle_births(3))
+        # the seed-grid solve this enumeration replaced, on its default grid
+        expected = full_grid_cycle_births(8)
+        got = find_cycle_births(8).r_values
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1.0e-10
+
+    def test_period_doubling_closed_form(self):
+        # the 2-cycle of the logistic map doubles at r = 1 + sqrt(6)
+        res = find_cycle_births(4)
+        assert res.kinds == ("period-doubling", "saddle-node")
+        assert abs(res.r_values[0] - (1.0 + math.sqrt(6.0))) <= 1.0e-14
+
+    def test_window_applies_after_solving(self):
+        full = find_cycle_births(8)
+        part = find_cycle_births(8, r_window=(3.9, 4.0))
+        inside = full.r_values >= 3.9
+        assert np.array_equal(part.r_values, full.r_values[inside])
+        assert part.kinds == tuple(np.array(full.kinds)[inside])
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_tangency_residual", lambda n, x, r: (math.nan,) * 5)
+        with pytest.raises(ArithmeticError, match="period-3"):
+            find_cycle_births(3)
 
 
 class TestSharkovskii:

@@ -6,8 +6,8 @@ tangent kernel.  A new hand-inlined copy of either fails here; route the
 new caller through ``core.step``, ``core._advance`` or
 ``dynamics._tangent`` instead.  Likewise the fixed-point residual lives
 only in ``equilibria._residual``, the one-step derivative tensors are
-composed only by ``normal_forms.iterate_forms``, the sensitivity update
-of the cycle-birth tangency recurrence (its ``fxx``/``fxr`` terms) only by
+composed only by ``normal_forms.iterate_forms``, the sensitivity recurrence
+of the cycle-birth Newton solve (its ``fxx``/``fxr`` terms) only by
 ``dynamics._tangency_residual``, and tolerances are module constants, not
 parameters of the public functions.
 """
