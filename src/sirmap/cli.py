@@ -253,7 +253,13 @@ def cmd_analyze(opts: dict) -> int:
             doc["normal_form"] = _normal_form_json("disease_free", flip_coefficient(p, df))
         elif tag1 == BoundaryTag.FLIP:
             doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(p, en))
-        elif tag1 == BoundaryTag.NEIMARK_SACKER:
+        elif tag1 in (
+            BoundaryTag.NEIMARK_SACKER,
+            BoundaryTag.RESONANCE_12,
+            BoundaryTag.RESONANCE_13,
+            BoundaryTag.RESONANCE_14,
+        ):
+            # ns_coefficient refuses points on or near a strong resonance
             nf = ns_coefficient(p)
             doc["normal_form"] = _normal_form_json(
                 "endemic",
@@ -262,19 +268,10 @@ def cmd_analyze(opts: dict) -> int:
                 eigenvalue=_eig_json(nf.eigenvalue),
                 modulus_slope=rho_prime_at_ns(p),
             )
-        elif tag1 in (
-            BoundaryTag.RESONANCE_12,
-            BoundaryTag.RESONANCE_13,
-            BoundaryTag.RESONANCE_14,
-        ):
-            doc["normal_form"] = {
-                "at": "endemic",
-                "kind": "resonance",
-                "tag": tag1.value,
-                "note": "normal-form coefficient undefined at a strong resonance",
-            }
     except ResonanceError as exc:
-        doc["normal_form"] = {"at": "endemic", "kind": "resonance", "note": str(exc)}
+        doc["normal_form"] = {
+            "at": "endemic", "kind": "resonance", "tag": exc.tag.value, "note": str(exc)
+        }
 
     region = applicable_region(p)
     doc["region"] = (

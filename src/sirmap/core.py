@@ -286,20 +286,25 @@ class Orbit:
         return self.escaped_at is not None
 
 
-def _advance(p: ModelParams, x0, n: int):
+def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     """Run ``n`` guarded map steps from ``x0``; return ``(S, I, escaped_at)``.
 
     The guard is checked before each step, so the last state is returned
     unchecked; ``escaped_at`` is the index of the out-of-bounds state, or
-    None.
+    None.  Row ``k < len(out)`` of ``out``, if given, receives the checked
+    state before step ``k``.
     """
     S, I = float(x0[0]), float(x0[1])
     r, beta, a, K = p.r, p.beta, p.a, p.K
+    m = 0 if out is None else out.shape[0]
     bound = DIVERGENCE_BOUND
     # `not (total <= bound)` also catches NaN
     for k in range(n):
         if not (abs(S) + abs(I) <= bound):
             return S, I, k
+        if k < m:
+            out[k, 0] = S
+            out[k, 1] = I
         force = beta * S * I / (1.0 + a * S)
         S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
     return S, I, None
@@ -313,9 +318,9 @@ def iterate(
 ) -> Orbit:
     """Iterate the planar map and keep the last ``n_keep`` states.
 
-    The first ``n_transient`` iterations are discarded.  Escape is a
-    distinguished outcome, not an error: the returned orbit carries the
-    escape step and whatever in-bounds samples were collected before it.
+    The first ``n_transient`` iterations are discarded; one more guarded
+    run records the window.  Escape is a distinguished outcome, not an
+    error: the orbit carries the escape step and the samples before it.
     """
     if n_transient < 0 or n_keep < 0:
         raise ValueError("n_transient and n_keep must be non-negative")
@@ -323,9 +328,7 @@ def iterate(
     if k is not None:
         return Orbit(states=np.empty((0, 2)), escaped_at=k)
     out = np.empty((n_keep, 2), dtype=np.float64)
-    for k in range(n_keep):
-        out[k] = S, I
-        S, I, escaped = _advance(p, (S, I), 1)
-        if escaped is not None:
-            return Orbit(states=out[:k].copy(), escaped_at=n_transient + k)
+    _, _, k = _advance(p, (S, I), n_keep, out)
+    if k is not None:
+        return Orbit(states=out[:k].copy(), escaped_at=n_transient + k)
     return Orbit(states=out, escaped_at=None)

@@ -5,9 +5,9 @@ Heavy loops are plain-float Python: the work runs one orbit at a time
 array overhead would dominate.
 
 Plain-map stretches run through ``core._advance``.  :func:`_tangent`
-fuses the map step, its Jacobian and a two-column QR of the tangent frame
-for ``lyapunov`` and ``scan``.  Its step forms the incidence as
-``phi * I``, which rounds differently from ``core.step``, and the scan
+fuses the map step, its Jacobian, one normalised tangent vector and
+``|det J|`` for ``lyapunov`` and ``scan``.  Its step forms the incidence
+as ``phi * I``, which rounds differently from ``core.step``, and the scan
 and Lyapunov outputs follow that orbit bit for bit.
 """
 from __future__ import annotations
@@ -44,27 +44,28 @@ __all__ = [
 ]
 
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)  # tangent frame (q11, q21, q12, q22)
+_START = (1.0, 0.0)  # tangent vector (q1, q2)
 _FRAME_WARMUP = 2000
 
 
 def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
-    """Run ``n`` guarded steps of the map and its QR-orthonormalised frame.
+    """Run ``n`` guarded steps of the map and its normalised tangent vector.
 
-    Returns ``(S, I, frame, log_r11, log_r22, escaped_at)`` with the log
-    sums over the steps run; ``escaped_at`` is as in ``core._advance``.
+    Returns ``(S, I, frame, log_r11, log_r22, escaped_at)``: log sums over the
+    steps run of the vector's stretch ``r11`` and of ``|det J| / r11``, the
+    ``r22`` of a two-column QR; ``escaped_at`` is as in ``core._advance``.
     Row ``k < len(out)`` of ``out``, if given, receives the state before step ``k``.
     """
     S, I = x0
     r, beta, a, K = p.r, p.beta, p.a, p.K
-    q11, q21, q12, q22 = frame
+    q1, q2 = frame
     m = 0 if out is None else out.shape[0]
     bound, tiny, hypot, log = DIVERGENCE_BOUND, 1.0e-300, math.hypot, math.log
     two_r, retain = 2.0 * r, 1.0 - K
     s1 = s2 = 0.0
     for k in range(n):
         if not (abs(S) + abs(I) <= bound):
-            return S, I, (q11, q21, q12, q22), s1, s2, k
+            return S, I, (q1, q2), s1, s2, k
         if k < m:
             out[k, 0] = S
             out[k, 1] = I
@@ -76,24 +77,18 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
         j22 = retain + phi
         force = phi * I
         S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-        m11 = j11 * q11 - phi * q21
-        m21 = j21 * q11 + j22 * q21
-        m12 = j11 * q12 - phi * q22
-        m22 = j21 * q12 + j22 * q22
-        r11 = hypot(m11, m21)
+        m1 = j11 * q1 - phi * q2
+        m2 = j21 * q1 + j22 * q2
+        r11 = hypot(m1, m2)
         if r11 < tiny:
             r11 = tiny
-        q11, q21 = m11 / r11, m21 / r11
-        r12 = q11 * m12 + q21 * m22
-        v1 = m12 - r12 * q11
-        v2 = m22 - r12 * q21
-        r22 = hypot(v1, v2)
+        q1, q2 = m1 / r11, m2 / r11
+        r22 = abs(j11 * j22 + phi * j21) / r11
         if r22 < tiny:
             r22 = tiny
-        q12, q22 = v1 / r22, v2 / r22
         s1 += log(r11)
         s2 += log(r22)
-    return S, I, (q11, q21, q12, q22), s1, s2, None
+    return S, I, (q1, q2), s1, s2, None
 
 
 def lyapunov(
@@ -104,11 +99,11 @@ def lyapunov(
 ) -> tuple[float, float]:
     """Both Lyapunov exponents along the orbit of ``x0``.
 
-    Accumulates QR factorisations of Jacobian products over ``n`` steps
-    after discarding ``transient`` iterations.  Returns exponents in
-    descending order.  Requires ``n >= 1000``; raises
-    :class:`DivergenceError` (carrying the step index) if the orbit
-    escapes.
+    After ``transient`` iterations one tangent vector runs ``n`` steps; the
+    exponents are its mean log stretch and the mean ``log|det J|`` (their sum,
+    in a planar map) minus that.  Returns them in descending order.  Requires
+    ``n >= 1000``; raises :class:`DivergenceError` (carrying the step index)
+    if the orbit escapes.
     """
     if n < 1000:
         raise ValueError(f"need n >= 1000 for a meaningful estimate, got n={n}")
@@ -117,12 +112,12 @@ def lyapunov(
     S, I, k = _advance(p, x0, transient)
     if k is not None:
         raise DivergenceError(k)
-    # Warm up the orthonormal frame before averaging.  Starting from the
-    # identity next to an invariant coordinate direction, the frame can
-    # need O(10^3) steps to swing onto the dominant direction (the
-    # misalignment may start at denormal size), which would otherwise
-    # leak a 1/n bias into both exponents.
-    S, I, frame, _, _, k = _tangent(p, (S, I), _IDENTITY, _FRAME_WARMUP)
+    # Warm up the tangent vector before averaging.  Starting along S next
+    # to an invariant coordinate direction, it can need O(10^3) steps to
+    # swing onto the dominant direction (the misalignment may start at
+    # denormal size), which would otherwise leak a 1/n bias into both
+    # exponents.  On the axis it stays on the axis direction: hence the sort.
+    S, I, frame, _, _, k = _tangent(p, (S, I), _START, _FRAME_WARMUP)
     if k is not None:
         raise DivergenceError(transient + k)
     _, _, _, s1, s2, k = _tangent(p, (S, I), frame, n)
@@ -194,6 +189,8 @@ def scan(
         raise ValueError("steps must be >= 1")
     if keep < 1:
         raise ValueError("keep must be >= 1")
+    if transient < 0:
+        raise ValueError("transient must be non-negative")
     values = np.linspace(prange[0], prange[1], steps)
     samples = np.full((steps, keep, 2), np.nan)
     lyap_max = np.full(steps, np.nan)
@@ -206,7 +203,7 @@ def scan(
         q = replace(p, **{parameter_name: float(val)})
         S, I, escaped_at = _advance(q, state, transient)
         if escaped_at is None:
-            S, I, _, log_r11, _, k = _tangent(q, (S, I), _IDENTITY, n_lyap, samples[row])
+            S, I, _, log_r11, _, k = _tangent(q, (S, I), _START, n_lyap, samples[row])
             if k is None:
                 lyap_max[row] = log_r11 / n_lyap
             else:
@@ -419,10 +416,10 @@ def reproduction_candidates(p: ModelParams) -> tuple[float, float]:
 def decay_envelope_check(p: ModelParams, x0, n: int = 200) -> bool:
     """Verify geometric decay of the infected mass along an orbit.
 
-    Preconditions: ``beta < (1+a)*K`` and ``0 < S0 < 1`` (violations
-    raise ``ValueError``); ``I0 >= 0``.  For ``I0 = 0`` the claim is
-    trivially true.  Otherwise the orbit is iterated ``n`` steps and
-    the checks are strict monotone decay, positivity, and the envelope
+    Preconditions: ``beta < (1+a)*K``, ``0 < S0 < 1``, ``I0 >= 0`` and
+    ``n >= 0`` (violations raise ``ValueError``).  For ``I0 = 0`` the
+    claim is trivially true.  Otherwise the orbit is iterated ``n`` steps
+    and the checks are strict monotone decay, positivity, and the envelope
 
         (1-K)^k * I0  <=  I_k  <=  (beta/(1+a) + 1 - K)^k * I0.
 
@@ -440,6 +437,8 @@ def decay_envelope_check(p: ModelParams, x0, n: int = 200) -> bool:
         raise ValueError(f"require 0 < S0 < 1, got S0={S0}")
     if I0 < 0.0:
         raise ValueError(f"require I0 >= 0, got I0={I0}")
+    if n < 0:
+        raise ValueError(f"require n >= 0, got n={n}")
     if I0 == 0.0:
         return True
 

@@ -7,9 +7,10 @@ way ``sirmap.normal_forms.iterate_forms`` did before it started from the
 first step's tensors.  ``full_grid_cycle_births`` is the damped Newton
 tangency solve over a 400 x 400 seed grid that ``sirmap.find_cycle_births``
 ran before it enumerated kneading words; ``mpmath_birth`` solves one
-birth's defining system at 40 digits, and ``primitive_orbits`` counts the
-orbits of minimal period n of x -> 4x(1-x).  Tests compare the library
-against all of them.
+birth's defining system at 40 digits, ``mpmath_tangent_sums`` replays a
+float orbit's tangent vector and ``log|det J|`` at 40 digits, and
+``primitive_orbits`` counts the orbits of minimal period n of
+x -> 4x(1-x).  Tests compare the library against all of them.
 """
 import numpy as np
 
@@ -234,6 +235,35 @@ def mpmath_birth(m: int, multiplier: int, r: float):
         residual = max(abs(g) for g in system(x, r))
         drift = min(abs(orbit(x, r, d)[0] - x) for d in range(1, m) if m % d == 0)
         return r, residual, drift
+
+
+def mpmath_tangent_sums(p: ModelParams, states, warm: int):
+    """``(sum log r11, sum log|det J|)`` at 40 digits along the given float states.
+
+    A unit vector starts along S at ``states[0]`` and is pushed through the
+    Jacobian at each state, its stretch ``r11`` normalised away; both sums
+    skip the first ``warm`` states.  Returned as floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        r, beta, a, K = (mp.mpf(v) for v in (p.r, p.beta, p.a, p.K))
+        q1, q2 = mp.mpf(1), mp.mpf(0)
+        s1 = s_det = mp.mpf(0)
+        for k, (S, I) in enumerate(states):
+            S, I = mp.mpf(S), mp.mpf(I)
+            den = 1 + a * S
+            phi = beta * S / den
+            j21 = I * beta / (den * den)
+            j11 = r - 2 * r * S - j21
+            j22 = 1 - K + phi
+            m1, m2 = j11 * q1 - phi * q2, j21 * q1 + j22 * q2
+            r11 = mp.sqrt(m1 * m1 + m2 * m2)
+            q1, q2 = m1 / r11, m2 / r11
+            if k >= warm:
+                s1 += mp.log(r11)
+                s_det += mp.log(abs(j11 * j22 + phi * j21))
+        return float(s1), float(s_det)
 
 
 def primitive_orbits(n: int) -> int:

@@ -74,6 +74,20 @@ class TestDispatchAndErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["scan", "--param", "r", "--lo", "2.8", "--hi", "3.0", "--steps", "3"],
+            ["simulate", "--steps", "3"],
+            ["lyapunov", "--steps", "1000"],
+        ],
+    )
+    def test_negative_transient_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--transient", "-5")
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             # beta2, r_bar, r_tilde and r_max come out infinite
             ["--r", "2", "--a", "1.7e308", "--K", "0.5", "--beta", "1"],
             # u* overflows
@@ -245,6 +259,17 @@ class TestAnalyze:
         doc = run_json(capsys, "analyze", "--r", str(th.r_max), "--beta", str(b2))
         nf = doc["normal_form"]
         assert nf["kind"] == "resonance"
+        assert nf["tag"] == "1:2 resonance"
+        # inside the exclusion band but off the point itself: the point
+        # classifies as Neimark-Sacker, and the report has the same shape
+        r = th.r_bar + 5.0e-7
+        b2 = beta2_threshold(r, 1.0, 0.5)
+        doc = run_json(capsys, "analyze", "--r", str(r), "--beta", str(b2))
+        assert doc["endemic"]["boundary"] == "neimark-sacker"
+        near = doc["normal_form"]
+        assert near.keys() == nf.keys() == {"at", "kind", "tag", "note"}
+        assert near["kind"] == "resonance"
+        assert near["tag"] == "1:4 resonance"
 
     def test_subcritical_growth_has_no_thresholds(self, capsys):
         doc = run_json(capsys, "analyze", "--r", "0.8")

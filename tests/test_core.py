@@ -190,6 +190,31 @@ class TestIterate:
         assert orb.escaped_at is not None
         assert len(orb) <= 50
 
+    @pytest.mark.parametrize(
+        "p, x0, n_transient, n_keep",
+        [
+            (ModelParams(r=3.6, beta=2.85, a=1.0, K=0.5), (0.6, 0.2), 100, 300),
+            # escapes inside the window: at step 3, and at step 2750
+            (ModelParams(r=40.0, beta=1.0, a=1.0, K=0.5), (0.9, 0.0), 0, 50),
+            (ModelParams(r=4.0 + 1.0e-6, beta=0.5, a=1.0, K=0.5), (0.34, 0.0), 2000, 2000),
+            # escapes in the transient; an empty window
+            (ModelParams(r=40.0, beta=1.0, a=1.0, K=0.5), (0.9, 0.0), 10, 5),
+            (ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5), (0.5, 0.1), 10, 0),
+        ],
+    )
+    def test_matches_plain_step_loop(self, p, x0, n_transient, n_keep):
+        x, kept, want_escape = x0, [], None
+        for k in range(n_transient + n_keep):
+            if not abs(x[0]) + abs(x[1]) <= 1.0e6:
+                want_escape = k
+                break
+            if k >= n_transient:
+                kept.append(x)
+            x = step(p, x)
+        orb = iterate(p, x0, n_transient=n_transient, n_keep=n_keep)
+        assert orb.escaped_at == want_escape
+        np.testing.assert_array_equal(orb.states, np.array(kept, dtype=float).reshape(-1, 2))
+
     def test_indexing_and_iteration(self):
         p = ModelParams(r=2, beta=3, a=1, K=0.5)
         orb = iterate(p, (0.5, 0.1), n_transient=10, n_keep=5)

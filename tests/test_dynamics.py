@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_grid_cycle_births, mpmath_birth, primitive_orbits
+from oracles import (
+    full_grid_cycle_births,
+    mpmath_birth,
+    mpmath_tangent_sums,
+    primitive_orbits,
+)
 from sirmap import dynamics
 from sirmap.cli import PRESETS
 from sirmap import (
@@ -98,11 +103,15 @@ def _seed_qr(p, x0, transient, warm, n, keep=0):
     """Reference tangent path: a plain-float copy of the original loops.
 
     Runs ``transient`` guarded map steps, then ``warm + n`` steps of the
-    map fused with its Jacobian and a two-column QR of the tangent frame
-    (started from the identity), summing ``log r11`` and ``log r22`` over
-    the last ``n``.  The first ``keep`` states of the QR stretch are
-    recorded.  Returns ``(state, samples, s1, s2, escaped_at)`` with
-    ``escaped_at`` counted from ``x0``.
+    map fused with its Jacobian and a two-column Gram-Schmidt QR of the
+    tangent frame (started from the identity), summing ``log r11`` and
+    ``log r22`` over the last ``n``.  The first ``keep`` states of the QR
+    stretch are recorded.  Returns ``(state, samples, s1, s2, escaped_at)``
+    with ``escaped_at`` counted from ``x0``.
+
+    The library carries only the first column, which never reads the
+    second, so the orbit, the samples and ``s1`` match bit for bit; it
+    takes ``r22`` as ``|det J| / r11``, so ``s2`` matches to rounding.
     """
     S, I = float(x0[0]), float(x0[1])
     r, beta, a, K = p.r, p.beta, p.a, p.K
@@ -152,7 +161,7 @@ def _preset(name):
 
 
 class TestTangentPathOracle:
-    """lyapunov and scan reproduce the reference QR loop bit for bit."""
+    """lyapunov and scan follow the reference QR loop's orbit and first column."""
 
     @pytest.mark.parametrize("preset", ["axis-chaos", "invariant-curve"])
     def test_lyapunov_exact(self, preset):
@@ -161,7 +170,25 @@ class TestTangentPathOracle:
         _, _, s1, s2, escaped_at = _seed_qr(p, x0, transient, 2000, n)
         assert escaped_at is None
         l1, l2 = s1 / n, s2 / n
-        assert lyapunov(p, x0, n=n, transient=transient) == (max(l1, l2), min(l1, l2))
+        got = lyapunov(p, x0, n=n, transient=transient)
+        assert got[0] >= got[1]
+        first, other = (0, 1) if l1 >= l2 else (1, 0)
+        assert got[first] == l1
+        # |det J| / r11 rounds differently from the Gram-Schmidt r22
+        assert abs(got[other] - l2) <= 1.0e-12
+
+    @pytest.mark.parametrize("preset", ["axis-chaos", "endemic-focus", "locked-ten"])
+    def test_lyapunov_certified_at_40_digits(self, preset):
+        pytest.importorskip("mpmath")
+        p, x0 = _preset(preset)
+        n, transient, warm = 20_000, 1_000, 2000
+        _, states, _, _, escaped_at = _seed_qr(p, x0, transient, warm, n, keep=warm + n)
+        assert escaped_at is None
+        s1, s_det = mpmath_tangent_sums(p, states, warm)
+        l1, l2 = s1 / n, (s_det - s1) / n
+        got = lyapunov(p, x0, n=n, transient=transient)
+        assert abs(got[0] - max(l1, l2)) <= 1.0e-13, (got, l1, l2)
+        assert abs(got[1] - min(l1, l2)) <= 1.0e-13, (got, l1, l2)
 
     @pytest.mark.parametrize("s0", [0.3, 0.34])
     def test_lyapunov_escape_step_exact(self, s0):
@@ -347,6 +374,12 @@ class TestScan:
         assert np.all(res.lyap_max < 0.0)
         # infection dies out everywhere below the threshold
         assert np.all(res.i_samples < 1.0e-6)
+
+    def test_rejects_negative_transient(self):
+        # a negative transient would run none and shift every escape step
+        p = ModelParams(r=3.9, beta=1.1, a=1.0, K=0.5)
+        with pytest.raises(ValueError, match="transient"):
+            scan(p, "r", (4.3, 3.9), 3, transient=-5, keep=2)
 
     def test_escape_rows_marked_and_restarted(self):
         # Sweeping r past 4 pushes axis orbits out of [0, 1]; escaped
@@ -623,6 +656,11 @@ class TestDecayEnvelope:
             decay_envelope_check(ModelParams(r=2.0, beta=1.0, a=1.0, K=0.5), (0.5, 0.1))
         with pytest.raises(ValueError, match="beta"):
             decay_envelope_check(ModelParams(r=2.0, beta=1.2, a=1.0, K=0.5), (0.5, 0.1))
+
+    def test_rejects_negative_step_count(self):
+        p = ModelParams(r=2.0, beta=0.8, a=1.0, K=0.5)
+        with pytest.raises(ValueError, match="n >= 0"):
+            decay_envelope_check(p, (0.5, 0.1), n=-1)
 
     def test_rejects_bad_start(self):
         p = ModelParams(r=2.0, beta=0.8, a=1.0, K=0.5)

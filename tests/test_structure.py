@@ -1,15 +1,15 @@
 """Source-structure guards: one implementation of each decision.
 
 The per-step infected update ``(1 - K) * I + force`` may appear only in
-the map kernels, and ``math.hypot`` (the QR normalisation) only in the
-tangent kernel.  A new hand-inlined copy of either fails here; route the
-new caller through ``core.step``, ``core._advance`` or
-``dynamics._tangent`` instead.  Likewise the fixed-point residual lives
-only in ``equilibria._residual``, the one-step derivative tensors are
-composed only by ``normal_forms.iterate_forms``, the sensitivity recurrence
-of the cycle-birth Newton solve (its ``fxx``/``fxr`` terms) only by
-``dynamics._tangency_residual``, and tolerances are module constants, not
-parameters of the public functions.
+the map kernels, and a ``hypot`` call (the normalisation of the tangent
+vector) exactly once, in the tangent kernel.  A new hand-inlined copy of
+either fails here; route the new caller through ``core.step``,
+``core._advance`` or ``dynamics._tangent`` instead.  Likewise the
+fixed-point residual lives only in ``equilibria._residual``, the one-step
+derivative tensors are composed only by ``normal_forms.iterate_forms``,
+the sensitivity recurrence of the cycle-birth Newton solve (its
+``fxx``/``fxr`` terms) only by ``dynamics._tangency_residual``, and
+tolerances are module constants, not parameters of the public functions.
 """
 import ast
 import inspect
@@ -19,7 +19,6 @@ import sirmap
 
 SOURCES = sorted(Path(sirmap.__file__).parent.glob("*.py"))
 STEP_KERNELS = {"step", "step_full", "_advance", "_tangent"}
-QR_KERNELS = {"_tangent"}
 
 
 def _is_K(node) -> bool:
@@ -45,9 +44,13 @@ def _is_infected_update(node) -> bool:
     )
 
 
-def _is_hypot(node) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == "hypot") or (
-        isinstance(node, ast.Name) and node.id == "hypot"
+def _is_hypot_call(node) -> bool:
+    """A call of ``hypot``, ``math.hypot`` or ``np.hypot``: one vector normalisation."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "hypot") or (
+        isinstance(func, ast.Name) and func.id == "hypot"
     )
 
 
@@ -105,8 +108,9 @@ def test_infected_update_only_in_step_kernels():
 
 
 def test_hypot_only_in_tangent_kernel():
-    sites = _occurrences(_is_hypot)
-    assert {func for _, func, _ in sites} == QR_KERNELS, sites
+    # exactly one call: a second normalised tangent column cannot come back
+    sites = _occurrences(_is_hypot_call)
+    assert [(path, func) for path, func, _ in sites] == [("dynamics.py", "_tangent")], sites
 
 
 def test_residual_only_in_equilibria_residual():
