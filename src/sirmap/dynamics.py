@@ -55,6 +55,11 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     steps run of the vector's stretch ``r11`` and of ``|det J| / r11``, the
     ``r22`` of a two-column QR; ``escaped_at`` is as in ``core._advance``.
     Row ``k < len(out)`` of ``out``, if given, receives the state before step ``k``.
+
+    A vector mapped exactly to zero is lost in the kernel of ``J``, as the
+    first QR column would be: ``r11`` stays at its clamp for the rest of
+    the call, and the vector, restarted on its perpendicular, carries the
+    second column, whose stretch is ``r22``.
     """
     S, I = x0
     r, beta, a, K = p.r, p.beta, p.a, p.K
@@ -63,6 +68,7 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     bound, tiny, hypot, log = DIVERGENCE_BOUND, 1.0e-300, math.hypot, math.log
     two_r, retain = 2.0 * r, 1.0 - K
     s1 = s2 = 0.0
+    lost = False
     for k in range(n):
         if not (abs(S) + abs(I) <= bound):
             return S, I, (q1, q2), s1, s2, k
@@ -79,14 +85,22 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
         S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
         m1 = j11 * q1 - phi * q2
         m2 = j21 * q1 + j22 * q2
-        r11 = hypot(m1, m2)
-        if r11 < tiny:
-            r11 = tiny
-        q1, q2 = m1 / r11, m2 / r11
-        r22 = abs(j11 * j22 + phi * j21) / r11
+        stretch = hypot(m1, m2)
+        if stretch == 0.0 and not lost:
+            # the vector fell into the kernel of J, as the first QR column
+            # would; from here on its perpendicular carries the second
+            lost, m1, m2, stretch = True, -q2, q1, 1.0
+        if stretch < tiny:
+            stretch = tiny
+        q1, q2 = m1 / stretch, m2 / stretch
+        if lost:  # r11 stays at its clamp; the stretch is r22
+            s1 += log(tiny)
+            s2 += log(stretch)
+            continue
+        r22 = abs(j11 * j22 + phi * j21) / stretch
         if r22 < tiny:
             r22 = tiny
-        s1 += log(r11)
+        s1 += log(stretch)
         s2 += log(r22)
     return S, I, (q1, q2), s1, s2, None
 

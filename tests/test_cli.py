@@ -396,6 +396,12 @@ class TestLyapunov:
         )
         assert abs(doc["lambda_max"] - math.log(2.0)) < 0.01
 
+    def test_disease_free_default_reports_invasion(self, capsys):
+        # the defaults sit on the superstable axis point S = 1/2, where
+        # the Jacobian is singular; the transverse exponent is log 1.5
+        doc = run_json(capsys, "lyapunov", "--i0", "0")
+        assert abs(doc["lambda_max"] - math.log(1.5)) < 1.0e-3
+
 
 class TestPresetTable:
     def test_every_preset_resolves(self, capsys):

@@ -112,6 +112,8 @@ def _seed_qr(p, x0, transient, warm, n, keep=0):
     The library carries only the first column, which never reads the
     second, so the orbit, the samples and ``s1`` match bit for bit; it
     takes ``r22`` as ``|det J| / r11``, so ``s2`` matches to rounding.
+    Once the first column is mapped to zero, the library's vector carries
+    the second one from the perpendicular.
     """
     S, I = float(x0[0]), float(x0[1])
     r, beta, a, K = p.r, p.beta, p.a, p.K
@@ -189,6 +191,15 @@ class TestTangentPathOracle:
         got = lyapunov(p, x0, n=n, transient=transient)
         assert abs(got[0] - max(l1, l2)) <= 1.0e-13, (got, l1, l2)
         assert abs(got[1] - min(l1, l2)) <= 1.0e-13, (got, l1, l2)
+
+    def test_first_column_lost_in_kernel(self):
+        # At r = 2 the axis orbit of S = 1/2 sits where J = [[0, -1], [0, 1.5]]:
+        # the first column dies at once and only the second one survives.
+        p, x0, n = ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5), (0.5, 0.0), 20_000
+        _, _, s1, s2, _ = _seed_qr(p, x0, 1_000, 2000, n)
+        assert lyapunov(p, x0, n=n, transient=1_000) == (s2 / n, s1 / n)
+        _, _, s1, _, _ = _seed_qr(p, x0, 50, 0, 1000)
+        assert scan(p, "r", (2.0, 2.0), 1, x0=x0, transient=50, keep=4).lyap_max[0] == s1 / 1000
 
     @pytest.mark.parametrize("s0", [0.3, 0.34])
     def test_lyapunov_escape_step_exact(self, s0):
@@ -295,6 +306,16 @@ class TestLyapunov:
         assert l1 < 0.0
         orb = iterate(p, (0.5, 0.1), n_transient=50_000, n_keep=400)
         assert detect_period(orb) == 8
+
+    def test_vector_in_jacobian_kernel_keeps_transverse_exponent(self):
+        # At r = 2 the axis fixed point is S = 1/2, where dS'/dS = 0 and
+        # dI'/dS = 0: the start vector along S maps to zero.  The kernel
+        # steps onto the perpendicular and finds the transverse
+        # eigenvalue 1 - K + beta S/(1 + a S) = 1.5, so infection invades.
+        p = ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5)
+        l1, l2 = lyapunov(p, (0.5, 0.0))
+        assert abs(l1 - math.log(1.5)) < 1.0e-3
+        assert l2 < -600.0  # det J = 0 along the whole orbit
 
     def test_divergence_reported_with_step(self):
         p = ModelParams(r=40.0, beta=1.0, a=1.0, K=0.5)

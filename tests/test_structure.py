@@ -19,6 +19,7 @@ import sirmap
 
 SOURCES = sorted(Path(sirmap.__file__).parent.glob("*.py"))
 STEP_KERNELS = {"step", "step_full", "_advance", "_tangent"}
+TANGENT_KERNELS = {"_tangent"}
 
 
 def _is_K(node) -> bool:
@@ -41,6 +42,13 @@ def _is_infected_update(node) -> bool:
         and isinstance(diff.left, ast.Constant)
         and diff.left.value == 1
         and _is_K(diff.right)
+    )
+
+
+def _is_hypot(node) -> bool:
+    """Any reference to ``hypot``, called or stored under another name."""
+    return (isinstance(node, ast.Attribute) and node.attr == "hypot") or (
+        isinstance(node, ast.Name) and node.id == "hypot"
     )
 
 
@@ -108,9 +116,11 @@ def test_infected_update_only_in_step_kernels():
 
 
 def test_hypot_only_in_tangent_kernel():
+    sites = _occurrences(_is_hypot)
+    assert {func for _, func, _ in sites} == TANGENT_KERNELS, sites
     # exactly one call: a second normalised tangent column cannot come back
-    sites = _occurrences(_is_hypot_call)
-    assert [(path, func) for path, func, _ in sites] == [("dynamics.py", "_tangent")], sites
+    calls = _occurrences(_is_hypot_call)
+    assert [(path, func) for path, func, _ in calls] == [("dynamics.py", "_tangent")], calls
 
 
 def test_residual_only_in_equilibria_residual():
