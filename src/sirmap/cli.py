@@ -5,8 +5,10 @@ Tabular results go out as CSV (single header row, floats with 17
 significant digits, deterministic bytes for a fixed configuration and
 seed); structured reports as JSON.
 
-Option precedence: built-in defaults < --preset < --config file (flat
-key=value lines) < explicit flags.
+Each option is declared once, in ``_OPTIONS``, and each subcommand in
+``_SUBCOMMANDS``.  Every option, ``out`` included, takes its value by one
+precedence: built-in defaults < --preset < --config file (flat key=value
+lines, any option key) < explicit flags.
 
 JSON output is strict: a report holding a non-finite number is refused
 as a configuration error.  Inputs that would make a subcommand store more
@@ -25,6 +27,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 
 from .core import DivergenceError, ModelParams, iterate
 from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
@@ -79,21 +82,29 @@ PRESETS: dict[str, dict] = {
     "curved-region": {"r": 3.98, "beta": 2.8, "a": 1.0, "K": 0.5},
 }
 
-_DEFAULTS: dict = {
-    "r": 2.0, "beta": 3.0, "a": 1.0, "K": 0.5,
-    "s0": 0.5, "i0": 0.1,
-    "transient": 10_000, "steps": 1000, "seed": 0,
-    "keep": 100, "n": 3, "lo": None, "hi": None, "param": None,
-    "samples": 1000,
-}
 
-_COMMAND_DEFAULTS: dict[str, dict] = {
-    "lyapunov": {"steps": 100_000},
-    "cycles": {"lo": 3.0, "hi": 4.0},
+#: Every option as (type, default, help, choices), under the key that is both
+#: its flag ``--<key>`` and its config line ``<key> = <value>``.  A default
+#: of None means unset: the subcommand that needs the value says so.
+_Option = namedtuple("_Option", "type default help choices", defaults=(None,))
+_OPTIONS: dict[str, _Option] = {
+    "r": _Option(float, 2.0, "growth factor"),
+    "beta": _Option(float, 3.0, "transmission strength"),
+    "a": _Option(float, 1.0, "saturation coefficient"),
+    "K": _Option(float, 0.5, "removed fraction per step"),
+    "s0": _Option(float, 0.5, "initial susceptible mass"),
+    "i0": _Option(float, 0.1, "initial infected mass"),
+    "transient": _Option(int, 10_000, "discarded warm-up steps"),
+    "steps": _Option(int, 1000, "step / row count"),
+    "seed": _Option(int, 0, "RNG seed"),
+    "out": _Option(str, None, "output file (default stdout)"),
+    "param": _Option(str, None, "swept parameter", ("r", "beta", "a", "K")),
+    "lo": _Option(float, None, "range start"),
+    "hi": _Option(float, None, "range end"),
+    "keep": _Option(int, 100, "attractor samples per row"),
+    "n": _Option(int, 3, "cycle length (3..12)"),
+    "samples": _Option(int, 1000, "number of probe starts"),
 }
-
-_FLOAT_KEYS = ("r", "beta", "a", "K", "s0", "i0", "lo", "hi")
-_INT_KEYS = ("transient", "steps", "seed", "keep", "n", "samples")
 
 
 def _parse_config(path: str) -> dict:
@@ -108,20 +119,20 @@ def _parse_config(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in _FLOAT_KEYS:
-                opts[key] = float(value)
-            elif key in _INT_KEYS:
-                opts[key] = int(value)
-            elif key in ("param", "out"):
-                opts[key] = value
-            else:
+            opt = _OPTIONS.get(key)
+            if opt is None:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            try:
+                opts[key] = opt.type(value)
+            except ValueError:
+                msg = f"{key} expects {opt.type.__name__}, got {value!r}"
+                raise ValueError(f"{path}:{lineno}: {msg}") from None
     return opts
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    merged = {key: opt.default for key, opt in _OPTIONS.items()}
+    merged.update(_SUBCOMMANDS[args.command].defaults)
     if args.preset is not None:
         if args.preset not in PRESETS:
             known = ", ".join(sorted(PRESETS))
@@ -129,14 +140,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         merged.update(PRESETS[args.preset])
     if args.config is not None:
         merged.update(_parse_config(args.config))
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, "param"):
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
     for key in ("s0", "i0"):
         if not math.isfinite(merged[key]):
             raise ValueError(f"require a finite initial state, got {key}={merged[key]}")
-    merged["out"] = args.out
     return merged
 
 
@@ -187,12 +197,13 @@ def _normal_form_json(at: str, nf, **extra) -> dict:
     }
 
 
-def _report_json(rep) -> dict:
+def _report_json(rep, tag: BoundaryTag | None) -> dict:
     return {
         "location": [float(rep.location.S), float(rep.location.I)],
         "eigenvalues": [_eig_json(rep.eigen.mu1), _eig_json(rep.eigen.mu2)],
         "stability": rep.stability.value,
         "residual": float(rep.residual),
+        "boundary": tag.value if tag else None,
     }
 
 
@@ -214,13 +225,16 @@ def cmd_simulate(opts: dict) -> int:
 
 def cmd_analyze(opts: dict) -> int:
     p = _params(opts)
-    doc: dict = {"params": {"r": p.r, "beta": p.beta, "a": p.a, "K": p.K}}
-
     df = disease_free(p)
-    df_json = _report_json(df)
     tag0 = classify_boundary(p, "E0")
-    df_json["boundary"] = tag0.value if tag0 else None
-    doc["disease_free"] = df_json
+    doc: dict = {
+        "params": {"r": p.r, "beta": p.beta, "a": p.a, "K": p.K},
+        "disease_free": _report_json(df, tag0),
+        "thresholds": None,
+        "endemic": None,
+        "reproduction_candidates": None,
+        "normal_form": None,
+    }
 
     tag1 = None
     if p.r > 1.0:
@@ -235,19 +249,10 @@ def cmd_analyze(opts: dict) -> int:
         }
         en = endemic(p)
         if en is not None:
-            en_json = _report_json(en)
             tag1 = classify_boundary(p, "E1")
-            en_json["boundary"] = tag1.value if tag1 else None
-            doc["endemic"] = en_json
-        else:
-            doc["endemic"] = None
+            doc["endemic"] = _report_json(en, tag1)
         doc["reproduction_candidates"] = list(reproduction_candidates(p))
-    else:
-        doc["thresholds"] = None
-        doc["endemic"] = None
-        doc["reproduction_candidates"] = None
 
-    doc["normal_form"] = None
     try:
         if tag0 == BoundaryTag.FLIP:
             doc["normal_form"] = _normal_form_json("disease_free", flip_coefficient(p, df))
@@ -375,14 +380,27 @@ def cmd_lyapunov(opts: dict) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "scan": cmd_scan,
-    "cycles": cmd_cycles,
-    "regions": cmd_regions,
-    "lyapunov": cmd_lyapunov,
+#: Every subcommand as (handler, help, keys, defaults): ``keys`` are the
+#: options it takes beyond the common ones, ``defaults`` (read only) its
+#: overrides of their defaults.
+_Subcommand = namedtuple("_Subcommand", "handler help keys defaults", defaults=((), {}))
+_SUBCOMMANDS: dict[str, _Subcommand] = {
+    "simulate": _Subcommand(cmd_simulate, "iterate one orbit to CSV"),
+    "analyze": _Subcommand(cmd_analyze, "fixed points, thresholds, normal forms"),
+    "scan": _Subcommand(
+        cmd_scan, "one-parameter attractor sweep to CSV", ("param", "lo", "hi", "keep")
+    ),
+    "cycles": _Subcommand(
+        cmd_cycles, "axis period-n birth parameters", ("n", "lo", "hi"), {"lo": 3.0, "hi": 4.0}
+    ),
+    "regions": _Subcommand(cmd_regions, "positivity region + invariance probe", ("samples",)),
+    "lyapunov": _Subcommand(
+        cmd_lyapunov, "Lyapunov exponents of one orbit", defaults={"steps": 100_000}
+    ),
 }
+
+#: Options every subcommand takes: those no subcommand lists as its own.
+_COMMON = tuple(k for k in _OPTIONS if not any(k in c.keys for c in _SUBCOMMANDS.values()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -396,40 +414,28 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+def _add_option(parser: argparse.ArgumentParser, key: str) -> None:
+    opt = _OPTIONS[key]
+    parser.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # subcommands copy the common actions from one parent parser
     common = _Parser(add_help=False)
-    common.add_argument("--r", type=float, default=None, help="growth factor")
-    common.add_argument("--beta", type=float, default=None, help="transmission strength")
-    common.add_argument("--a", type=float, default=None, help="saturation coefficient")
-    common.add_argument("--K", type=float, default=None, help="removed fraction per step")
-    common.add_argument("--s0", type=float, default=None, help="initial susceptible mass")
-    common.add_argument("--i0", type=float, default=None, help="initial infected mass")
-    common.add_argument("--transient", type=int, default=None, help="discarded warm-up steps")
-    common.add_argument("--steps", type=int, default=None, help="step / row count")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
-    common.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    common.add_argument("--preset", type=str, default=None, help="named parameter bundle")
-    common.add_argument("--config", type=str, default=None, help="flat key=value option file")
+    for key in _COMMON:
+        _add_option(common, key)
+    common.add_argument("--preset", help="named parameter bundle")
+    common.add_argument("--config", help="flat key=value option file")
 
     parser = _Parser(
         prog="sirmap",
         description="Numerical laboratory for a planar SIR map with saturated incidence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common], help="iterate one orbit to CSV")
-    sub.add_parser("analyze", parents=[common], help="fixed points, thresholds, normal forms")
-    ps = sub.add_parser("scan", parents=[common], help="one-parameter attractor sweep to CSV")
-    ps.add_argument("--param", type=str, default=None, choices=["r", "beta", "a", "K"])
-    ps.add_argument("--lo", type=float, default=None, help="sweep start")
-    ps.add_argument("--hi", type=float, default=None, help="sweep end")
-    ps.add_argument("--keep", type=int, default=None, help="attractor samples per row")
-    pc = sub.add_parser("cycles", parents=[common], help="axis period-n birth parameters")
-    pc.add_argument("--n", type=int, default=None, help="cycle length (3..12)")
-    pc.add_argument("--lo", type=float, default=None, help="window start")
-    pc.add_argument("--hi", type=float, default=None, help="window end")
-    pr = sub.add_parser("regions", parents=[common], help="positivity region + invariance probe")
-    pr.add_argument("--samples", type=int, default=None, help="number of probe starts")
-    sub.add_parser("lyapunov", parents=[common], help="Lyapunov exponents of one orbit")
+    for name, command in _SUBCOMMANDS.items():
+        ps = sub.add_parser(name, parents=[common], help=command.help)
+        for key in command.keys:
+            _add_option(ps, key)
     return parser
 
 
@@ -438,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
-        return _COMMANDS[args.command](opts)
+        return _SUBCOMMANDS[args.command].handler(opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

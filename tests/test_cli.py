@@ -6,6 +6,7 @@ path as the installed ``sirmap`` script without spawning processes.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -190,6 +191,45 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "key=value" in err
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("analyze", "seed = 1.5", "seed expects int, got '1.5'"),
+            ("cycles", "n = 3.0", "n expects int, got '3.0'"),
+            ("scan", "lo = x", "lo expects float, got 'x'"),
+        ],
+    )
+    def test_config_type_error_names_file_line_and_key(
+        self, capsys, tmp_path, command, line, message
+    ):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"# comment line\n{line}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:2: {message}\n"
+
+    def test_config_out_writes_file(self, capsys, tmp_path):
+        argv = ["simulate", "--preset", "three-cycle", "--transient", "50", "--steps", "6"]
+        _, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "orbit.csv"
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"out = {path}\n")
+        code, silent, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert silent == ""
+        assert path.read_text() == out
+
+    def test_out_flag_beats_config_out(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from-config.json'}\n")
+        flag = tmp_path / "from-flag.json"
+        code, silent, _ = run_cli(capsys, "cycles", "--config", str(cfg), "--out", str(flag))
+        assert code == 0
+        assert silent == ""
+        assert json.loads(flag.read_text())["n"] == 3
+        assert not (tmp_path / "from-config.json").exists()
 
 
 class TestSimulate:
@@ -416,3 +456,54 @@ class TestPresetTable:
             else:
                 code, _, err = run_cli(capsys, "analyze", "--preset", name)
             assert code == 0, (name, err)
+
+
+_COMMON_FLAGS = ["--r", "--beta", "--a", "--K", "--s0", "--i0", "--transient", "--steps",
+                 "--seed", "--out", "--preset", "--config"]
+_BARE_DEFAULTS = {
+    "r": 2.0, "beta": 3.0, "a": 1.0, "K": 0.5, "s0": 0.5, "i0": 0.1,
+    "transient": 10_000, "steps": 1000, "seed": 0, "out": None,
+    "param": None, "lo": None, "hi": None, "keep": 100, "n": 3, "samples": 1000,
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "command, own_flags",
+        [
+            ("simulate", []),
+            ("analyze", []),
+            ("scan", ["--param", "--lo", "--hi", "--keep"]),
+            ("cycles", ["--n", "--lo", "--hi"]),
+            ("regions", ["--samples"]),
+            ("lyapunov", []),
+        ],
+    )
+    def test_help_lists_exactly_the_table_options(self, capsys, command, own_flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[A-Za-z0-9_]+", capsys.readouterr().out))
+        assert listed == {"--help", *_COMMON_FLAGS, *own_flags}
+        table = cli._COMMON + cli._SUBCOMMANDS[command].keys
+        assert listed == {"--help", "--preset", "--config", *(f"--{k}" for k in table)}
+
+    @pytest.mark.parametrize(
+        "command, resolved",
+        [
+            ("simulate", _BARE_DEFAULTS),
+            ("analyze", _BARE_DEFAULTS),
+            ("scan", _BARE_DEFAULTS),
+            ("cycles", {**_BARE_DEFAULTS, "lo": 3.0, "hi": 4.0}),
+            ("regions", _BARE_DEFAULTS),
+            ("lyapunov", {**_BARE_DEFAULTS, "steps": 100_000}),
+        ],
+    )
+    def test_bare_command_resolves_to_defaults(self, command, resolved):
+        opts = cli._resolve(cli.build_parser().parse_args([command]))
+        assert opts == resolved
+        assert {k: type(v) for k, v in opts.items()} == {k: type(v) for k, v in resolved.items()}
+
+    def test_every_preset_key_is_an_option(self):
+        for name, bundle in PRESETS.items():
+            assert set(bundle) <= set(cli._OPTIONS), name

@@ -10,6 +10,9 @@ derivative tensors are composed only by ``normal_forms.iterate_forms``,
 the sensitivity recurrence of the cycle-birth Newton solve (its
 ``fxx``/``fxr`` terms) only by ``dynamics._tangency_residual``, and
 tolerances are module constants, not parameters of the public functions.
+Every CLI flag is built by ``cli._add_option`` from a key of the option
+table ``cli._OPTIONS``; only ``--preset`` and ``--config`` are written out
+as literals.
 """
 import ast
 import inspect
@@ -149,3 +152,25 @@ def test_no_public_tolerance_parameters():
         if param.endswith("tol")
     ]
     assert knobs == []
+
+
+def test_cli_flags_come_from_option_table():
+    tree = ast.parse((Path(sirmap.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    literal, computed = [], []
+    for name, func in funcs.items():
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+            ):
+                flag = node.args[0] if node.args else None
+                if isinstance(flag, ast.Constant):
+                    literal.append(flag.value)
+                else:
+                    computed.append((name, flag and ast.unparse(flag)))
+    assert sorted(literal) == ["--config", "--preset"]
+    # the one computed flag is --<key>, its type, choices and help read from the table
+    assert computed == [("_add_option", "f'--{key}'")]
+    assert "_OPTIONS[key]" in ast.unparse(funcs["_add_option"])
