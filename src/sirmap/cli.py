@@ -122,11 +122,13 @@ def _parse_config(path: str) -> dict:
             opt = _OPTIONS.get(key)
             if opt is None:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            expects = f"{path}:{lineno}: {key} expects"
             try:
                 opts[key] = opt.type(value)
             except ValueError:
-                msg = f"{key} expects {opt.type.__name__}, got {value!r}"
-                raise ValueError(f"{path}:{lineno}: {msg}") from None
+                raise ValueError(f"{expects} {opt.type.__name__}, got {value!r}") from None
+            if opt.choices is not None and opts[key] not in opt.choices:
+                raise ValueError(f"{expects} one of {', '.join(opt.choices)}, got {value!r}")
     return opts
 
 

@@ -20,10 +20,18 @@ iteration stops and the escape step is reported.
 invariance probe uses it) and :func:`_advance` the one guarded plain-map
 loop, behind :func:`iterate` and the plain stretches of ``dynamics``.
 Only the tangent kernel ``dynamics._tangent`` keeps its own fused step.
+
+A transient that settles on an exact floating-point cycle is cut short.
+The map is deterministic, so once ``_advance`` meets a state bit-equal to
+an earlier one, the rest of the run goes round a cycle whose states have
+all passed the guard; it runs only the steps that reach the same phase
+and returns the bits the full loop would.  Recorded windows and the
+tangent kernel still run every step.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -286,6 +294,11 @@ class Orbit:
         return self.escaped_at is not None
 
 
+#: The bit pattern of a state: equal floats that differ in the sign of a
+#: zero are different states.
+_bits = struct.Struct("<2d").pack
+
+
 def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     """Run ``n`` guarded map steps from ``x0``; return ``(S, I, escaped_at)``.
 
@@ -293,18 +306,35 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     unchecked; ``escaped_at`` is the index of the out-of-bounds state, or
     None.  Row ``k < len(out)`` of ``out``, if given, receives the checked
     state before step ``k``.
+
+    Past the rows of ``out`` the loop keeps the state at step
+    ``max(len(out), 1)`` and at each doubling of that step (Brent's
+    cycle-finding schedule, BIT 20 (1980) 176-184), and stops at the first
+    later state bit-equal to the kept one, signed zeros included.  The map
+    is deterministic, so the orbit then goes round that cycle for good, and
+    every state of the cycle has passed the guard: whole turns can neither
+    escape nor change the result, and only the steps left over after them
+    are run.
     """
     S, I = float(x0[0]), float(x0[1])
     r, beta, a, K = p.r, p.beta, p.a, p.K
     m = 0 if out is None else out.shape[0]
     bound = DIVERGENCE_BOUND
+    # the kept state (none yet: NaN equals nothing) and the next step to
+    # keep; until then every step with a row of `out` is due
+    kept, next_keep, S_kept, bits_kept = 0, 0 if m else 1, math.nan, b""
     # `not (total <= bound)` also catches NaN
     for k in range(n):
         if not (abs(S) + abs(I) <= bound):
             return S, I, k
-        if k < m:
-            out[k, 0] = S
-            out[k, 1] = I
+        if S == S_kept and _bits(S, I) == bits_kept:
+            return _advance(p, (S, I), (n - k) % (k - kept))
+        if k >= next_keep:
+            if k < m:
+                out[k, 0] = S
+                out[k, 1] = I
+            else:
+                kept, next_keep, S_kept, bits_kept = k, 2 * k, S, _bits(S, I)
         force = beta * S * I / (1.0 + a * S)
         S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
     return S, I, None

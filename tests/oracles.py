@@ -10,11 +10,16 @@ ran before it enumerated kneading words; ``mpmath_birth`` solves one
 birth's defining system at 40 digits, ``mpmath_tangent_sums`` replays a
 float orbit's tangent vector and ``log|det J|`` at 40 digits, and
 ``primitive_orbits`` counts the orbits of minimal period n of
-x -> 4x(1-x).  Tests compare the library against all of them.
+x -> 4x(1-x).  ``plain_advance`` is ``sirmap.core._advance`` without its
+exact-cycle short-circuit, every step run, and ``exact_cycle`` finds an
+orbit's first bit-exact repeat by remembering every state.  Tests compare
+the library against all of them.
 """
+import struct
+
 import numpy as np
 
-from sirmap import ModelParams, jacobian, step
+from sirmap import DIVERGENCE_BOUND, ModelParams, jacobian, step
 from sirmap.normal_forms import MultilinearForms, _point_tensors
 
 
@@ -281,3 +286,45 @@ def primitive_orbits(n: int) -> int:
         return -sign if k > 1 else sign
 
     return sum(mobius(n // d) * 2**d for d in range(1, n + 1) if n % d == 0) // n
+
+
+def plain_advance(p: ModelParams, x0, n: int, out=None):
+    """``(S, I, escaped_at)`` after ``n`` guarded steps, each one run.
+
+    The loop ``sirmap.core._advance`` had before it learned to stop at an
+    exact cycle: the guard before each step, row ``k < len(out)`` of
+    ``out`` set to the state before step ``k``, the last state unchecked.
+    """
+    S, I = float(x0[0]), float(x0[1])
+    m = 0 if out is None else out.shape[0]
+    for k in range(n):
+        if not abs(S) + abs(I) <= DIVERGENCE_BOUND:
+            return S, I, k
+        if k < m:
+            out[k] = S, I
+        force = p.beta * S * I / (1.0 + p.a * S)
+        S, I = p.r * S * (1.0 - S) - force, (1.0 - p.K) * I + force
+    return S, I, None
+
+
+def exact_cycle(p: ModelParams, x0, limit: int = 100_000):
+    """``(states, mu, lam)``: the orbit of ``x0`` up to its first repeat.
+
+    ``states[k]`` is the state after ``k`` plain steps, all in bounds; the
+    state after ``mu + lam`` steps has the bit pattern of ``states[mu]``, so
+    the state after ``n >= mu`` steps is ``states[mu + (n - mu) % lam]``.
+    """
+    index: dict[bytes, int] = {}
+    states = []
+    x = (float(x0[0]), float(x0[1]))
+    while (key := struct.pack("<2d", *x)) not in index:
+        if len(states) == limit:
+            raise ValueError(f"no exact repeat within {limit} steps")
+        index[key] = len(states)
+        states.append(x)
+        S, I, escaped_at = plain_advance(p, x, 1)
+        if escaped_at is not None:
+            raise ValueError(f"orbit escapes at step {len(states) - 1}")
+        x = (S, I)
+    mu = index[key]
+    return states, mu, len(states) - mu

@@ -210,6 +210,14 @@ class TestConfigPrecedence:
         assert out == ""
         assert err == f"error: {cfg}:2: {message}\n"
 
+    def test_config_choice_error_names_file_line_and_key(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("lo = 1\nhi = 2\nparam = S\n")
+        code, out, err = run_cli(capsys, "scan", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:3: param expects one of r, beta, a, K, got 'S'\n"
+
     def test_config_out_writes_file(self, capsys, tmp_path):
         argv = ["simulate", "--preset", "three-cycle", "--transient", "50", "--steps", "6"]
         _, out, _ = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 """Map evaluation, scaling, parameter validation, orbit iteration."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from sirmap import (
     step,
     step_full,
 )
+from sirmap.cli import PRESETS
+from sirmap.core import _advance
+
+from oracles import exact_cycle, plain_advance
 
 
 def test_step_golden():
@@ -220,3 +225,82 @@ class TestIterate:
         orb = iterate(p, (0.5, 0.1), n_transient=10, n_keep=5)
         assert isinstance(orb[0], State)
         assert len(list(orb)) == 5
+
+
+def _bits(result):
+    """A run's result with every float as its bit pattern (signed zeros differ)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in result)
+
+
+def _same_run(p, x0, n, rows=0):
+    """``_advance`` and the plain loop agree bit for bit, ``out`` rows included."""
+    got_out, want_out = np.full((rows, 2), np.nan), np.full((rows, 2), np.nan)
+    got = _bits(_advance(p, x0, n, got_out if rows else None))
+    assert got == _bits(plain_advance(p, x0, n, want_out if rows else None))
+    assert got_out.tobytes() == want_out.tobytes()
+    return got
+
+
+_LOCKED_TEN = ModelParams(**{k: PRESETS["locked-ten"][k] for k in ("r", "beta", "a", "K")})
+_LOCKED_TEN_X0 = (PRESETS["locked-ten"]["s0"], PRESETS["locked-ten"]["i0"])
+
+
+class TestExactCycleShortCircuit:
+    """``_advance`` stops at a bit-exact repeat and returns what every step would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(0.1, 4.2),
+        beta=st.floats(0.05, 4.0),
+        a=st.floats(0.0, 3.0),
+        K=st.floats(0.01, 0.99),
+        S0=st.one_of(st.floats(-0.2, 1.3), st.sampled_from([0.0, -0.0])),
+        I0=st.one_of(st.floats(-0.1, 1.0), st.sampled_from([0.0, -0.0])),
+        n=st.integers(0, 3000),
+        rows=st.integers(0, 60),
+    )
+    def test_matches_plain_loop(self, r, beta, a, K, S0, I0, n, rows):
+        _same_run(ModelParams(r=r, beta=beta, a=a, K=K), (S0, I0), n, rows)
+
+    @pytest.mark.parametrize(
+        "p, x0, lam",
+        [
+            (ModelParams(r=1.8, beta=3.0, a=1.0, K=0.5), (0.6, 0.2), 1),  # endemic sink
+            (ModelParams(r=3.2, beta=0.5, a=1.0, K=0.5), (0.3, 0.0), 2),  # axis 2-cycle
+            (_LOCKED_TEN, _LOCKED_TEN_X0, 20),  # the 10-cycle, twice round in floats
+        ],
+    )
+    def test_settled_orbits(self, p, x0, lam):
+        states, mu, cycle = exact_cycle(p, x0)
+        assert cycle == lam
+        for n in (0, 1, 2, mu, mu + 1, mu + lam, 2 * mu + 3, 5000, 5001):
+            result = _same_run(p, x0, n, rows=3)
+            want = states[mu + (n - mu) % lam] if n >= mu else states[n]
+            assert result == _bits((*want, None))
+
+    def test_escaping_orbits(self):
+        p = ModelParams(r=40.0, beta=1.0, a=1.0, K=0.5)
+        assert _same_run(p, (0.9, 0.0), 100)[2] == 3
+        assert _same_run(p, (0.9, 0.0), 3)[2] is None
+        p = ModelParams(r=4.0 + 1.0e-6, beta=0.5, a=1.0, K=0.5)
+        assert _same_run(p, (0.34, 0.0), 5000, rows=50)[2] == 2750
+
+    def test_billion_steps_take_the_cycle_phase(self):
+        states, mu, lam = exact_cycle(_LOCKED_TEN, _LOCKED_TEN_X0)
+        n = 10**9
+        start = time.perf_counter()
+        result = _advance(_LOCKED_TEN, _LOCKED_TEN_X0, n)
+        assert time.perf_counter() - start < 5.0  # every step would take minutes
+        assert _bits(result) == _bits((*states[mu + (n - mu) % lam], None))
+        orbit = iterate(_LOCKED_TEN, _LOCKED_TEN_X0, n_transient=n, n_keep=lam + 1)
+        want = [states[mu + (n + j - mu) % lam] for j in range(lam + 1)]
+        np.testing.assert_array_equal(orbit.states, np.array(want))
+
+    @pytest.mark.parametrize("I0", [0.0, -0.0])
+    @pytest.mark.parametrize("r", [2.5, 3.2, 3.83])
+    def test_signed_zero_is_part_of_the_state(self, r, I0):
+        p = ModelParams(r=r, beta=0.5, a=1.0, K=0.5)
+        for n in (1, 2, 3, 100, 1001, 10_000):
+            S, I, escaped_at = _same_run(p, (0.3, I0), n)
+            assert escaped_at is None
+            assert math.copysign(1.0, float.fromhex(I)) == math.copysign(1.0, I0)

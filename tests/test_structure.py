@@ -1,9 +1,10 @@
 """Source-structure guards: one implementation of each decision.
 
-The per-step infected update ``(1 - K) * I + force`` may appear only in
-the map kernels, and a ``hypot`` call (the normalisation of the tangent
-vector) exactly once, in the tangent kernel.  A new hand-inlined copy of
-either fails here; route the new caller through ``core.step``,
+The per-step infected update ``(1 - K) * I + force`` appears exactly once
+in each map kernel and nowhere else, and a ``hypot`` call (the
+normalisation of the tangent vector) exactly once, in the tangent
+kernel.  A new hand-inlined copy of either fails here, also one inside
+a kernel; route the new caller through ``core.step``,
 ``core._advance`` or ``dynamics._tangent`` instead.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
@@ -115,7 +116,7 @@ def test_sources_found():
 
 def test_infected_update_only_in_step_kernels():
     sites = _occurrences(_is_infected_update)
-    assert {func for _, func, _ in sites} == STEP_KERNELS, sites
+    assert sorted(func for _, func, _ in sites) == sorted(STEP_KERNELS), sites
 
 
 def test_hypot_only_in_tangent_kernel():
