@@ -28,6 +28,7 @@ import math
 import re
 import sys
 from collections import namedtuple
+from dataclasses import replace
 
 from .core import DivergenceError, ModelParams, iterate
 from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
@@ -199,6 +200,17 @@ def _normal_form_json(at: str, nf, **extra) -> dict:
     }
 
 
+def _region_json(region) -> dict | None:
+    if region is None:
+        return None
+    return {
+        "case": region.case,
+        "u_star": region.u_star,
+        "v": region.v,
+        "crossings": list(region.crossings),
+    }
+
+
 def _report_json(rep, tag: BoundaryTag | None) -> dict:
     return {
         "location": [float(rep.location.S), float(rep.location.I)],
@@ -226,6 +238,11 @@ def cmd_simulate(opts: dict) -> int:
 
 
 def cmd_analyze(opts: dict) -> int:
+    """JSON report of fixed points, thresholds, tags, normal form and region.
+
+    Tags come from ``classify_boundary`` alone; an endemic flip or NS normal
+    form is taken at the curve point (r, beta_k(r)) its tag matched.
+    """
     p = _params(opts)
     df = disease_free(p)
     tag0 = classify_boundary(p, "E0")
@@ -259,7 +276,8 @@ def cmd_analyze(opts: dict) -> int:
         if tag0 == BoundaryTag.FLIP:
             doc["normal_form"] = _normal_form_json("disease_free", flip_coefficient(p, df))
         elif tag1 == BoundaryTag.FLIP:
-            doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(p, en))
+            q = replace(p, beta=th.beta1)
+            doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(q, endemic(q)))
         elif tag1 in (
             BoundaryTag.NEIMARK_SACKER,
             BoundaryTag.RESONANCE_12,
@@ -267,29 +285,21 @@ def cmd_analyze(opts: dict) -> int:
             BoundaryTag.RESONANCE_14,
         ):
             # ns_coefficient refuses points on or near a strong resonance
-            nf = ns_coefficient(p)
+            q = replace(p, beta=th.beta2)
+            nf = ns_coefficient(q)
             doc["normal_form"] = _normal_form_json(
                 "endemic",
                 nf,
                 theta0=nf.theta0,
                 eigenvalue=_eig_json(nf.eigenvalue),
-                modulus_slope=rho_prime_at_ns(p),
+                modulus_slope=rho_prime_at_ns(q),
             )
     except ResonanceError as exc:
         doc["normal_form"] = {
             "at": "endemic", "kind": "resonance", "tag": exc.tag.value, "note": str(exc)
         }
 
-    region = applicable_region(p)
-    doc["region"] = (
-        {
-            "case": region.case,
-            "u_star": region.u_star,
-            "crossings": list(region.crossings),
-        }
-        if region
-        else None
-    )
+    doc["region"] = _region_json(applicable_region(p))
 
     _emit_json(doc, opts["out"])
     return 0
@@ -342,28 +352,15 @@ def cmd_regions(opts: dict) -> int:
         _emit_json(doc, opts["out"])
         return 0
     report = invariance_probe(
-        p, samples=opts["samples"], steps=opts["steps"], seed=opts["seed"]
+        p, samples=opts["samples"], steps=opts["steps"], seed=opts["seed"], region=region
     )
     doc = {
-        "region": {
-            "case": region.case,
-            "u_star": region.u_star,
-            "v": region.v,
-            "crossings": list(region.crossings),
-        },
+        "region": _region_json(region),
         "samples": report.samples,
         "steps": report.steps,
         "seed": report.seed,
         "escape_count": report.escape_count,
-        "escapes": [
-            {
-                "index": e.index,
-                "step": e.step,
-                "point": [e.point[0], e.point[1]],
-                "constraint": e.constraint,
-            }
-            for e in report.escapes
-        ],
+        "escapes": [e._asdict() for e in report.escapes],
     }
     _emit_json(doc, opts["out"])
     return 0

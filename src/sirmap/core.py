@@ -14,7 +14,8 @@ collapses it onto the planar map.
 
 All arithmetic is double precision.  Orbits are guarded against
 divergence: once ``|S| + |I|`` exceeds :data:`DIVERGENCE_BOUND` the
-iteration stops and the escape step is reported.
+iteration stops and the escape step is reported.  A state on the pole
+``1 + a*S = 0`` of the incidence term counts as an escape at that state.
 
 :func:`step` is the single-step map (elementwise on numpy arrays, as the
 invariance probe uses it) and :func:`_advance` the one guarded plain-map
@@ -237,12 +238,16 @@ def jacobian(p: ModelParams, x: tuple[float, float]) -> np.ndarray:
     Uses the closed-form partial derivatives; the saturating term
     contributes ``beta*I/(1 + a*S)**2`` to the S-row and its negative
     image to the I-row.  Raises ``ValueError`` if any entry fails to be
-    finite (e.g. on the pole ``1 + a*S = 0``).
+    finite, as on the pole ``1 + a*S = 0``, where both incidence terms
+    are taken as infinite.
     """
     S, I = x
     den = 1.0 + p.a * S
-    phi = p.beta * S / den
-    dphi = p.beta / (den * den)
+    try:
+        phi = p.beta * S / den
+        dphi = p.beta / (den * den)
+    except ZeroDivisionError:
+        phi = dphi = math.inf
     J = np.array(
         [
             [p.r - 2.0 * p.r * S - I * dphi, -phi],
@@ -303,9 +308,9 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     """Run ``n`` guarded map steps from ``x0``; return ``(S, I, escaped_at)``.
 
     The guard is checked before each step, so the last state is returned
-    unchecked; ``escaped_at`` is the index of the out-of-bounds state, or
-    None.  Row ``k < len(out)`` of ``out``, if given, receives the checked
-    state before step ``k``.
+    unchecked; ``escaped_at`` is the index of the out-of-bounds state (or
+    of a state on the pole ``1 + a*S = 0``), or None.  Row ``k < len(out)``
+    of ``out``, if given, receives the checked state before step ``k``.
 
     Past the rows of ``out`` the loop keeps the state at step
     ``max(len(out), 1)`` and at each doubling of that step (Brent's
@@ -323,20 +328,23 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     # the kept state (none yet: NaN equals nothing) and the next step to
     # keep; until then every step with a row of `out` is due
     kept, next_keep, S_kept, bits_kept = 0, 0 if m else 1, math.nan, b""
-    # `not (total <= bound)` also catches NaN
-    for k in range(n):
-        if not (abs(S) + abs(I) <= bound):
-            return S, I, k
-        if S == S_kept and _bits(S, I) == bits_kept:
-            return _advance(p, (S, I), (n - k) % (k - kept))
-        if k >= next_keep:
-            if k < m:
-                out[k, 0] = S
-                out[k, 1] = I
-            else:
-                kept, next_keep, S_kept, bits_kept = k, 2 * k, S, _bits(S, I)
-        force = beta * S * I / (1.0 + a * S)
-        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+    try:
+        # `not (total <= bound)` also catches NaN
+        for k in range(n):
+            if not (abs(S) + abs(I) <= bound):
+                return S, I, k
+            if S == S_kept and _bits(S, I) == bits_kept:
+                return _advance(p, (S, I), (n - k) % (k - kept))
+            if k >= next_keep:
+                if k < m:
+                    out[k, 0] = S
+                    out[k, 1] = I
+                else:
+                    kept, next_keep, S_kept, bits_kept = k, 2 * k, S, _bits(S, I)
+            force = beta * S * I / (1.0 + a * S)
+            S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+    except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
+        return S, I, k
     return S, I, None
 
 

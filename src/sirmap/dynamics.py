@@ -53,7 +53,8 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
 
     Returns ``(S, I, frame, log_r11, log_r22, escaped_at)``: log sums over the
     steps run of the vector's stretch ``r11`` and of ``|det J| / r11``, the
-    ``r22`` of a two-column QR; ``escaped_at`` is as in ``core._advance``.
+    ``r22`` of a two-column QR; ``escaped_at`` is as in ``core._advance``,
+    a state on the pole ``1 + a*S = 0`` included.
     Row ``k < len(out)`` of ``out``, if given, receives the state before step ``k``.
 
     A vector mapped exactly to zero is lost in the kernel of ``J``, as the
@@ -69,39 +70,42 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     two_r, retain = 2.0 * r, 1.0 - K
     s1 = s2 = 0.0
     lost = False
-    for k in range(n):
-        if not (abs(S) + abs(I) <= bound):
-            return S, I, (q1, q2), s1, s2, k
-        if k < m:
-            out[k, 0] = S
-            out[k, 1] = I
-        # Jacobian [[j11, -phi], [j21, j22]] at (S, I)
-        den = 1.0 + a * S
-        phi = beta * S / den
-        j21 = I * (beta / (den * den))
-        j11 = r - two_r * S - j21
-        j22 = retain + phi
-        force = phi * I
-        S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
-        m1 = j11 * q1 - phi * q2
-        m2 = j21 * q1 + j22 * q2
-        stretch = hypot(m1, m2)
-        if stretch == 0.0 and not lost:
-            # the vector fell into the kernel of J, as the first QR column
-            # would; from here on its perpendicular carries the second
-            lost, m1, m2, stretch = True, -q2, q1, 1.0
-        if stretch < tiny:
-            stretch = tiny
-        q1, q2 = m1 / stretch, m2 / stretch
-        if lost:  # r11 stays at its clamp; the stretch is r22
-            s1 += log(tiny)
-            s2 += log(stretch)
-            continue
-        r22 = abs(j11 * j22 + phi * j21) / stretch
-        if r22 < tiny:
-            r22 = tiny
-        s1 += log(stretch)
-        s2 += log(r22)
+    try:
+        for k in range(n):
+            if not (abs(S) + abs(I) <= bound):
+                return S, I, (q1, q2), s1, s2, k
+            if k < m:
+                out[k, 0] = S
+                out[k, 1] = I
+            # Jacobian [[j11, -phi], [j21, j22]] at (S, I)
+            den = 1.0 + a * S
+            phi = beta * S / den
+            j21 = I * (beta / (den * den))
+            j11 = r - two_r * S - j21
+            j22 = retain + phi
+            force = phi * I
+            S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+            m1 = j11 * q1 - phi * q2
+            m2 = j21 * q1 + j22 * q2
+            stretch = hypot(m1, m2)
+            if stretch == 0.0 and not lost:
+                # the vector fell into the kernel of J, as the first QR column
+                # would; from here on its perpendicular carries the second
+                lost, m1, m2, stretch = True, -q2, q1, 1.0
+            if stretch < tiny:
+                stretch = tiny
+            q1, q2 = m1 / stretch, m2 / stretch
+            if lost:  # r11 stays at its clamp; the stretch is r22
+                s1 += log(tiny)
+                s2 += log(stretch)
+                continue
+            r22 = abs(j11 * j22 + phi * j21) / stretch
+            if r22 < tiny:
+                r22 = tiny
+            s1 += log(stretch)
+            s2 += log(r22)
+    except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
+        return S, I, (q1, q2), s1, s2, k
     return S, I, (q1, q2), s1, s2, None
 
 

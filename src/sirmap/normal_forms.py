@@ -204,14 +204,31 @@ class NormalFormData:
 
 
 def _null_vector(M: np.ndarray) -> np.ndarray:
-    """A non-trivial solution of M v = 0 for a rank-1 real 2x2 matrix."""
+    """A unit solution of M v = 0 for a rank-1 2x2 matrix, real or complex."""
     c1 = np.array([M[0, 1], -M[0, 0]])
     c2 = np.array([M[1, 1], -M[1, 0]])
-    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    n = np.linalg.norm(v)
+    # for real data the bits of np.linalg.norm (sqrt of a dot), without its overhead
+    n1, n2 = (math.sqrt(np.vdot(c, c).real) for c in (c1, c2))
+    v, n = (c1, n1) if n1 >= n2 else (c2, n2)
     if n == 0.0:
         raise ValueError("matrix is zero; eigenvector not unique")
     return v / n
+
+
+def _eigenpair(A: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvector ``q`` of a 2x2 ``A`` at ``mu`` and adjoint ``p``, <p, q> = 1.
+
+    ``q`` has first component 1 (the second when the first vanishes), which
+    fixes ``c`` and ``d``: both scale with |q|^2.  A^T p = conj(mu) p.
+    """
+    I2 = np.eye(2)
+    q = _null_vector(A - mu * I2)
+    q = q / (q[0] if abs(q[0]) > 1.0e-8 else q[1])
+    p = _null_vector(A.T - np.conj(mu) * I2)
+    s = np.vdot(p, q)
+    if abs(s) < 1.0e-12:
+        raise ValueError("eigenvector pairing degenerate; normal-form coefficient undefined")
+    return q, p / np.conj(s)
 
 
 def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
@@ -222,7 +239,9 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     taken for the second iterate at that point.  Requires the report's
     residual and the recomputed one to stay within :data:`TOL_RESIDUAL`,
     the relevant Jacobian to have an eigenvalue within ``TOL_HYP`` of -1
-    and ``A - I`` to be invertible.
+    and ``A - I`` to be invertible; the eigenvectors are :func:`_eigenpair`'s
+    at exactly -1.  ``cmd_analyze`` passes the endemic curve point: a flip tag
+    allows beta ``TOL_BOUNDARY`` off, past ``TOL_HYP`` in the eigenvalue.
     """
     k = 2 if fp.kind == "period2" else 1
     forms = _cycle_forms(p, fp.location, k, fp.residual)
@@ -240,17 +259,7 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     if abs(detAmI) < 1.0e-10:
         raise ValueError("A - I is singular (fold degeneracy); flip coefficient undefined")
 
-    q = _null_vector(A + I2)
-    if abs(q[0]) > 1.0e-8:
-        q = q / q[0]
-    else:
-        q = q / q[1]
-    pv = _null_vector(A.T + I2)
-    s = float(pv @ q)
-    if abs(s) < 1.0e-12:
-        raise ValueError("eigenvector pairing degenerate; flip coefficient undefined")
-    pv = pv / s
-
+    q, pv = _eigenpair(A, -1.0)
     w = np.linalg.solve(A - I2, forms.apply_B(q, q))
     c = float(pv @ forms.apply_C(q, q, q)) / 6.0 - float(pv @ forms.apply_B(q, w)) / 2.0
     return NormalFormData(
@@ -266,11 +275,13 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
 def ns_coefficient(p: ModelParams) -> NormalFormData:
     """First coefficient ``d`` at the Neimark-Sacker boundary of E1.
 
-    Requires ``beta`` to sit on the NS curve within ``TOL_BOUNDARY`` and the
-    growth value to stay clear (by :data:`RESONANCE_EXCLUSION` in r) of
-    the strong resonances at r_bar, r_tilde and r_max, where the
-    coefficient is undefined; those are refused with
-    :class:`ResonanceError` naming the resonance.
+    Requires ``beta`` within ``TOL_BOUNDARY`` of beta2, the test
+    ``classify_boundary`` makes, and evaluates ``d`` at ``p`` itself
+    (``cmd_analyze`` passes the curve point); the eigenvectors are
+    :func:`_eigenpair`'s.  The growth value must stay clear (by
+    :data:`RESONANCE_EXCLUSION` in r) of the strong resonances at r_bar,
+    r_tilde and r_max, where the coefficient is undefined; those are
+    refused with :class:`ResonanceError` naming the resonance.
     """
     th = thresholds(p.r, p.a, p.K)
     if abs(p.beta - th.beta2) > TOL_BOUNDARY:
@@ -294,22 +305,12 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     forms = shifted_forms(p, rep.location)
     A = forms.A
     e = rep.eigen
-    if abs(e.det - 1.0) > 1.0e-9:
-        raise ValueError(
-            f"determinant at E1 is {e.det:.12g}, not 1: point is off the NS curve"
-        )
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
     theta0 = math.atan2(e.omega, e.sigma)
     mu = complex(e.sigma, e.omega)
 
-    q = np.array([1.0 + 0.0j, (mu - A[0, 0]) / A[0, 1]])
-    pv = np.array([1.0 + 0.0j, -(A[0, 0] - mu.conjugate()) / A[1, 0]])
-    s = np.vdot(pv, q)
-    if abs(s) < 1.0e-12:
-        raise ValueError("eigenvector pairing degenerate at the NS point")
-    pv = pv / s.conjugate()
-
+    q, pv = _eigenpair(A, mu)
     qbar = q.conjugate()
     I2 = np.eye(2)
     t1 = np.vdot(pv, forms.apply_C(q, q, qbar))

@@ -6,12 +6,14 @@ path as the installed ``sirmap`` script without spawning processes.
 
 import json
 import math
+import random
 import re
 
 import pytest
 
 from sirmap import cli
 from sirmap.cli import PRESETS, main
+from sirmap.core import TOL_BOUNDARY
 from sirmap.equilibria import beta2_threshold, thresholds
 
 
@@ -71,6 +73,23 @@ class TestDispatchAndErrors:
             capsys, "lyapunov", "--r", "40", "--steps", "2000", "--transient", "0"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "lyapunov"])
+    def test_start_on_pole_exits_three(self, capsys, command):
+        # S = -1 puts 1 + a*S = 0 at the default a = 1
+        argv = [command, "--s0", "-1", "--i0", "0.1", "--transient", "0"]
+        code, _, err = run_cli(capsys, *argv, "--steps", "3" if command == "simulate" else "1000")
+        assert code == 3
+        assert "escaped" in err and "step 0" in err
+
+    def test_scan_from_pole_escapes_every_row(self, capsys):
+        argv = ["scan", "--param", "r", "--lo", "2", "--hi", "3", "--steps", "3", "--keep", "2",
+                "--s0", "-1", "--i0", "0.1", "--transient", "0"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[1:3] == ["nan", "0"] for row in rows)
 
     @pytest.mark.parametrize(
         "argv",
@@ -318,6 +337,54 @@ class TestAnalyze:
         assert near.keys() == nf.keys() == {"at", "kind", "tag", "note"}
         assert near["kind"] == "resonance"
         assert near["tag"] == "1:4 resonance"
+
+    @pytest.mark.parametrize(
+        "argv, tag, kind",
+        [
+            # beta1(r) + 9e-10: the eigenvalue sits 2.9e-9 from -1
+            (["--r", "4.075581455820886", "--beta", "3.8747108775713635",
+              "--a", "2.868102815667748", "--K", "0.8582619896474796"], "flip", "flip"),
+            # beta2(r) + 5e-10: det J(E1) is 1 + 1.7e-9
+            (["--r", "9.290673529956868", "--beta", "2.263352483171098",
+              "--a", "0.40309273233720366", "--K", "0.7779469895497861"],
+             "neimark-sacker", "ns"),
+        ],
+    )
+    def test_tagged_point_near_curve_gets_normal_form(self, capsys, argv, tag, kind):
+        doc = run_json(capsys, "analyze", *argv)
+        assert doc["endemic"]["boundary"] == tag
+        assert doc["normal_form"]["kind"] == kind
+
+    def test_normal_form_is_that_of_the_curve_point(self, capsys):
+        # a point tagged within TOL_BOUNDARY of beta1 or beta2 reports the
+        # normal form of (r, beta_k(r)) itself
+        rng = random.Random(10)
+        for _ in range(6):
+            a, K = rng.uniform(0.0, 3.0), rng.uniform(0.1, 0.9)
+            r_max = thresholds(1.5, a, K).r_max
+            for r, curve, tag, kind in (
+                (rng.uniform(3.0, r_max), "beta1", "flip", "flip"),
+                (rng.uniform(1.05, r_max), "beta2", "neimark-sacker", "ns"),
+            ):
+                beta = getattr(thresholds(r, a, K), curve)
+                docs = [
+                    run_json(capsys, "analyze", "--r", repr(r), "--beta", repr(b),
+                             "--a", repr(a), "--K", repr(K))
+                    for b in (beta, beta - 0.5 * TOL_BOUNDARY, beta + 0.5 * TOL_BOUNDARY)
+                ]
+                for doc in docs:
+                    assert doc["endemic"]["boundary"] == tag, (r, a, K)
+                    assert doc["normal_form"] == docs[0]["normal_form"], (r, a, K)
+                assert docs[0]["normal_form"]["kind"] == kind
+
+    def test_region_has_the_regions_shape(self, capsys):
+        for preset in ("triangle-region", "capped-region", "curved-region"):
+            region = run_json(capsys, "analyze", "--preset", preset)["region"]
+            probed = run_json(
+                capsys, "regions", "--preset", preset, "--samples", "5", "--steps", "5"
+            )["region"]
+            assert region == probed
+            assert region.keys() == {"case", "u_star", "v", "crossings"}
 
     def test_subcritical_growth_has_no_thresholds(self, capsys):
         doc = run_json(capsys, "analyze", "--r", "0.8")

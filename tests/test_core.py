@@ -166,6 +166,12 @@ class TestJacobian:
             fd[1, j] = (plus.I - minus.I) / (2 * h)
         assert np.allclose(J, fd, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("a", [1.0, 2.0, 0.5])
+    def test_pole_is_value_error(self, a):
+        p = ModelParams(r=2, beta=1, a=a, K=0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            jacobian(p, (-1.0 / a, 0.1))
+
 
 class TestIterate:
     def test_returns_orbit_with_requested_window(self):
@@ -219,6 +225,16 @@ class TestIterate:
         orb = iterate(p, x0, n_transient=n_transient, n_keep=n_keep)
         assert orb.escaped_at == want_escape
         np.testing.assert_array_equal(orb.states, np.array(kept, dtype=float).reshape(-1, 2))
+
+    def test_pole_is_an_escape(self):
+        # from (2, 0) at r = 1/2 the next state is (-1, 0), where 1 + a*S = 0
+        p = ModelParams(r=0.5, beta=1.0, a=1.0, K=0.5)
+        orb = iterate(p, (2.0, 0.0), n_transient=0, n_keep=5)
+        assert orb.escaped_at == 1
+        np.testing.assert_array_equal(orb.states, [[2.0, 0.0]])
+        assert iterate(p, (2.0, 0.0), n_transient=3, n_keep=5).escaped_at == 1
+        assert iterate(p, (-1.0, 0.1), n_transient=0, n_keep=5).escaped_at == 0
+        assert _advance(p, (2.0, 0.0), 4) == (-1.0, 0.0, 1)
 
     def test_indexing_and_iteration(self):
         p = ModelParams(r=2, beta=3, a=1, K=0.5)

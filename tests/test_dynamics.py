@@ -250,6 +250,17 @@ class TestTangentPathOracle:
 
 
 class TestLyapunov:
+    def test_pole_is_an_escape(self):
+        # the orbit of (2, 0) at r = 1/2 reaches the pole S = -1/a at step 1
+        p = ModelParams(r=0.5, beta=1.0, a=1.0, K=0.5)
+        for transient, step in ((0, 1), (1, 1), (5, 1)):
+            with pytest.raises(DivergenceError) as exc:
+                lyapunov(p, (2.0, 0.0), n=1000, transient=transient)
+            assert exc.value.step == step
+        with pytest.raises(DivergenceError) as exc:
+            lyapunov(p, (-1.0, 0.1), n=1000, transient=0)
+        assert exc.value.step == 0
+
     def test_axis_chaos_log_two(self):
         # At r = 4 with the infection extinct the axis dynamics is the
         # full logistic map, whose exponent is log 2 exactly.
@@ -419,6 +430,15 @@ class TestScan:
             assert np.all(np.isnan(res.i_samples[row]))
         for row, step in res.escapes:
             assert step >= 0
+
+    @pytest.mark.parametrize("transient", [0, 1, 5])
+    def test_pole_rows_escape(self, transient):
+        # every row restarts from (2, 0), whose next state (-1, 0) sits on
+        # the pole 1 + a*S = 0, in the transient or in the sampled window
+        p = ModelParams(r=0.5, beta=1.0, a=1.0, K=0.5)
+        res = scan(p, "K", (0.2, 0.8), steps=3, x0=(2.0, 0.0), transient=transient, keep=2)
+        assert res.escapes == [(0, 1), (1, 1), (2, 1)]
+        assert np.all(np.isnan(res.s_samples)) and np.all(np.isnan(res.lyap_max))
 
 
 class TestCycleBirths:

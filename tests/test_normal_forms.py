@@ -10,6 +10,7 @@ from sirmap import (
     BoundaryTag,
     ModelParams,
     beta2_threshold,
+    classify_boundary,
     disease_free,
     endemic,
     flip_coefficient,
@@ -20,7 +21,8 @@ from sirmap import (
     shifted_forms,
     thresholds,
 )
-from sirmap.normal_forms import ResonanceError
+from sirmap.core import TOL_BOUNDARY
+from sirmap.normal_forms import ResonanceError, _eigenpair
 
 from oracles import chain_rule_forms, finite_difference_forms
 
@@ -115,6 +117,23 @@ class TestNSCoefficient:
         assert abs(nf.coefficient - D_AT_R2) < 1.0e-9
         assert abs(nf.theta0 - math.pi / 6.0) < 1.0e-12
 
+    @pytest.mark.parametrize("offset", [-0.999, -0.5, 0.5, 0.999])
+    @pytest.mark.parametrize(
+        "r, a, K",
+        [
+            (2.0, 1.0, 0.5),
+            (1.3, 2.0, 0.9),
+            (9.290673529956868, 0.40309273233720366, 0.7779469895497861),
+        ],
+    )
+    def test_accepts_every_beta_the_classifier_tags(self, r, a, K, offset):
+        # the beta test is the one on-curve decision, as in classify_boundary
+        b2 = beta2_threshold(r, a, K)
+        p = ModelParams(r=r, beta=b2 + offset * TOL_BOUNDARY, a=a, K=K)
+        assert classify_boundary(p, "E1") is BoundaryTag.NEIMARK_SACKER
+        d_on = ns_coefficient(ModelParams(r=r, beta=b2, a=a, K=K)).coefficient
+        assert abs(ns_coefficient(p).coefficient - d_on) < 1.0e-6 * abs(d_on)
+
     def test_requires_point_on_curve(self):
         with pytest.raises(ValueError, match="NS curve"):
             ns_coefficient(ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5))
@@ -169,6 +188,33 @@ class TestNSCoefficient:
     def test_crossing_is_transversal(self, r):
         b2 = beta2_threshold(r, 1.0, 0.5)
         assert rho_prime_at_ns(ModelParams(r=r, beta=b2, a=1.0, K=0.5)) > 0.0
+
+
+class TestEigenpair:
+    @pytest.mark.parametrize(
+        "A, mu",
+        [
+            # real: eigenvalue -1, first component of q nonzero
+            (np.array([[0.5, 1.5], [0.5, -0.5]]), -1.0),
+            # real: q = (0, 1), so the second component is the unit one
+            (np.array([[0.3, 0.0], [2.0, -1.0]]), -1.0),
+            # complex pair on the unit circle at angle pi/3
+            (np.array([[0.5, -math.sqrt(3.0) / 2.0], [math.sqrt(3.0) / 2.0, 0.5]]),
+             complex(0.5, math.sqrt(3.0) / 2.0)),
+        ],
+    )
+    def test_contracts(self, A, mu):
+        q, p = _eigenpair(A, mu)
+        assert np.linalg.norm(A @ q - mu * q) < 1.0e-12
+        assert np.linalg.norm(A.T @ p - np.conj(mu) * p) < 1.0e-12
+        assert abs(np.vdot(p, q) - 1.0) < 1.0e-12
+        assert 1.0 in (q[0], q[1])
+
+    def test_flip_vectors_come_from_it(self):
+        p = ModelParams(r=3.0, beta=0.5, a=1.0, K=0.5)
+        nf = flip_coefficient(p, disease_free(p))
+        q, pv = _eigenpair(shifted_forms(p, disease_free(p).location).A, -1.0)
+        assert np.array_equal(nf.q, q) and np.array_equal(nf.p, pv)
 
 
 class TestFormsConsistency:

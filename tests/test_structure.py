@@ -8,7 +8,9 @@ a kernel; route the new caller through ``core.step``,
 ``core._advance`` or ``dynamics._tangent`` instead.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
-the sensitivity recurrence of the cycle-birth Newton solve (its
+the eigenvectors behind ``c`` and ``d`` come only from
+``normal_forms._eigenpair`` (the one caller of ``_null_vector``), the
+sensitivity recurrence of the cycle-birth Newton solve (its
 ``fxx``/``fxr`` terms) only by ``dynamics._tangency_residual``, and
 tolerances are module constants, not parameters of the public functions.
 Every CLI flag is built by ``cli._add_option`` from a key of the option
@@ -80,12 +82,17 @@ def _is_residual(node) -> bool:
     )
 
 
-def _calls_point_tensors(node) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_point_tensors"
-    )
+def _calls(name):
+    """A predicate for calls of the bare name ``name``."""
+
+    def predicate(node) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+        )
+
+    return predicate
 
 
 def _is_tangency_sensitivity(node) -> bool:
@@ -133,8 +140,13 @@ def test_residual_only_in_equilibria_residual():
 
 
 def test_point_tensors_composed_only_by_iterate_forms():
-    sites = _occurrences(_calls_point_tensors)
+    sites = _occurrences(_calls("_point_tensors"))
     assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+
+
+def test_null_vector_called_only_by_eigenpair():
+    sites = _occurrences(_calls("_null_vector"))
+    assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "_eigenpair")}, sites
 
 
 def test_tangency_recurrence_only_in_tangency_residual():
