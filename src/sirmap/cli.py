@@ -5,10 +5,11 @@ Tabular results go out as CSV (single header row, floats with 17
 significant digits, deterministic bytes for a fixed configuration and
 seed); structured reports as JSON.
 
-Each option is declared once, in ``_OPTIONS``, and each subcommand in
-``_SUBCOMMANDS``.  Every option, ``out`` included, takes its value by one
+Each option is declared once, in ``_OPTIONS``; each subcommand's row in
+``_SUBCOMMANDS`` lists every option it reads, its only flags but --preset
+and --config.  Every option, ``out`` included, takes its value by one
 precedence: built-in defaults < --preset < --config file (flat key=value
-lines, any option key) < explicit flags.
+lines, any option key; keys outside the row are ignored) < explicit flags.
 
 JSON output is strict: a report holding a non-finite number is refused
 as a configuration error.  Inputs that would make a subcommand store more
@@ -32,13 +33,7 @@ from dataclasses import replace
 
 from .core import DivergenceError, ModelParams, iterate
 from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
-from .equilibria import (
-    BoundaryTag,
-    classify_boundary,
-    disease_free,
-    endemic,
-    thresholds,
-)
+from .equilibria import BoundaryTag, disease_free, endemic, thresholds
 from .normal_forms import ResonanceError, flip_coefficient, ns_coefficient, rho_prime_at_ns
 from .positivity import applicable_region, invariance_probe
 
@@ -134,8 +129,8 @@ def _parse_config(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    merged = {key: opt.default for key, opt in _OPTIONS.items()}
-    merged.update(_SUBCOMMANDS[args.command].defaults)
+    command = _SUBCOMMANDS[args.command]
+    merged = {key: _OPTIONS[key].default for key in command.keys} | command.defaults
     if args.preset is not None:
         if args.preset not in PRESETS:
             known = ", ".join(sorted(PRESETS))
@@ -143,14 +138,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         merged.update(PRESETS[args.preset])
     if args.config is not None:
         merged.update(_parse_config(args.config))
-    for key in _OPTIONS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    # presets and config files are shared bundles: keys outside the row drop out
+    flags = vars(args)
+    opts = {key: merged[key] if flags[key] is None else flags[key] for key in command.keys}
     for key in ("s0", "i0"):
-        if not math.isfinite(merged[key]):
-            raise ValueError(f"require a finite initial state, got {key}={merged[key]}")
-    return merged
+        if key in opts and not math.isfinite(opts[key]):
+            raise ValueError(f"require a finite initial state, got {key}={opts[key]}")
+    return opts
 
 
 def _params(opts: dict) -> ModelParams:
@@ -211,13 +205,13 @@ def _region_json(region) -> dict | None:
     }
 
 
-def _report_json(rep, tag: BoundaryTag | None) -> dict:
+def _report_json(rep) -> dict:
     return {
         "location": [float(rep.location.S), float(rep.location.I)],
         "eigenvalues": [_eig_json(rep.eigen.mu1), _eig_json(rep.eigen.mu2)],
         "stability": rep.stability.value,
         "residual": float(rep.residual),
-        "boundary": tag.value if tag else None,
+        "boundary": rep.boundary.value if rep.boundary else None,
     }
 
 
@@ -240,15 +234,15 @@ def cmd_simulate(opts: dict) -> int:
 def cmd_analyze(opts: dict) -> int:
     """JSON report of fixed points, thresholds, tags, normal form and region.
 
-    Tags come from ``classify_boundary`` alone; an endemic flip or NS normal
+    Tags come from the fixed-point reports alone; an endemic flip or NS normal
     form is taken at the curve point (r, beta_k(r)) its tag matched.
     """
     p = _params(opts)
     df = disease_free(p)
-    tag0 = classify_boundary(p, "E0")
+    tag0 = df.boundary
     doc: dict = {
         "params": {"r": p.r, "beta": p.beta, "a": p.a, "K": p.K},
-        "disease_free": _report_json(df, tag0),
+        "disease_free": _report_json(df),
         "thresholds": None,
         "endemic": None,
         "reproduction_candidates": None,
@@ -268,8 +262,8 @@ def cmd_analyze(opts: dict) -> int:
         }
         en = endemic(p)
         if en is not None:
-            tag1 = classify_boundary(p, "E1")
-            doc["endemic"] = _report_json(en, tag1)
+            tag1 = en.boundary
+            doc["endemic"] = _report_json(en)
         doc["reproduction_candidates"] = list(reproduction_candidates(p))
 
     try:
@@ -379,27 +373,30 @@ def cmd_lyapunov(opts: dict) -> int:
     return 0
 
 
-#: Every subcommand as (handler, help, keys, defaults): ``keys`` are the
-#: options it takes beyond the common ones, ``defaults`` (read only) its
-#: overrides of their defaults.
-_Subcommand = namedtuple("_Subcommand", "handler help keys defaults", defaults=((), {}))
+#: Every subcommand as (handler, help, keys, defaults): ``keys`` are every
+#: option it reads, ``defaults`` (read only) its overrides of their defaults.
+_Subcommand = namedtuple("_Subcommand", "handler help keys defaults", defaults=({},))
+_MODEL = ("r", "beta", "a", "K")
+_ORBIT = (*_MODEL, "s0", "i0", "transient", "steps")
 _SUBCOMMANDS: dict[str, _Subcommand] = {
-    "simulate": _Subcommand(cmd_simulate, "iterate one orbit to CSV"),
-    "analyze": _Subcommand(cmd_analyze, "fixed points, thresholds, normal forms"),
+    "simulate": _Subcommand(cmd_simulate, "iterate one orbit to CSV", (*_ORBIT, "out")),
+    "analyze": _Subcommand(cmd_analyze, "fixed points, thresholds, normal forms", (*_MODEL, "out")),
     "scan": _Subcommand(
-        cmd_scan, "one-parameter attractor sweep to CSV", ("param", "lo", "hi", "keep")
+        cmd_scan, "one-parameter attractor sweep to CSV",
+        (*_ORBIT, "param", "lo", "hi", "keep", "out"),
     ),
     "cycles": _Subcommand(
-        cmd_cycles, "axis period-n birth parameters", ("n", "lo", "hi"), {"lo": 3.0, "hi": 4.0}
+        cmd_cycles, "axis period-n birth parameters", ("n", "lo", "hi", "out"),
+        {"lo": 3.0, "hi": 4.0},
     ),
-    "regions": _Subcommand(cmd_regions, "positivity region + invariance probe", ("samples",)),
+    "regions": _Subcommand(
+        cmd_regions, "positivity region + invariance probe",
+        (*_MODEL, "steps", "seed", "samples", "out"),
+    ),
     "lyapunov": _Subcommand(
-        cmd_lyapunov, "Lyapunov exponents of one orbit", defaults={"steps": 100_000}
+        cmd_lyapunov, "Lyapunov exponents of one orbit", (*_ORBIT, "out"), {"steps": 100_000}
     ),
 }
-
-#: Options every subcommand takes: those no subcommand lists as its own.
-_COMMON = tuple(k for k in _OPTIONS if not any(k in c.keys for c in _SUBCOMMANDS.values()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -413,18 +410,20 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_option(parser: argparse.ArgumentParser, key: str) -> None:
+def _add_option(parser: argparse.ArgumentParser, key: str) -> argparse.Action:
     opt = _OPTIONS[key]
-    parser.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
+    return parser.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # subcommands copy the common actions from one parent parser
-    common = _Parser(add_help=False)
-    for key in _COMMON:
-        _add_option(common, key)
-    common.add_argument("--preset", help="named parameter bundle")
-    common.add_argument("--config", help="flat key=value option file")
+    # one action per option, shared by the subcommands that read it (as
+    # parents= shares them): an add_argument per subcommand builds 40% slower
+    pool = _Parser(add_help=False)
+    actions = {key: _add_option(pool, key) for key in _OPTIONS}
+    bundles = (
+        pool.add_argument("--preset", help="named parameter bundle"),
+        pool.add_argument("--config", help="flat key=value option file"),
+    )
 
     parser = _Parser(
         prog="sirmap",
@@ -432,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _SUBCOMMANDS.items():
-        ps = sub.add_parser(name, parents=[common], help=command.help)
-        for key in command.keys:
-            _add_option(ps, key)
+        ps = sub.add_parser(name, help=command.help)
+        for action in (*(actions[key] for key in command.keys), *bundles):
+            ps._add_action(action)
     return parser
 
 

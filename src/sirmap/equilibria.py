@@ -125,13 +125,19 @@ FixedPointKind = Literal["disease_free", "endemic", "period2"]
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """A located fixed (or periodic) point with its local linearisation."""
+    """A located fixed (or periodic) point with its local linearisation.
+
+    ``boundary`` is the :func:`classify_boundary` tag of E0 or E1 (None for
+    the period-2 points).  A tagged point is non-hyperbolic whatever its
+    eigenvalue band says, so the stability class and the tag cannot disagree.
+    """
 
     kind: FixedPointKind
     location: State
     eigen: EigenData
     stability: StabilityClass
     residual: float
+    boundary: BoundaryTag | None = None
 
 
 def _residual(p: ModelParams, x: State, k: int = 1) -> float:
@@ -143,11 +149,21 @@ def _residual(p: ModelParams, x: State, k: int = 1) -> float:
 
 
 def _report(
-    p: ModelParams, kind: FixedPointKind, x: State, e: EigenData, k: int = 1
+    p: ModelParams,
+    kind: FixedPointKind,
+    x: State,
+    e: EigenData,
+    k: int = 1,
+    tag: BoundaryTag | None = None,
 ) -> FixedPointReport:
-    """Report on a point fixed by the k-th iterate, classified from ``e``."""
+    """Report on a point fixed by the k-th iterate, classified from ``e`` and ``tag``."""
     return FixedPointReport(
-        kind=kind, location=x, eigen=e, stability=_classify(e), residual=_residual(p, x, k)
+        kind=kind,
+        location=x,
+        eigen=e,
+        stability=StabilityClass.NON_HYPERBOLIC if tag is not None else _classify(e),
+        residual=_residual(p, x, k),
+        boundary=tag,
     )
 
 
@@ -172,7 +188,7 @@ def disease_free(p: ModelParams) -> FixedPointReport:
         omega=0.0,
         theta0=None,
     )
-    return _report(p, "disease_free", loc, e)
+    return _report(p, "disease_free", loc, e, tag=classify_boundary(p, "E0"))
 
 
 def endemic(p: ModelParams) -> FixedPointReport | None:
@@ -192,7 +208,7 @@ def endemic(p: ModelParams) -> FixedPointReport | None:
     I1 = (p.r - 1.0) / den - p.r * p.K / (den * den)
     loc = State(S1, I1)
     e = eigen_from_matrix(jacobian(p, loc))
-    return _report(p, "endemic", loc, e)
+    return _report(p, "endemic", loc, e, tag=classify_boundary(p, "E1"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +311,13 @@ def classify_boundary(p: ModelParams, which: Literal["E0", "E1"]) -> BoundaryTag
     corner at (r, beta) = (3, beta0), and the 1:2 / 1:3 / 1:4 resonances
     on the NS curve at r_max, r_tilde and r_bar.
     """
-    r, beta, tol = p.r, p.beta, TOL_BOUNDARY
+    r, beta, a, K, tol = p.r, p.beta, p.a, p.K, TOL_BOUNDARY
     if which == "E0":
         if abs(r - 1.0) <= tol:
             return BoundaryTag.FOLD
         if r <= 1.0:
             return None
-        b0 = beta0_threshold(r, p.a, p.K)
+        b0 = beta0_threshold(r, a, K)
         if abs(r - 3.0) <= tol and abs(beta - b0) <= tol:
             return BoundaryTag.FOLD_FLIP
         if abs(r - 3.0) <= tol and beta < b0:
@@ -312,21 +328,24 @@ def classify_boundary(p: ModelParams, which: Literal["E0", "E1"]) -> BoundaryTag
     if which == "E1":
         if r <= 1.0 + tol:
             return None
-        th = thresholds(r, p.a, p.K)
-        if abs(r - 3.0) <= tol and abs(beta - th.beta0) <= tol:
+        # the curves of ``thresholds``, each evaluated only where the
+        # decision reaches it: every endemic() report runs this
+        b0 = beta0_threshold(r, a, K)
+        if abs(r - 3.0) <= tol and abs(beta - b0) <= tol:
             return BoundaryTag.FOLD_FLIP
-        if abs(beta - th.beta2) <= tol:
-            if abs(r - th.r_max) <= tol:
+        r_max = resonance_growth(4.0, a, K)
+        if abs(beta - beta2_threshold(r, a, K)) <= tol:
+            if abs(r - r_max) <= tol:
                 return BoundaryTag.RESONANCE_12
-            if abs(r - th.r_tilde) <= tol:
+            if abs(r - resonance_growth(3.0, a, K)) <= tol:
                 return BoundaryTag.RESONANCE_13
-            if abs(r - th.r_bar) <= tol:
+            if abs(r - resonance_growth(2.0, a, K)) <= tol:
                 return BoundaryTag.RESONANCE_14
-            if 1.0 < r < th.r_max:
+            if 1.0 < r < r_max:
                 return BoundaryTag.NEIMARK_SACKER
-        if abs(beta - th.beta0) <= tol and 1.0 < r < 3.0:
+        if abs(beta - b0) <= tol and 1.0 < r < 3.0:
             return BoundaryTag.FOLD
-        if th.beta1 is not None and abs(beta - th.beta1) <= tol:
+        if 3.0 < r < r_max and abs(beta - beta1_formula(r, a, K)) <= tol:
             return BoundaryTag.FLIP
         return None
     raise ValueError(f"which must be 'E0' or 'E1', got {which!r}")

@@ -4,10 +4,13 @@ Everything goes through ``main(argv)`` so the tests exercise the same
 path as the installed ``sirmap`` script without spawning processes.
 """
 
+import hashlib
 import json
 import math
 import random
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +358,15 @@ class TestAnalyze:
         assert doc["endemic"]["boundary"] == tag
         assert doc["normal_form"]["kind"] == kind
 
+    def test_tagged_point_is_non_hyperbolic(self, capsys):
+        # the eigenvalue -0.9999999971 lies outside the TOL_HYP band around -1
+        doc = run_json(capsys, "analyze", "--r", "4.075581455820886",
+                       "--beta", "3.8747108775713635", "--a", "2.868102815667748",
+                       "--K", "0.8582619896474796")
+        assert doc["endemic"]["boundary"] == "flip"
+        assert doc["endemic"]["stability"] == "non-hyperbolic"
+        assert doc["endemic"]["eigenvalues"][1] == [-0.9999999970890866, 0.0]
+
     def test_normal_form_is_that_of_the_curve_point(self, capsys):
         # a point tagged within TOL_BOUNDARY of beta1 or beta2 reports the
         # normal form of (r, beta_k(r)) itself
@@ -533,25 +545,47 @@ class TestPresetTable:
             assert code == 0, (name, err)
 
 
-_COMMON_FLAGS = ["--r", "--beta", "--a", "--K", "--s0", "--i0", "--transient", "--steps",
-                 "--seed", "--out", "--preset", "--config"]
-_BARE_DEFAULTS = {
-    "r": 2.0, "beta": 3.0, "a": 1.0, "K": 0.5, "s0": 0.5, "i0": 0.1,
-    "transient": 10_000, "steps": 1000, "seed": 0, "out": None,
-    "param": None, "lo": None, "hi": None, "keep": 100, "n": 3, "samples": 1000,
+_MODEL_DEFAULTS = {"r": 2.0, "beta": 3.0, "a": 1.0, "K": 0.5}
+_ORBIT_DEFAULTS = {**_MODEL_DEFAULTS, "s0": 0.5, "i0": 0.1, "transient": 10_000, "steps": 1000}
+_BUNDLE_FLAGS = {"--help", "--preset", "--config"}
+#: A small run of each subcommand that reaches every option its handler reads.
+_SMALL_RUNS = {
+    "simulate": ["--steps", "3", "--transient", "0"],
+    "analyze": [],
+    "scan": ["--param", "r", "--lo", "2.8", "--hi", "3", "--steps", "2", "--keep", "2",
+             "--transient", "10"],
+    "cycles": [],
+    "regions": ["--preset", "triangle-region", "--samples", "5", "--steps", "5"],
+    "lyapunov": ["--steps", "1000", "--transient", "0"],
 }
+
+
+class _Recording(dict):
+    """An options mapping that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 class TestOptionTable:
     @pytest.mark.parametrize(
         "command, own_flags",
         [
-            ("simulate", []),
-            ("analyze", []),
-            ("scan", ["--param", "--lo", "--hi", "--keep"]),
-            ("cycles", ["--n", "--lo", "--hi"]),
-            ("regions", ["--samples"]),
-            ("lyapunov", []),
+            ("simulate", ["--r", "--beta", "--a", "--K", "--s0", "--i0", "--transient", "--steps",
+                          "--out"]),
+            ("analyze", ["--r", "--beta", "--a", "--K", "--out"]),
+            ("scan", ["--r", "--beta", "--a", "--K", "--s0", "--i0", "--transient", "--steps",
+                      "--param", "--lo", "--hi", "--keep", "--out"]),
+            ("cycles", ["--n", "--lo", "--hi", "--out"]),
+            ("regions", ["--r", "--beta", "--a", "--K", "--steps", "--seed", "--samples",
+                         "--out"]),
+            ("lyapunov", ["--r", "--beta", "--a", "--K", "--s0", "--i0", "--transient", "--steps",
+                          "--out"]),
         ],
     )
     def test_help_lists_exactly_the_table_options(self, capsys, command, own_flags):
@@ -559,19 +593,25 @@ class TestOptionTable:
             main([command, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"--[A-Za-z0-9_]+", capsys.readouterr().out))
-        assert listed == {"--help", *_COMMON_FLAGS, *own_flags}
-        table = cli._COMMON + cli._SUBCOMMANDS[command].keys
-        assert listed == {"--help", "--preset", "--config", *(f"--{k}" for k in table)}
+        assert listed == {*_BUNDLE_FLAGS, *own_flags}
+        table = cli._SUBCOMMANDS[command].keys
+        assert listed == {*_BUNDLE_FLAGS, *(f"--{k}" for k in table)}
+
+    def test_sixty_settable_flags(self):
+        rows = cli._SUBCOMMANDS.values()
+        assert sum(len(row.keys) + 2 for row in rows) == 60  # + --preset --config
 
     @pytest.mark.parametrize(
         "command, resolved",
         [
-            ("simulate", _BARE_DEFAULTS),
-            ("analyze", _BARE_DEFAULTS),
-            ("scan", _BARE_DEFAULTS),
-            ("cycles", {**_BARE_DEFAULTS, "lo": 3.0, "hi": 4.0}),
-            ("regions", _BARE_DEFAULTS),
-            ("lyapunov", {**_BARE_DEFAULTS, "steps": 100_000}),
+            ("simulate", {**_ORBIT_DEFAULTS, "out": None}),
+            ("analyze", {**_MODEL_DEFAULTS, "out": None}),
+            ("scan", {**_ORBIT_DEFAULTS, "param": None, "lo": None, "hi": None, "keep": 100,
+                      "out": None}),
+            ("cycles", {"n": 3, "lo": 3.0, "hi": 4.0, "out": None}),
+            ("regions", {**_MODEL_DEFAULTS, "steps": 1000, "seed": 0, "samples": 1000,
+                         "out": None}),
+            ("lyapunov", {**_ORBIT_DEFAULTS, "steps": 100_000, "out": None}),
         ],
     )
     def test_bare_command_resolves_to_defaults(self, command, resolved):
@@ -579,6 +619,72 @@ class TestOptionTable:
         assert opts == resolved
         assert {k: type(v) for k, v in opts.items()} == {k: type(v) for k, v in resolved.items()}
 
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+    def test_handler_reads_exactly_its_row(self, capsys, tmp_path, command):
+        # a dead flag in a row, or a handler reading a key its row does not
+        # list (a KeyError), fails here
+        row = cli._SUBCOMMANDS[command]
+        assert set(row.defaults) <= set(row.keys)
+        args = cli.build_parser().parse_args([command, *_SMALL_RUNS[command]])
+        opts = _Recording(cli._resolve(args))
+        assert set(opts) == set(row.keys)
+        opts["out"] = str(tmp_path / "report")
+        opts.read.clear()
+        assert row.handler(opts) == 0
+        assert opts.read == set(row.keys)
+        assert capsys.readouterr().out == ""
+
+    def test_dead_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cycles", "--n", "3", "--r", "100", "--seed", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--r" in err
+
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+    def test_every_option_outside_the_row_is_refused(self, capsys, command):
+        for key in set(cli._OPTIONS) - set(cli._SUBCOMMANDS[command].keys):
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"--{key}", "1"])
+            assert exc.value.code == 2, key
+            out, err = capsys.readouterr()
+            assert out == "" and f"--{key}" in err, key
+
+    def test_preset_keys_outside_the_row_are_ignored(self, capsys):
+        # flip-cascade-scan also sets param, lo, hi, steps, s0 and i0
+        code, out, _ = run_cli(capsys, "analyze", "--preset", "flip-cascade-scan")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "6061aee17c42685dafaba0fb696eb050d057576b83433eb3723b9e67a606ff61"
+        assert run_cli(capsys, "analyze", "--beta", "1.1", "--a", "1.0", "--K", "0.5")[1] == out
+
+    def test_config_keys_outside_the_row_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("r = 2\n")
+        assert run_json(capsys, "cycles", "--config", str(cfg)) == run_json(capsys, "cycles")
+
     def test_every_preset_key_is_an_option(self):
         for name, bundle in PRESETS.items():
             assert set(bundle) <= set(cli._OPTIONS), name
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("sirmap ")]
+
+
+class TestReadme:
+    def test_readme_has_every_subcommand(self):
+        assert {argv[0] for argv in _readme_commands()} == set(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv))
+    def test_readme_command_runs(self, capsys, tmp_path, argv):
+        if "--out" in argv:
+            argv = argv[: argv.index("--out")] + argv[argv.index("--out") + 2:]
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        assert out == ""
+        assert (tmp_path / "out").stat().st_size > 0

@@ -207,6 +207,88 @@ class TestClassifyBoundary:
         with pytest.raises(ValueError):
             classify_boundary(p, "E2")
 
+    def test_E1_matches_the_threshold_table(self):
+        # the tag evaluates each curve only where its decision reaches it;
+        # it must agree with the full ``thresholds`` table on and off the curves
+        def from_table(p):
+            th = thresholds(p.r, p.a, p.K)
+            tol, r, beta = 1e-9, p.r, p.beta
+            if abs(r - 3.0) <= tol and abs(beta - th.beta0) <= tol:
+                return BoundaryTag.FOLD_FLIP
+            if abs(beta - th.beta2) <= tol:
+                for r_star, tag in ((th.r_max, BoundaryTag.RESONANCE_12),
+                                    (th.r_tilde, BoundaryTag.RESONANCE_13),
+                                    (th.r_bar, BoundaryTag.RESONANCE_14)):
+                    if abs(r - r_star) <= tol:
+                        return tag
+                if 1.0 < r < th.r_max:
+                    return BoundaryTag.NEIMARK_SACKER
+            if abs(beta - th.beta0) <= tol and 1.0 < r < 3.0:
+                return BoundaryTag.FOLD
+            if th.beta1 is not None and abs(beta - th.beta1) <= tol:
+                return BoundaryTag.FLIP
+            return None
+
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(300):
+            a, K = rng.uniform(0.0, 3.0), rng.uniform(0.1, 0.9)
+            r_max = resonance_growth(4.0, a, K)
+            for r in (rng.uniform(1.05, 2.95), rng.uniform(3.0, r_max), 3.0,
+                      resonance_growth(rng.choice([2.0, 3.0, 4.0]), a, K)):
+                th = thresholds(r, a, K)
+                for beta in (th.beta0, th.beta1, th.beta2):
+                    for db in (0.0, 5e-10, -2e-9, 1e-3):
+                        if beta is None or beta + db <= 0.0:
+                            continue
+                        p = ModelParams(r=r, beta=beta + db, a=a, K=K)
+                        tag = classify_boundary(p, "E1")
+                        assert tag is from_table(p), (r, beta + db, a, K)
+                        seen.add(tag)
+        assert seen == set(BoundaryTag) | {None}
+
+
+class TestReportedStability:
+    """A tagged fixed point is non-hyperbolic; elsewhere the eigenvalue band decides."""
+
+    def test_tag_travels_with_the_report(self):
+        b1 = beta1_formula(3.6, 1.0, 0.5)
+        p = ModelParams(r=3.6, beta=b1, a=1, K=0.5)
+        assert endemic(p).boundary is classify_boundary(p, "E1") is BoundaryTag.FLIP
+        q = ModelParams(r=3.0, beta=0.5, a=1, K=0.5)
+        assert disease_free(q).boundary is classify_boundary(q, "E0") is BoundaryTag.FLIP
+        assert endemic(ModelParams(r=2, beta=3, a=1, K=0.5)).boundary is None
+        assert all(rep.boundary is None for rep in period2_branch(ModelParams(3.4, 1.0, 1, 0.5)))
+
+    def test_flip_tag_outside_the_eigenvalue_band(self):
+        # beta1(r) + 9e-10: the eigenvalue -0.9999999971 lies 2.9e-9 from -1,
+        # outside TOL_HYP, but the point is tagged flip
+        p = ModelParams(r=4.075581455820886, beta=3.8747108775713635,
+                        a=2.868102815667748, K=0.8582619896474796)
+        rep = endemic(p)
+        assert rep.boundary is BoundaryTag.FLIP
+        assert abs(rep.eigen.mu2.real + 1.0) > 1e-9
+        assert rep.stability is StabilityClass.NON_HYPERBOLIC
+
+    def test_every_tagged_point_is_non_hyperbolic(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            a, K = rng.uniform(0.0, 3.0), rng.uniform(0.1, 0.9)
+            r = rng.uniform(3.0, resonance_growth(4.0, a, K))
+            th = thresholds(r, a, K)
+            for beta in (th.beta1, th.beta2):
+                p = ModelParams(r=r, beta=beta + rng.uniform(-1e-9, 1e-9), a=a, K=K)
+                rep = endemic(p)
+                assert rep.boundary is not None
+                assert rep.stability is StabilityClass.NON_HYPERBOLIC
+
+    def test_untagged_unit_eigenvalue_keeps_the_band(self):
+        # E0 at r = 3 above beta0 has the eigenvalue 2 - r = -1 but no tag
+        p = ModelParams(r=3.0, beta=2.0 * beta0_threshold(3.0, 1.0, 0.5), a=1, K=0.5)
+        rep = disease_free(p)
+        assert rep.boundary is None
+        assert rep.stability is StabilityClass.NON_HYPERBOLIC
+
 
 class TestPeriod2Branch:
     def test_exists_only_past_flip(self):

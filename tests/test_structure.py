@@ -14,8 +14,10 @@ sensitivity recurrence of the cycle-birth Newton solve (its
 ``fxx``/``fxr`` terms) only by ``dynamics._tangency_residual``, and
 tolerances are module constants, not parameters of the public functions.
 Every CLI flag is built by ``cli._add_option`` from a key of the option
-table ``cli._OPTIONS``; only ``--preset`` and ``--config`` are written out
-as literals.
+table ``cli._OPTIONS``, at one call site; only ``--preset`` and
+``--config`` are written out as literals.  Each subcommand takes its flags
+from its own row of ``cli._SUBCOMMANDS``: no option list shared by all
+subcommands (``_COMMON``) and no ``parents=`` parser.
 """
 import ast
 import inspect
@@ -187,3 +189,16 @@ def test_cli_flags_come_from_option_table():
     # the one computed flag is --<key>, its type, choices and help read from the table
     assert computed == [("_add_option", "f'--{key}'")]
     assert "_OPTIONS[key]" in ast.unparse(funcs["_add_option"])
+    # built once per option, and attached to a subcommand only in build_parser
+    calls = [
+        (name, node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id)
+        for name, func in funcs.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+    assert [c for c in calls if c[1] == "_add_option"] == [("build_parser", "_add_option")]
+    assert {c for c in calls if c[1] == "_add_action"} == {("build_parser", "_add_action")}
+    # no option list shared by every subcommand, and no parent parser
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "_COMMON" not in names
+    assert not [k for k in ast.walk(tree) if isinstance(k, ast.keyword) and k.arg == "parents"]
