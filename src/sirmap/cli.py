@@ -10,19 +10,21 @@ Each option is declared once, in ``_OPTIONS``; each subcommand's row in
 and --config.  Every option, ``out`` included, takes its value by one
 precedence: built-in defaults < --preset < --config file (flat key=value
 lines, any option key; keys outside the row are ignored) < explicit flags.
+A scan preset's sweep (``_SWEEP_KEYS``) reaches scan only.
 
 JSON output is strict: a report holding a non-finite number is refused
 as a configuration error.  Inputs that would make a subcommand store more
 than ``MAX_STORED_FLOATS`` numbers are refused before any allocation.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite
-initial state and arithmetic overflow on out-of-range input), 3
-divergence.
+initial state or scan range, and arithmetic overflow on out-of-range
+input), 3 divergence.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -77,6 +79,9 @@ PRESETS: dict[str, dict] = {
     "capped-region": {"r": 2.9, "beta": 0.8, "a": 0.5, "K": 0.25},
     "curved-region": {"r": 3.98, "beta": 2.8, "a": 1.0, "K": 0.5},
 }
+#: A scan preset's sweep: the range and its row count.  Elsewhere lo and hi
+#: are a birth window and steps an orbit length, so these keys reach scan only.
+_SWEEP_KEYS = ("param", "lo", "hi", "steps")
 
 
 #: Every option as (type, default, help, choices), under the key that is both
@@ -135,7 +140,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if args.preset not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ValueError(f"unknown preset {args.preset!r}; available: {known}")
-        merged.update(PRESETS[args.preset])
+        preset = PRESETS[args.preset]
+        if "param" in preset and args.command != "scan":
+            preset = {k: v for k, v in preset.items() if k not in _SWEEP_KEYS}
+        merged.update(preset)
     if args.config is not None:
         merged.update(_parse_config(args.config))
     # presets and config files are shared bundles: keys outside the row drop out
@@ -415,7 +423,15 @@ def _add_option(parser: argparse.ArgumentParser, key: str) -> argparse.Action:
     return parser.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sirmap`` parser, built on the first call and shared after it.
+
+    Building it costs more than a ``cycles`` solve, so ``main`` reuses one
+    parser per process.  Reuse is safe: ``parse_args`` does not change the
+    parser, ``prog`` is fixed, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` (and the terminal width) only when it prints.
+    """
     # one action per option, shared by the subcommands that read it (as
     # parents= shares them): an add_argument per subcommand builds 40% slower
     pool = _Parser(add_help=False)
@@ -438,8 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; return its exit code.
+
+    Usage errors and ``--help`` raise ``SystemExit`` from argparse.  The
+    parser is built at the first call, not at import, and reused by every
+    later call in the process (see :func:`build_parser`).
+    """
+    args = build_parser().parse_args(argv)
     try:
         opts = _resolve(args)
         return _SUBCOMMANDS[args.command].handler(opts)

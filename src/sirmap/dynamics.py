@@ -209,7 +209,11 @@ def scan(
         raise ValueError("keep must be >= 1")
     if transient < 0:
         raise ValueError("transient must be non-negative")
-    values = np.linspace(prange[0], prange[1], steps)
+    lo, hi = prange
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(lo, hi, steps)
+    if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
+        raise ValueError(f"require a finite scan range and grid, got prange=({lo}, {hi})")
     samples = np.full((steps, keep, 2), np.nan)
     lyap_max = np.full(steps, np.nan)
     escapes: list[tuple[int, int]] = []

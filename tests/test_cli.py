@@ -1,15 +1,20 @@
 """End-to-end tests for the command-line front end.
 
 Everything goes through ``main(argv)`` so the tests exercise the same
-path as the installed ``sirmap`` script without spawning processes.
+path as the installed ``sirmap`` script without spawning processes; two
+parser-reuse tests compare against a fresh interpreter.
 """
 
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -154,6 +159,15 @@ class TestDispatchAndErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite initial state" in err
+
+    def test_non_finite_scan_range_is_config_error(self, capsys):
+        argv = ["scan", "--preset", "ns-branch-scan", "--lo", "1e308", "--hi", "inf",
+                "--steps", "2", "--keep", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: require a finite scan range and grid, got prange=(1e+308, inf)\n"
 
     def test_negative_exponent_value_after_space(self, capsys):
         argv = ["simulate", "--s0", "0.5", "--transient", "5", "--steps", "3"]
@@ -544,6 +558,36 @@ class TestPresetTable:
                 code, _, err = run_cli(capsys, "analyze", "--preset", name)
             assert code == 0, (name, err)
 
+    @pytest.mark.parametrize("name", [n for n, bundle in PRESETS.items() if "param" in bundle])
+    def test_scan_preset_brings_its_sweep(self, name):
+        opts = cli._resolve(cli.build_parser().parse_args(["scan", "--preset", name]))
+        sweep = {k: PRESETS[name][k] for k in ("param", "lo", "hi", "steps")}
+        assert {k: opts[k] for k in sweep} == sweep
+
+    @pytest.mark.parametrize(
+        "with_preset, without",
+        [
+            # a leaked r-range (1.05, 4.18) would be the birth window: exit 2
+            (["cycles", "--preset", "ns-branch-scan", "--n", "3"], ["cycles", "--n", "3"]),
+            # a leaked steps would probe for 241 steps, the scan's row count
+            (["regions", "--preset", "flip-cascade-scan", "--samples", "10"],
+             ["regions", "--beta", "1.1", "--a", "1.0", "--K", "0.5", "--samples", "10"]),
+            # a leaked steps would print 241 rows
+            (["simulate", "--preset", "flip-cascade-scan"],
+             ["simulate", "--beta", "1.1", "--a", "1.0", "--K", "0.5", "--s0", "0.5",
+              "--i0", "0.1"]),
+            # a leaked steps would ask for n = 314 steps: exit 2
+            (["lyapunov", "--preset", "ns-branch-scan"],
+             ["lyapunov", "--beta", "3.0", "--a", "1.0", "--K", "0.5", "--s0", "0.6",
+              "--i0", "0.2"]),
+        ],
+        ids=["cycles", "regions", "simulate", "lyapunov"],
+    )
+    def test_sweep_range_reaches_scan_only(self, capsys, with_preset, without):
+        code, out, err = run_cli(capsys, *with_preset)
+        assert code == 0, err
+        assert (code, out, err) == run_cli(capsys, *without)
+
 
 _MODEL_DEFAULTS = {"r": 2.0, "beta": 3.0, "a": 1.0, "K": 0.5}
 _ORBIT_DEFAULTS = {**_MODEL_DEFAULTS, "s0": 0.5, "i0": 0.1, "transient": 10_000, "steps": 1000}
@@ -667,6 +711,70 @@ class TestOptionTable:
     def test_every_preset_key_is_an_option(self):
         for name, bundle in PRESETS.items():
             assert set(bundle) <= set(cli._OPTIONS), name
+
+
+def _outcome(capsys, argv):
+    """``main``'s exit code, stdout and stderr, usage errors and help included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _python(*args):
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
+#: A usage error, a good call, two help pages and the good call again.
+_REUSE_SEQUENCE = (
+    ["cycles", "--r", "2"],
+    ["cycles", "--n", "3"],
+    ["--help"],
+    ["scan", "--help"],
+    ["cycles", "--n", "3"],
+)
+
+
+class TestParserReuse:
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        reused = [_outcome(capsys, argv) for argv in _REUSE_SEQUENCE]
+        # the undecorated builder makes a fresh parser for every call
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [_outcome(capsys, argv) for argv in _REUSE_SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0]
+        assert reused[1] == reused[4]
+        assert "--r" in reused[0][2] and reused[2][1].startswith("usage: sirmap")
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for argv in (*_REUSE_SEQUENCE, ["analyze"], ["cycles", "--n", "4"]):
+            _outcome(capsys, argv)
+        # one build: the option pool, the top-level parser, one per subcommand
+        assert built.count("sirmap") == 1
+        assert len(built) == 2 + len(cli._SUBCOMMANDS)
+
+    def test_parser_not_built_at_import(self):
+        proc = _python("-c", "import sirmap.cli as c; print(c.build_parser.cache_info().currsize)")
+        assert (proc.returncode, proc.stdout) == (0, b"0\n"), proc.stderr
+
+    def test_module_entry_point_prints_the_same_bytes(self, capsys):
+        proc = _python("-m", "sirmap.cli", "cycles", "--n", "3")
+        code, out, err = run_cli(capsys, "cycles", "--n", "3")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
 
 
 def _readme_commands():

@@ -3,6 +3,7 @@ parameter scans, cycle births on the invariant axis, and the decay
 envelope check."""
 
 import math
+import warnings
 from dataclasses import replace
 from functools import cmp_to_key
 
@@ -386,6 +387,23 @@ class TestScan:
             scan(p, "r", (2.0, 3.0), steps=0)
         with pytest.raises(ValueError, match="keep"):
             scan(p, "r", (2.0, 3.0), steps=3, keep=0)
+
+    @pytest.mark.parametrize(
+        "prange, steps",
+        [
+            ((2.0, math.inf), 3),
+            ((math.nan, 3.0), 3),
+            ((2.0, math.inf), 1),  # a one-row grid never reaches hi
+            ((1.0e308, math.inf), 2),
+            ((-1.7e308, 1.7e308), 3),  # finite ends, but hi - lo overflows
+        ],
+    )
+    def test_rejects_non_finite_range(self, prange, steps):
+        p = ModelParams(r=2.0, beta=1.0, a=1.0, K=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"scan range .*prange=\("):
+                scan(p, "r", prange, steps, transient=10, keep=1)
 
     def test_stable_sweep_shapes_and_signs(self):
         p = ModelParams(r=2.0, beta=1.1, a=1.0, K=0.5)
