@@ -26,8 +26,10 @@ A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
 an earlier one, the rest of the run goes round a cycle whose states have
 all passed the guard; it runs only the steps that reach the same phase
-and returns the bits the full loop would.  Recorded windows and the
-tangent kernel still run every step.
+and returns the bits the full loop would.  Recorded windows still run
+every step.  The tangent kernel ``dynamics._tangent`` stops the same way
+at a repeat of its whole state, then replays one recorded turn's log
+stretches.
 """
 from __future__ import annotations
 

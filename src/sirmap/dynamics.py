@@ -8,12 +8,16 @@ Plain-map stretches run through ``core._advance``.  :func:`_tangent`
 fuses the map step, its Jacobian, one normalised tangent vector and
 ``|det J|`` for ``lyapunov`` and ``scan``.  Its step forms the incidence
 as ``phi * I``, which rounds differently from ``core.step``, and the scan
-and Lyapunov outputs follow that orbit bit for bit.
+and Lyapunov outputs follow that orbit bit for bit.  Like ``_advance``, it
+stops at the first bit-exact repeat of its state (the orbit point, the
+vector and its lost flag) and replays one turn's log stretches one step
+at a time, so the sums are those of the every-step loop.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +51,10 @@ __all__ = [
 _START = (1.0, 0.0)  # tangent vector (q1, q2)
 _FRAME_WARMUP = 2000
 
+#: The bit pattern of a tangent state ``(S, I, q1, q2, lost)``, signed zeros
+#: included, as ``core._bits`` is of a map state.
+_tangent_bits = struct.Struct("<4d?").pack
+
 
 def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     """Run ``n`` guarded steps of the map and its normalised tangent vector.
@@ -61,6 +69,16 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     first QR column would be: ``r11`` stays at its clamp for the rest of
     the call, and the vector, restarted on its perpendicular, carries the
     second column, whose stretch is ``r22``.
+
+    Past the rows of ``out`` the whole tangent state ``(S, I, q1, q2,
+    lost)`` is kept on the doubling schedule of ``core._advance``.  At its
+    first bit-equal repeat, signed zeros included, the state goes round a
+    cycle of length ``L`` for good, every state of it past the guard.  If
+    more than ``L`` steps remain, one more turn runs and records each step's
+    two log increments and the state after it (O(L) memory); the steps left
+    then add the recorded increments to the sums one at a time, in order,
+    as the full loop would (a turn is never summed ahead: float addition is
+    not associative), and end on the recorded state of their phase.
     """
     S, I = x0
     r, beta, a, K = p.r, p.beta, p.a, p.K
@@ -70,13 +88,32 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     two_r, retain = 2.0 * r, 1.0 - K
     s1 = s2 = 0.0
     lost = False
+    # the kept state and the next step to keep, as in core._advance; `turn`
+    # records (d1, d2, state) per step once the kept state comes round
+    kept, next_keep, S_kept, bits_kept = 0, 0 if m else 1, math.nan, b""
+    turn = None
     try:
         for k in range(n):
             if not (abs(S) + abs(I) <= bound):
                 return S, I, (q1, q2), s1, s2, k
-            if k < m:
-                out[k, 0] = S
-                out[k, 1] = I
+            if S == S_kept and _tangent_bits(S, I, q1, q2, lost) == bits_kept:
+                if turn:  # round once more: replay the recorded turn
+                    rest = n - k
+                    for d1, d2, _ in itertools.islice(itertools.cycle(turn), rest):
+                        s1 += d1
+                        s2 += d2
+                    S, I, q1, q2 = turn[(rest - 1) % len(turn)][2]
+                    return S, I, (q1, q2), s1, s2, None
+                if n - k > k - kept:
+                    turn = []
+                next_keep = n
+            if k >= next_keep:
+                if k < m:
+                    out[k, 0] = S
+                    out[k, 1] = I
+                else:
+                    kept, next_keep, S_kept = k, 2 * k, S
+                    bits_kept = _tangent_bits(S, I, q1, q2, lost)
             # Jacobian [[j11, -phi], [j21, j22]] at (S, I)
             den = 1.0 + a * S
             phi = beta * S / den
@@ -96,14 +133,16 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
                 stretch = tiny
             q1, q2 = m1 / stretch, m2 / stretch
             if lost:  # r11 stays at its clamp; the stretch is r22
-                s1 += log(tiny)
-                s2 += log(stretch)
-                continue
-            r22 = abs(j11 * j22 + phi * j21) / stretch
-            if r22 < tiny:
-                r22 = tiny
-            s1 += log(stretch)
-            s2 += log(r22)
+                d1, d2 = log(tiny), log(stretch)
+            else:
+                r22 = abs(j11 * j22 + phi * j21) / stretch
+                if r22 < tiny:
+                    r22 = tiny
+                d1, d2 = log(stretch), log(r22)
+            s1 += d1
+            s2 += d2
+            if turn is not None:
+                turn.append((d1, d2, (S, I, q1, q2)))
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
         return S, I, (q1, q2), s1, s2, k
     return S, I, (q1, q2), s1, s2, None

@@ -224,6 +224,8 @@ def invariance_probe(
             )
     if samples < 1 or steps < 1:
         raise ValueError("samples and steps must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
     rng = np.random.default_rng(seed)
     S, I = _sample_region(region, samples, rng)
     index = np.arange(samples)

@@ -12,9 +12,11 @@ float orbit's tangent vector and ``log|det J|`` at 40 digits, and
 ``primitive_orbits`` counts the orbits of minimal period n of
 x -> 4x(1-x).  ``plain_advance`` is ``sirmap.core._advance`` without its
 exact-cycle short-circuit, every step run, and ``exact_cycle`` finds an
-orbit's first bit-exact repeat by remembering every state.  Tests compare
-the library against all of them.
+orbit's first bit-exact repeat by remembering every state.
+``plain_tangent`` is ``sirmap.dynamics._tangent`` without its exact-cycle
+replay.  Tests compare the library against all of them.
 """
+import math
 import struct
 
 import numpy as np
@@ -328,3 +330,57 @@ def exact_cycle(p: ModelParams, x0, limit: int = 100_000):
         x = (S, I)
     mu = index[key]
     return states, mu, len(states) - mu
+
+
+def plain_tangent(p: ModelParams, x0, frame, n: int, out=None):
+    """``sirmap.dynamics._tangent`` before it learned to replay an exact cycle.
+
+    The same ``(S, I, frame, log_r11, log_r22, escaped_at)`` from every
+    step run: the guard, row ``k < len(out)`` of ``out``, the fused map
+    and Jacobian step, the vector's stretch and the lost-vector restart.
+    """
+    S, I = x0
+    r, beta, a, K = p.r, p.beta, p.a, p.K
+    q1, q2 = frame
+    m = 0 if out is None else out.shape[0]
+    bound, tiny, hypot, log = DIVERGENCE_BOUND, 1.0e-300, math.hypot, math.log
+    two_r, retain = 2.0 * r, 1.0 - K
+    s1 = s2 = 0.0
+    lost = False
+    try:
+        for k in range(n):
+            if not (abs(S) + abs(I) <= bound):
+                return S, I, (q1, q2), s1, s2, k
+            if k < m:
+                out[k, 0] = S
+                out[k, 1] = I
+            # Jacobian [[j11, -phi], [j21, j22]] at (S, I)
+            den = 1.0 + a * S
+            phi = beta * S / den
+            j21 = I * (beta / (den * den))
+            j11 = r - two_r * S - j21
+            j22 = retain + phi
+            force = phi * I
+            S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+            m1 = j11 * q1 - phi * q2
+            m2 = j21 * q1 + j22 * q2
+            stretch = hypot(m1, m2)
+            if stretch == 0.0 and not lost:
+                # the vector fell into the kernel of J, as the first QR column
+                # would; from here on its perpendicular carries the second
+                lost, m1, m2, stretch = True, -q2, q1, 1.0
+            if stretch < tiny:
+                stretch = tiny
+            q1, q2 = m1 / stretch, m2 / stretch
+            if lost:  # r11 stays at its clamp; the stretch is r22
+                s1 += log(tiny)
+                s2 += log(stretch)
+                continue
+            r22 = abs(j11 * j22 + phi * j21) / stretch
+            if r22 < tiny:
+                r22 = tiny
+            s1 += log(stretch)
+            s2 += log(r22)
+    except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
+        return S, I, (q1, q2), s1, s2, k
+    return S, I, (q1, q2), s1, s2, None

@@ -37,6 +37,10 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+#: The output digests the benchmark records for its sweep workload (read only).
+_SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.json"
+
+
 class TestDispatchAndErrors:
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -472,6 +476,19 @@ class TestScan:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("preset", [n for n, bundle in PRESETS.items() if "param" in bundle])
+    def test_preset_csv_matches_sweep_reference(self, capsys, preset):
+        # the call the benchmark's sweep workload issues at its default seed,
+        # pinned to the bytes recorded in its reference digests
+        spec = PRESETS[preset]
+        code, out, err = run_cli(
+            capsys, "scan", "--preset", preset, "--s0", repr(spec["s0"]), "--i0", repr(spec["i0"])
+        )
+        assert code == 0, err
+        ref = json.loads(_SWEEP_REFERENCE.read_text(encoding="utf-8"))[f"scan {preset}"]
+        data = out.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (ref["bytes"], ref["sha256"])
+
 
 class TestCycles:
     def test_three_cycle_json(self, capsys):
@@ -518,6 +535,13 @@ class TestRegions:
         doc_b = run_json(capsys, *argv, "--seed", "7")
         assert doc_a == doc_b
         assert doc_a["seed"] == 7
+
+    def test_negative_seed_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "regions", "--preset", "triangle-region", "--seed", "-1", "--samples", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be non-negative, got seed=-1\n"
 
 
 class TestLyapunov:

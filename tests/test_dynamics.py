@@ -16,6 +16,7 @@ from oracles import (
     full_grid_cycle_births,
     mpmath_birth,
     mpmath_tangent_sums,
+    plain_tangent,
     primitive_orbits,
 )
 from sirmap import dynamics
@@ -248,6 +249,114 @@ class TestTangentPathOracle:
         np.testing.assert_array_equal(res.s_samples, want[:, :, 0])
         np.testing.assert_array_equal(res.i_samples, want[:, :, 1])
         np.testing.assert_array_equal(res.lyap_max, want_lyap)
+
+
+def _tangent_bits(result):
+    """A tangent run's result with every float as its bit pattern."""
+    S, I, (q1, q2), s1, s2, escaped_at = result
+    return tuple(v.hex() for v in (S, I, q1, q2, s1, s2)) + (escaped_at,)
+
+
+def _same_tangent(p, x0, frame, n, rows=0):
+    """``_tangent`` and the every-step loop agree bit for bit, ``out`` rows included."""
+    got_out, want_out = np.full((rows, 2), np.nan), np.full((rows, 2), np.nan)
+    got = _tangent_bits(dynamics._tangent(p, x0, frame, n, got_out if rows else None))
+    assert got == _tangent_bits(plain_tangent(p, x0, frame, n, want_out if rows else None))
+    assert got_out.tobytes() == want_out.tobytes()
+    return got
+
+
+def _first_tangent_repeat(p, x0, rows, limit):
+    """``(k, L)``: the first step whose tangent state repeats the state kept
+    ``L`` steps before, on the doubling schedule past ``rows``; None if no
+    repeat comes within ``limit`` steps.  The state after ``k`` steps is
+    taken from a fresh every-step run of ``k`` steps, so the cases below
+    keep their ``lost`` flag from step 1 on.
+    """
+    kept, next_keep, kept_state = 0, 0 if rows else 1, None
+    for k in range(limit):
+        state = _tangent_bits(plain_tangent(p, x0, dynamics._START, k))[:4]
+        if state == kept_state:
+            return k, k - kept
+        if k >= next_keep and k >= rows:
+            kept, next_keep, kept_state = k, 2 * k, state
+    return None
+
+
+_AXIS_TWO_CYCLE = ModelParams(r=3.2, beta=0.5, a=1.0, K=0.5), (0.3, 0.0)
+_ENDEMIC_NODE = ModelParams(r=1.8, beta=1.8, a=1.0, K=0.5), (0.6, 0.2)
+# J = [[0, -1], [0, 1.5]] at S = 1/2 on the axis: the start vector is lost
+_LOST_VECTOR = ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5), (0.5, 0.0)
+
+
+class TestTangentCycleReplay:
+    """``_tangent`` replays a bit-exact cycle of its whole state and returns
+    what running every step would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(0.1, 4.2),
+        beta=st.floats(0.05, 4.0),
+        a=st.floats(0.0, 3.0),
+        K=st.floats(0.01, 0.99),
+        S0=st.one_of(st.floats(-0.2, 1.3), st.sampled_from([0.0, -0.0])),
+        I0=st.one_of(st.floats(-0.1, 1.0), st.sampled_from([0.0, -0.0])),
+        frame=st.sampled_from([(1.0, 0.0), (-0.0, 1.0), (0.6, -0.8), (0.0, -1.0)]),
+        n=st.integers(0, 3000),
+        rows=st.integers(0, 60),
+    )
+    def test_matches_every_step_loop(self, r, beta, a, K, S0, I0, frame, n, rows):
+        _same_tangent(ModelParams(r=r, beta=beta, a=a, K=K), (S0, I0), frame, n, rows)
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    @pytest.mark.parametrize(
+        "case, period",
+        [(_AXIS_TWO_CYCLE, 2), (_ENDEMIC_NODE, 1), (_LOST_VECTOR, 2)],
+        ids=["axis-two-cycle", "endemic-node", "lost-vector"],
+    )
+    def test_settled_orbits(self, case, period, rows):
+        p, x0 = case
+        k, lam = _first_tangent_repeat(p, x0, rows, limit=1200)
+        assert lam % period == 0
+        for n in (k - 1, k, k + 1, k + lam, k + lam + 1, 2 * k + 3, 5000, 5001, 5003):
+            _same_tangent(p, x0, dynamics._START, n, rows)
+
+    @pytest.mark.parametrize("I0", [0.0, -0.0])
+    @pytest.mark.parametrize("frame", [(1.0, 0.0), (-1.0, -0.0)])
+    def test_signed_zeros_are_part_of_the_state(self, frame, I0):
+        p, (S0, _) = _AXIS_TWO_CYCLE
+        for n in (100, 1001, 10_000):
+            _, I, *_ = _same_tangent(p, (S0, I0), frame, n)
+            assert math.copysign(1.0, float.fromhex(I)) == math.copysign(1.0, I0)
+
+    def test_lost_vector_replays_with_r11_at_its_clamp(self):
+        p, x0 = _LOST_VECTOR
+        _, _, _, s1, s2, _ = dynamics._tangent(p, x0, dynamics._START, 10_001)
+        assert s1 == plain_tangent(p, x0, dynamics._START, 10_001)[3]
+        assert s1 < -690.0 * 10_000  # log(1e-300) every step
+        assert abs(s2 / 10_001 - math.log(1.5)) < 1.0e-3
+
+    def test_endemic_focus_never_repeats(self):
+        # the vector turns by the eigenvalues' angle: no state comes round
+        p = ModelParams(r=1.8, beta=3.0, a=1.0, K=0.5)
+        assert _first_tangent_repeat(p, (0.6, 0.2), 0, limit=300) is None
+        _same_tangent(p, (0.6, 0.2), dynamics._START, 5000, 7)
+
+    def test_replayed_steps_are_not_run(self, monkeypatch):
+        p, x0 = _AXIS_TWO_CYCLE
+        n = 10**5
+        want = _tangent_bits(plain_tangent(p, x0, dynamics._START, n))
+        calls = []
+        hypot = math.hypot
+
+        def counting_hypot(x, y):
+            calls.append(None)
+            return hypot(x, y)
+
+        monkeypatch.setattr(math, "hypot", counting_hypot)
+        got = _tangent_bits(dynamics._tangent(p, x0, dynamics._START, n))
+        assert got == want
+        assert 0 < len(calls) < 200  # detection at step 66, one 2-step turn recorded
 
 
 class TestLyapunov:

@@ -180,6 +180,11 @@ class TestInvarianceProbe:
         with pytest.raises(ValueError):
             invariance_probe(p, samples=0, steps=10)
 
+    def test_rejects_negative_seed(self):
+        p = ModelParams(r=2, beta=1.5, a=1, K=0.25)
+        with pytest.raises(ValueError, match="seed=-3"):
+            invariance_probe(p, samples=10, steps=10, seed=-3)
+
 
 def _scalar_probe(p, region, samples, steps, seed):
     """Reference for invariance_probe: one orbit at a time with core.step.
