@@ -234,32 +234,35 @@ def step_full(u: UnscaledParams, x: tuple[float, float, float]) -> FullState:
     )
 
 
-def jacobian(p: ModelParams, x: tuple[float, float]) -> np.ndarray:
-    """Jacobian matrix of :func:`step` at ``x``, as a (2, 2) float array.
+def _jacobian_entries(p: ModelParams, S: float, I: float) -> tuple[float, float, float, float]:
+    """The entries ``(a11, a12, a21, a22)`` of :func:`jacobian` at ``(S, I)``, as floats.
 
-    Uses the closed-form partial derivatives; the saturating term
-    contributes ``beta*I/(1 + a*S)**2`` to the S-row and its negative
-    image to the I-row.  Raises ``ValueError`` if any entry fails to be
-    finite, as on the pole ``1 + a*S = 0``, where both incidence terms
-    are taken as infinite.
+    Raises ``ValueError`` if any entry fails to be finite, as on the pole
+    ``1 + a*S = 0``, where both incidence terms are taken as infinite.
     """
-    S, I = x
     den = 1.0 + p.a * S
     try:
         phi = p.beta * S / den
         dphi = p.beta / (den * den)
     except ZeroDivisionError:
         phi = dphi = math.inf
-    J = np.array(
-        [
-            [p.r - 2.0 * p.r * S - I * dphi, -phi],
-            [I * dphi, 1.0 - p.K + phi],
-        ],
-        dtype=np.float64,
-    )
-    if not np.all(np.isfinite(J)):
+    J = (p.r - 2.0 * p.r * S - I * dphi, -phi, I * dphi, 1.0 - p.K + phi)
+    if not all(map(math.isfinite, J)):
         raise ValueError(f"Jacobian is not finite at (S, I) = ({S}, {I})")
     return J
+
+
+def jacobian(p: ModelParams, x: tuple[float, float]) -> np.ndarray:
+    """Jacobian matrix of :func:`step` at ``x``, as a (2, 2) float array.
+
+    Uses the closed-form partial derivatives; the saturating term
+    contributes ``beta*I/(1 + a*S)**2`` to the S-row and its negative
+    image to the I-row.  The entries come from :func:`_jacobian_entries`,
+    which raises ``ValueError`` on the pole ``1 + a*S = 0`` and wherever an
+    entry fails to be finite.
+    """
+    a11, a12, a21, a22 = _jacobian_entries(p, float(x[0]), float(x[1]))
+    return np.array(((a11, a12), (a21, a22)), dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,11 @@ On the ``beta2`` curve the crossing angle degenerates into strong
 resonances at three special growth values ``r_bar < r_tilde < r_max``
 (eigenvalue angle pi/2, 2*pi/3 and pi respectively).
 
-Everything here is closed-form 2x2 work: eigenvalues come from the
-trace/determinant quadratic, never from a general eigensolver.
+Everything here is closed-form 2x2 work in plain floats: the four
+Jacobian entries come from ``core._jacobian_entries`` and the eigenvalues
+from the trace/determinant quadratic :func:`_eigen_quadratic`, never from
+a general eigensolver or a numpy array.  Only the period-2 product and the
+public :func:`eigen_from_matrix` take (2, 2) arrays.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, jacobian, step
+from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, _jacobian_entries, jacobian, step
 
 __all__ = [
     "StabilityClass",
@@ -85,10 +88,10 @@ class EigenData:
     theta0: float | None
 
 
-def eigen_from_matrix(A: np.ndarray) -> EigenData:
-    """Eigen data for a real 2x2 matrix from its characteristic quadratic."""
-    T = float(A[0, 0] + A[1, 1])
-    D = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+def _eigen_quadratic(a11: float, a12: float, a21: float, a22: float) -> EigenData:
+    """Eigen data of the real 2x2 matrix ((a11, a12), (a21, a22)) from its quadratic."""
+    T = a11 + a22
+    D = a11 * a22 - a12 * a21
     disc = T * T / 4.0 - D
     sigma = T / 2.0
     if disc >= 0.0:
@@ -105,6 +108,12 @@ def eigen_from_matrix(A: np.ndarray) -> EigenData:
         if abs(abs(mu1) - 1.0) <= TOL_HYP:
             theta0 = math.atan2(omega, sigma)
     return EigenData(trace=T, det=D, mu1=mu1, mu2=mu2, sigma=sigma, omega=omega, theta0=theta0)
+
+
+def eigen_from_matrix(A: np.ndarray) -> EigenData:
+    """Eigen data for a real 2x2 matrix from its characteristic quadratic."""
+    (a11, a12), (a21, a22) = np.asarray(A, dtype=np.float64).tolist()
+    return _eigen_quadratic(a11, a12, a21, a22)
 
 
 def _classify(e: EigenData) -> StabilityClass:
@@ -172,23 +181,32 @@ def disease_free(p: ModelParams) -> FixedPointReport:
 
     Its eigenvalues are available exactly: ``2 - r`` along the
     susceptible axis and ``1 - K + beta*(r-1)/(r + a*(r-1))`` transverse
-    to it.
+    to it.  Raises ``ValueError`` when E0 sits on the pole ``1 + a*S = 0``
+    of the incidence term, that is where ``r + a*(r-1) = 0`` (only for
+    ``r < 1``).
     """
     r = p.r
     S0 = (r - 1.0) / r
     loc = State(S0, 0.0)
     lam1 = 2.0 - r
-    lam2 = 1.0 - p.K + p.beta * (r - 1.0) / (r + p.a * (r - 1.0))
-    e = EigenData(
-        trace=lam1 + lam2,
-        det=lam1 * lam2,
-        mu1=complex(lam1),
-        mu2=complex(lam2),
-        sigma=(lam1 + lam2) / 2.0,
-        omega=0.0,
-        theta0=None,
-    )
-    return _report(p, "disease_free", loc, e, tag=classify_boundary(p, "E0"))
+    try:
+        lam2 = 1.0 - p.K + p.beta * (r - 1.0) / (r + p.a * (r - 1.0))
+        e = EigenData(
+            trace=lam1 + lam2,
+            det=lam1 * lam2,
+            mu1=complex(lam1),
+            mu2=complex(lam2),
+            sigma=(lam1 + lam2) / 2.0,
+            omega=0.0,
+            theta0=None,
+        )
+        # the residual steps E0 through the incidence term too
+        return _report(p, "disease_free", loc, e, tag=classify_boundary(p, "E0"))
+    except ZeroDivisionError:
+        raise ValueError(
+            f"E0 = ({S0!r}, 0) sits on the pole 1 + a*S = 0 of the incidence term "
+            f"(r + a*(r - 1) = 0 at r={r}, a={p.a})"
+        ) from None
 
 
 def endemic(p: ModelParams) -> FixedPointReport | None:
@@ -207,7 +225,7 @@ def endemic(p: ModelParams) -> FixedPointReport | None:
     S1 = p.K / den
     I1 = (p.r - 1.0) / den - p.r * p.K / (den * den)
     loc = State(S1, I1)
-    e = eigen_from_matrix(jacobian(p, loc))
+    e = _eigen_quadratic(*_jacobian_entries(p, S1, I1))
     return _report(p, "endemic", loc, e, tag=classify_boundary(p, "E1"))
 
 

@@ -16,9 +16,18 @@ Flip coefficients are also available for the axis 2-cycle: there the
 expansion is taken for the second iterate of the map, with the chain
 rule applied exactly to the composed derivative tensors.
 
-Conventions: for real (flip) data the pairing <p, x> is the plain dot
-product; for complex (NS) data it is conjugate-linear in p, and the
-adjoint eigenvector satisfies A^T p = conj(mu) p with <p, q> = 1.
+The per-point work is plain-float 2x2 algebra: the tensors are nested
+tuples of floats (:func:`_point_entries`), contracted by the sums of
+:func:`_apply_B` and :func:`_apply_C`, and the one linear solve is
+Cramer's rule in :func:`_solve2`.  numpy arrays remain only in the
+public return types (:class:`MultilinearForms`, ``NormalFormData.q``
+and ``.p``) and in :func:`iterate_forms`' chain-rule composition for
+k >= 2, where they pay off.
+
+Conventions, the same on the float and the array path: for real (flip)
+data the pairing <p, x> is the plain dot product; for complex (NS) data it
+is conjugate-linear in p, and the adjoint eigenvector satisfies
+A^T p = conj(mu) p with <p, q> = 1.
 """
 from __future__ import annotations
 
@@ -29,12 +38,12 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, jacobian, step
+from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, _jacobian_entries, step
 from .equilibria import (
     BoundaryTag,
     FixedPointReport,
+    _eigen_quadratic,
     _residual,
-    eigen_from_matrix,
     endemic,
     thresholds,
 )
@@ -76,7 +85,8 @@ class MultilinearForms:
     ``A`` is the Jacobian, ``B`` the array of second partials indexed
     ``[component, j, k]``, and ``C`` the third partials
     ``[component, j, k, l]``.  ``B`` and ``C`` are symmetric in their
-    trailing indices.
+    trailing indices.  ``apply_B`` and ``apply_C`` are the plain-float sums
+    :func:`_apply_B` and :func:`_apply_C` that the coefficients use.
     """
 
     A: np.ndarray
@@ -84,39 +94,70 @@ class MultilinearForms:
     C: np.ndarray
 
     def apply_B(self, x, y) -> np.ndarray:
-        return np.einsum("ijk,j,k->i", self.B, x, y)
+        return np.array(_apply_B(self.B.tolist(), x, y))
 
     def apply_C(self, x, y, z) -> np.ndarray:
-        return np.einsum("ijkl,j,k,l->i", self.C, x, y, z)
+        return np.array(_apply_C(self.C.tolist(), x, y, z))
 
 
-def _point_tensors(p: ModelParams, x) -> MultilinearForms:
-    """Exact A, B, C of one map step at an arbitrary point."""
-    S, I = float(x[0]), float(x[1])
+def _form(M, x, y):
+    """``sum_jk M[j][k] x_j y_k`` for a nested 2x2 ``M``; real or complex."""
+    (m00, m01), (m10, m11) = M
+    x0, x1 = x
+    y0, y1 = y
+    return (m00 * y0 + m01 * y1) * x0 + (m10 * y0 + m11 * y1) * x1
+
+
+def _apply_B(B, x, y) -> tuple:
+    """B(x, y) for nested ``B[i][j][k]``, as a pair."""
+    return _form(B[0], x, y), _form(B[1], x, y)
+
+
+def _apply_C(C, x, y, z) -> tuple:
+    """C(x, y, z) for nested ``C[i][j][k][l]``, as a pair."""
+    x0, x1 = x
+    return tuple(_form(Ci[0], y, z) * x0 + _form(Ci[1], y, z) * x1 for Ci in C)
+
+
+def _pair(u, v):
+    """<u, v>, conjugate-linear in ``u`` (the plain dot product for real ``u``)."""
+    return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
+
+
+def _solve2(M, v) -> tuple:
+    """The solution of M x = v for a nested 2x2 ``M``, by Cramer's rule."""
+    (m00, m01), (m10, m11) = M
+    v0, v1 = v
+    det = m00 * m11 - m01 * m10
+    return (v0 * m11 - m01 * v1) / det, (m00 * v1 - m10 * v0) / det
+
+
+def _point_entries(p: ModelParams, S: float, I: float) -> tuple:
+    """Exact A, B, C of one map step at (S, I), as nested tuples of floats."""
+    a11, a12, a21, a22 = _jacobian_entries(p, S, I)
     den = 1.0 + p.a * S
     d1 = p.beta / den**2
     d2 = -2.0 * p.a * p.beta / den**3
     d3 = 6.0 * p.a * p.a * p.beta / den**4
-
-    A = jacobian(p, (S, I))
-
-    B = np.zeros((2, 2, 2))
-    B[0, 0, 0] = -2.0 * p.r - I * d2
-    B[0, 0, 1] = B[0, 1, 0] = -d1
-    B[1, 0, 0] = I * d2
-    B[1, 0, 1] = B[1, 1, 0] = d1
-
-    C = np.zeros((2, 2, 2, 2))
-    C[0, 0, 0, 0] = -I * d3
-    C[1, 0, 0, 0] = I * d3
-    for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-        C[(0,) + idx] = -d2
-        C[(1,) + idx] = d2
-    return MultilinearForms(A=A, B=B, C=C)
+    A = ((a11, a12), (a21, a22))
+    B = (
+        ((-2.0 * p.r - I * d2, -d1), (-d1, 0.0)),
+        ((I * d2, d1), (d1, 0.0)),
+    )
+    C = (
+        (((-I * d3, -d2), (-d2, 0.0)), ((-d2, 0.0), (0.0, 0.0))),
+        (((I * d3, d2), (d2, 0.0)), ((d2, 0.0), (0.0, 0.0))),
+    )
+    return A, B, C
 
 
-def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> MultilinearForms:
-    """Forms of the k-th iterate at a point that the k-th iterate fixes.
+def _point_tensors(p: ModelParams, x) -> MultilinearForms:
+    """:func:`_point_entries` at an arbitrary point, as arrays."""
+    return MultilinearForms(*map(np.array, _point_entries(p, float(x[0]), float(x[1]))))
+
+
+def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> tuple:
+    """A, B, C of the k-th iterate, as nested floats, at a point it fixes.
 
     The larger of ``residual`` (one the caller already holds) and the
     recomputed k-step residual must not exceed :data:`TOL_RESIDUAL`.
@@ -128,7 +169,10 @@ def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> Multilinea
             f"normal-form work requires a fixed point: residual {res:.3e} "
             f"exceeds {TOL_RESIDUAL:.1e} at {tuple(x)}"
         )
-    return iterate_forms(p, x, k)
+    if k == 1:
+        return _point_entries(p, x.S, x.I)
+    forms = iterate_forms(p, x, k)
+    return forms.A.tolist(), forms.B.tolist(), forms.C.tolist()
 
 
 def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
@@ -139,7 +183,7 @@ def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
     the map shifted so the fixed point sits at the origin (shifting does
     not change derivatives).
     """
-    return _cycle_forms(p, fp, 1)
+    return MultilinearForms(*map(np.array, _cycle_forms(p, fp, 1)))
 
 
 def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
@@ -203,32 +247,36 @@ class NormalFormData:
         return self.coefficient < 0.0
 
 
-def _null_vector(M: np.ndarray) -> np.ndarray:
-    """A unit solution of M v = 0 for a rank-1 2x2 matrix, real or complex."""
-    c1 = np.array([M[0, 1], -M[0, 0]])
-    c2 = np.array([M[1, 1], -M[1, 0]])
-    # for real data the bits of np.linalg.norm (sqrt of a dot), without its overhead
-    n1, n2 = (math.sqrt(np.vdot(c, c).real) for c in (c1, c2))
-    v, n = (c1, n1) if n1 >= n2 else (c2, n2)
+def _null_vector(M) -> tuple:
+    """A unit solution of M v = 0 for a rank-1 nested 2x2 ``M``, real or complex."""
+    (m00, m01), (m10, m11) = M
+    n1 = math.sqrt((m01 * m01.conjugate() + m00 * m00.conjugate()).real)
+    n2 = math.sqrt((m11 * m11.conjugate() + m10 * m10.conjugate()).real)
+    (v0, v1), n = ((m01, -m00), n1) if n1 >= n2 else ((m11, -m10), n2)
     if n == 0.0:
         raise ValueError("matrix is zero; eigenvector not unique")
-    return v / n
+    return v0 / n, v1 / n
 
 
-def _eigenpair(A: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpair(A, mu) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector ``q`` of a 2x2 ``A`` at ``mu`` and adjoint ``p``, <p, q> = 1.
 
     ``q`` has first component 1 (the second when the first vanishes), which
-    fixes ``c`` and ``d``: both scale with |q|^2.  A^T p = conj(mu) p.
+    fixes ``c`` and ``d``: both scale with |q|^2.  A^T p = conj(mu) p.  ``A``
+    is nested or an array; ``q`` and ``p`` come back as the arrays that
+    :class:`NormalFormData` carries.
     """
-    I2 = np.eye(2)
-    q = _null_vector(A - mu * I2)
-    q = q / (q[0] if abs(q[0]) > 1.0e-8 else q[1])
-    p = _null_vector(A.T - np.conj(mu) * I2)
-    s = np.vdot(p, q)
+    (a11, a12), (a21, a22) = A
+    q0, q1 = _null_vector(((a11 - mu, a12), (a21, a22 - mu)))
+    s = q0 if abs(q0) > 1.0e-8 else q1
+    q = (q0 / s, q1 / s)
+    mu_bar = mu.conjugate()
+    pv = _null_vector(((a11 - mu_bar, a21), (a12, a22 - mu_bar)))
+    s = _pair(pv, q)
     if abs(s) < 1.0e-12:
         raise ValueError("eigenvector pairing degenerate; normal-form coefficient undefined")
-    return q, p / np.conj(s)
+    s = s.conjugate()
+    return np.array(q), np.array((pv[0] / s, pv[1] / s))
 
 
 def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
@@ -244,24 +292,23 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     allows beta ``TOL_BOUNDARY`` off, past ``TOL_HYP`` in the eigenvalue.
     """
     k = 2 if fp.kind == "period2" else 1
-    forms = _cycle_forms(p, fp.location, k, fp.residual)
-    A = forms.A
-    e = eigen_from_matrix(A)
-    candidates = [e.mu1, e.mu2]
-    mu = min(candidates, key=lambda m: abs(m + 1.0))
+    A, B, C = _cycle_forms(p, fp.location, k, fp.residual)
+    (a11, a12), (a21, a22) = A
+    e = _eigen_quadratic(a11, a12, a21, a22)
+    mu = min((e.mu1, e.mu2), key=lambda m: abs(m + 1.0))
     if abs(mu + 1.0) > TOL_HYP:
         raise ValueError(
             f"flip coefficient needs an eigenvalue -1 within {TOL_HYP:.1e}; "
             f"closest is {mu:.12g}"
         )
-    I2 = np.eye(2)
-    detAmI = float(np.linalg.det(A - I2))
-    if abs(detAmI) < 1.0e-10:
+    # det(A - I) = 1 - trace + det
+    if abs(1.0 - e.trace + e.det) < 1.0e-10:
         raise ValueError("A - I is singular (fold degeneracy); flip coefficient undefined")
 
     q, pv = _eigenpair(A, -1.0)
-    w = np.linalg.solve(A - I2, forms.apply_B(q, q))
-    c = float(pv @ forms.apply_C(q, q, q)) / 6.0 - float(pv @ forms.apply_B(q, w)) / 2.0
+    qf, pf = q.tolist(), pv.tolist()
+    w = _solve2(((a11 - 1.0, a12), (a21, a22 - 1.0)), _apply_B(B, qf, qf))
+    c = _pair(pf, _apply_C(C, qf, qf, qf)) / 6.0 - _pair(pf, _apply_B(B, qf, w)) / 2.0
     return NormalFormData(
         kind="flip",
         coefficient=c,
@@ -302,8 +349,8 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     rep = endemic(p)
     if rep is None:
         raise ValueError("endemic point absent at these parameters")
-    forms = shifted_forms(p, rep.location)
-    A = forms.A
+    A, B, C = _cycle_forms(p, rep.location, 1, rep.residual)
+    (a11, a12), (a21, a22) = A
     e = rep.eigen
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
@@ -311,23 +358,24 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     mu = complex(e.sigma, e.omega)
 
     q, pv = _eigenpair(A, mu)
-    qbar = q.conjugate()
-    I2 = np.eye(2)
-    t1 = np.vdot(pv, forms.apply_C(q, q, qbar))
+    qf, pf = q.tolist(), pv.tolist()
+    qbar = (qf[0].conjugate(), qf[1].conjugate())
+    t1 = _pair(pf, _apply_C(C, qf, qf, qbar))
     # The middle resolvent must be (I - A), not (A - I): only that branch
     # agrees with the scalar Poincare normal-form coefficient
     #   Re(e^{-i theta} g21/2) - Re((1-2L)e^{-2i theta}/(2(1-L)) g20 g11)
     #   - |g11|^2/2 - |g02|^2/4,  L = e^{i theta},
     # and with simulated orbits near the boundary (attracting closed
     # curve on the unstable side exactly when d < 0).
-    w1 = np.linalg.solve(I2 - A, forms.apply_B(q, qbar).astype(complex))
-    t2 = 2.0 * np.vdot(pv, forms.apply_B(q, w1))
-    w2 = np.linalg.solve(cmath.exp(2.0j * theta0) * I2 - A, forms.apply_B(q, q))
-    t3 = np.vdot(pv, forms.apply_B(qbar, w2))
+    w1 = _solve2(((1.0 - a11, -a12), (-a21, 1.0 - a22)), _apply_B(B, qf, qbar))
+    t2 = 2.0 * _pair(pf, _apply_B(B, qf, w1))
+    z = cmath.exp(2.0j * theta0)
+    w2 = _solve2(((z - a11, -a12), (-a21, z - a22)), _apply_B(B, qf, qf))
+    t3 = _pair(pf, _apply_B(B, qbar, w2))
     d = 0.5 * (cmath.exp(-1.0j * theta0) * (t1 + t2 + t3)).real
     return NormalFormData(
         kind="ns",
-        coefficient=float(d),
+        coefficient=d,
         eigenvalue=mu,
         q=q,
         p=pv,

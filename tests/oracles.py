@@ -14,7 +14,10 @@ x -> 4x(1-x).  ``plain_advance`` is ``sirmap.core._advance`` without its
 exact-cycle short-circuit, every step run, and ``exact_cycle`` finds an
 orbit's first bit-exact repeat by remembering every state.
 ``plain_tangent`` is ``sirmap.dynamics._tangent`` without its exact-cycle
-replay.  Tests compare the library against all of them.
+replay.  ``numpy_jacobian`` is ``sirmap.jacobian`` as it was before its
+entries became plain floats, and ``mpmath_normal_form`` recomputes a fixed
+point, its derivative tensors and its flip or Neimark-Sacker coefficient
+at 40 digits.  Tests compare the library against all of them.
 """
 import math
 import struct
@@ -46,6 +49,27 @@ def chain_rule_forms(p: ModelParams, x, k: int) -> MultilinearForms:
         A = f.A @ A
         z = step(p, z)
     return MultilinearForms(A=A, B=B, C=C)
+
+
+def numpy_jacobian(p: ModelParams, x) -> np.ndarray:
+    """The Jacobian of the map built and checked as a numpy array, entry formulas as in the library."""
+    S, I = x
+    den = 1.0 + p.a * S
+    try:
+        phi = p.beta * S / den
+        dphi = p.beta / (den * den)
+    except ZeroDivisionError:
+        phi = dphi = math.inf
+    J = np.array(
+        [
+            [p.r - 2.0 * p.r * S - I * dphi, -phi],
+            [I * dphi, 1.0 - p.K + phi],
+        ],
+        dtype=np.float64,
+    )
+    if not np.all(np.isfinite(J)):
+        raise ValueError(f"Jacobian is not finite at (S, I) = ({S}, {I})")
+    return J
 
 
 def _iterate_jacobian(p: ModelParams, x, k: int) -> np.ndarray:
@@ -384,3 +408,103 @@ def plain_tangent(p: ModelParams, x0, frame, n: int, out=None):
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
         return S, I, (q1, q2), s1, s2, k
     return S, I, (q1, q2), s1, s2, None
+
+
+def mpmath_normal_form(p: ModelParams, kind: str, at: str = "endemic", dps: int = 40):
+    """A fixed point, its tensors and its flip ``c`` or NS ``d`` at ``dps`` digits.
+
+    Shares nothing with the library but the model and the conventions: the
+    point is E1 = (K/(beta - a K), ...) (or E0 = ((r-1)/r, 0) when ``at`` is
+    ``"disease_free"``), certified by a residual below 1e-30; A, B and C are
+    ``mpmath.diff`` partials of the map itself.  The critical eigenvalue is
+    -1 exactly for ``kind="flip"``, the value ``flip_coefficient`` takes
+    (a float curve point is off the curve by the rounding of its beta, so
+    the nearest eigenvalue of A is -1 only to about 1e-12), and for
+    ``"ns"`` the root of the trace/determinant quadratic with positive
+    imaginary part.  ``q`` is the null vector of A - mu from the row of
+    larger norm, with first component 1; ``p`` is the adjoint with
+    <p, q> = 1 (conjugate-linear in p); the resolvents are solved by
+    ``mpmath.lu_solve``.
+    Returns ``(S, I, A, B, C, coefficient)``, the tensors as nested lists.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        r, beta, a, K = (mp.mpf(v) for v in (p.r, p.beta, p.a, p.K))
+
+        def f(i):
+            def component(S, I):
+                force = beta * S * I / (1 + a * S)
+                return r * S * (1 - S) - force if i == 0 else (1 - K) * I + force
+
+            return component
+
+        if at == "disease_free":
+            S, I = (r - 1) / r, mp.mpf(0)
+        else:
+            den = beta - a * K
+            S, I = K / den, (r - 1) / den - r * K / den**2
+        assert max(abs(f(0)(S, I) - S), abs(f(1)(S, I) - I)) < mp.mpf(10) ** -30
+
+        def partials(*idx):
+            return [mp.diff(f(i), (S, I), (idx.count(0), idx.count(1))) for i in (0, 1)]
+
+        A = [[partials(j)[i] for j in (0, 1)] for i in (0, 1)]
+        B = [[[partials(j, k)[i] for k in (0, 1)] for j in (0, 1)] for i in (0, 1)]
+        C = [
+            [[[partials(j, k, l)[i] for l in (0, 1)] for k in (0, 1)] for j in (0, 1)]
+            for i in (0, 1)
+        ]
+
+        def apply_B(x, y):
+            return mp.matrix(
+                [sum(B[i][j][k] * x[j] * y[k] for j in (0, 1) for k in (0, 1)) for i in (0, 1)]
+            )
+
+        def apply_C(x, y, z):
+            return mp.matrix(
+                [
+                    sum(
+                        C[i][j][k][l] * x[j] * y[k] * z[l]
+                        for j in (0, 1)
+                        for k in (0, 1)
+                        for l in (0, 1)
+                    )
+                    for i in (0, 1)
+                ]
+            )
+
+        def pair(u, v):
+            return mp.conj(u[0]) * v[0] + mp.conj(u[1]) * v[1]
+
+        def null_vector(M):
+            rows = [(M[0, 1], -M[0, 0]), (M[1, 1], -M[1, 0])]
+            v = max(rows, key=lambda row: abs(row[0]) ** 2 + abs(row[1]) ** 2)
+            return mp.matrix([v[0], v[1]])
+
+        if kind == "flip":
+            mu = mp.mpf(-1)
+        else:
+            T = A[0][0] + A[1][1]
+            disc = T * T / 4 - (A[0][0] * A[1][1] - A[0][1] * A[1][0])
+            assert disc < 0
+            mu = mp.mpc(T / 2, mp.sqrt(-disc))
+        Am = mp.matrix(A)
+        I2 = mp.eye(2)
+        q = null_vector(Am - mu * I2)
+        q = q / (q[0] if abs(q[0]) > mp.mpf(10) ** -8 else q[1])
+        pv = null_vector(Am.T - mp.conj(mu) * I2)
+        pv = pv / mp.conj(pair(pv, q))
+        if kind == "flip":
+            w = mp.lu_solve(Am - I2, apply_B(q, q))
+            coefficient = pair(pv, apply_C(q, q, q)) / 6 - pair(pv, apply_B(q, w)) / 2
+        else:
+            theta = mp.arg(mu)
+            qbar = mp.matrix([mp.conj(q[0]), mp.conj(q[1])])
+            t1 = pair(pv, apply_C(q, q, qbar))
+            w1 = mp.lu_solve(I2 - Am, apply_B(q, qbar))
+            t2 = 2 * pair(pv, apply_B(q, w1))
+            w2 = mp.lu_solve(mp.expj(2 * theta) * I2 - Am, apply_B(q, q))
+            t3 = pair(pv, apply_B(qbar, w2))
+            coefficient = mp.re(mp.expj(-theta) * (t1 + t2 + t3)) / 2
+        return S, I, A, B, C, coefficient

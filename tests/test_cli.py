@@ -62,6 +62,13 @@ class TestDispatchAndErrors:
             assert out == ""
             assert f"finite {flag[2:]}" in err
 
+    def test_disease_free_on_the_pole_is_config_error(self, capsys):
+        # r + a*(r - 1) = 0 at r = 0.5 with the default a = 1
+        code, out, err = run_cli(capsys, "analyze", "--r", "0.5", "--beta", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "pole 1 + a*S = 0" in err
+
     def test_scan_without_range_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--param", "r")
         assert code == 2

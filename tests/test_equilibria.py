@@ -1,5 +1,6 @@
 """Fixed points, thresholds, boundary classification, period-2 branch."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from sirmap import (
     step,
     thresholds,
 )
+from sirmap.core import _jacobian_entries
+from sirmap.equilibria import _eigen_quadratic
+
+from oracles import numpy_jacobian
 
 A_K_GRID = [(0.0, 0.3), (0.5, 0.2), (1.0, 0.5), (2.0, 0.7), (5.0, 0.9)]
 
@@ -47,6 +52,19 @@ class TestDiseaseFree:
         p = ModelParams(r=2.5, beta=1.1, a=1, K=0.5)
         rep = disease_free(p)
         assert rep.stability is StabilityClass.STABLE_NODE
+
+    def test_pole_found_whichever_denominator_rounds_to_zero(self):
+        # on r = a/(1 + a) the eigenvalue's denominator r + a*(r - 1) and the
+        # residual step's 1 + a*S0 each round to zero alone at some a
+        for i in range(1, 400):
+            a = i / 40.0
+            r = a / (1.0 + a)
+            p = ModelParams(r=r, beta=1.0, a=a, K=0.5)
+            if r + a * (r - 1.0) == 0.0 or 1.0 + a * ((r - 1.0) / r) == 0.0:
+                with pytest.raises(ValueError, match="pole"):
+                    disease_free(p)
+            else:
+                assert math.isfinite(disease_free(p).eigen.mu2.real)
 
 
 class TestEndemic:
@@ -159,6 +177,68 @@ class TestEigenFromMatrix:
         e = eigen_from_matrix(np.array([[3.0, 0.0], [0.0, -0.5]]))
         assert abs(e.mu1) >= abs(e.mu2)
         assert e.theta0 is None
+
+
+def _bits(e):
+    """The bit patterns of every float an EigenData holds, signed zeros included."""
+    floats = [e.trace, e.det, e.mu1.real, e.mu1.imag, e.mu2.real, e.mu2.imag, e.sigma, e.omega]
+    return struct.pack("<8d", *floats), None if e.theta0 is None else struct.pack("<d", e.theta0)
+
+
+class TestFloatJacobianPath:
+    """The plain-float entries and eigen quadratic against the array path."""
+
+    @given(
+        r=st.floats(0.1, 6.0),
+        beta=st.floats(0.05, 8.0),
+        a=st.floats(0.0, 5.0),
+        K=st.floats(0.01, 0.99),
+        S=st.floats(-2.0, 2.0),
+        I=st.floats(-1.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_entries_and_eigen_data_bit_for_bit(self, r, beta, a, K, S, I):
+        p = ModelParams(r=r, beta=beta, a=a, K=K)
+        try:
+            want = numpy_jacobian(p, (S, I))
+        except ValueError:
+            with pytest.raises(ValueError, match="not finite"):
+                jacobian(p, (S, I))
+            return
+        J = jacobian(p, (S, I))
+        assert J.dtype == np.float64 and J.shape == (2, 2)
+        assert J.tobytes() == want.tobytes()
+        entries = _jacobian_entries(p, S, I)
+        assert struct.pack("<4d", *entries) == J.tobytes()
+        assert _bits(_eigen_quadratic(*entries)) == _bits(eigen_from_matrix(J))
+
+    @given(
+        r=st.floats(1.05, 6.0),
+        a=st.floats(0.0, 3.0),
+        K=st.floats(0.1, 0.9),
+        excess=st.floats(1.0e-3, 3.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_endemic_eigen_data_is_that_of_its_jacobian(self, r, a, K, excess):
+        p = ModelParams(r=r, beta=beta0_threshold(r, a, K) * (1.0 + excess), a=a, K=K)
+        rep = endemic(p)
+        assert _bits(rep.eigen) == _bits(eigen_from_matrix(jacobian(p, rep.location)))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (-1.0, 0.1),  # the pole 1 + a*S = 0, with a = 1
+            (1.0e308, 0.0),  # r*S*(1 - S) overflows
+            (math.nan, 0.2),
+            (0.5, math.inf),
+        ],
+    )
+    def test_pole_and_non_finite_entries_are_value_errors(self, x):
+        p = ModelParams(r=2.0, beta=1.0, a=1.0, K=0.5)
+        with pytest.raises(ValueError, match="not finite"):
+            jacobian(p, x)
+        with pytest.raises(ValueError, match="not finite"):
+            _jacobian_entries(p, *x)
 
 
 class TestClassifyBoundary:

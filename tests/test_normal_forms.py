@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sirmap import (
     BoundaryTag,
@@ -21,10 +23,10 @@ from sirmap import (
     shifted_forms,
     thresholds,
 )
-from sirmap.core import TOL_BOUNDARY
+from sirmap.core import TOL_BOUNDARY, TOL_HYP
 from sirmap.normal_forms import ResonanceError, _eigenpair
 
-from oracles import chain_rule_forms, finite_difference_forms
+from oracles import chain_rule_forms, finite_difference_forms, mpmath_normal_form
 
 R26 = 1.0 + math.sqrt(6.0)
 # closed forms for the two flip coefficients on the axis 2-cycle at r = 1+sqrt(6)
@@ -279,3 +281,93 @@ class TestIterateFormsOracle:
             want = chain_rule_forms(p, x, k)
             for name in ("A", "B", "C"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (name, p, x)
+
+
+#: The float path's coefficient is held to this relative bound against the
+#: 40-digit oracle on sampled curve points; the golden points allow 1e-14.
+ORACLE_REL = 1.0e-10
+#: Where the coefficient itself is ill-conditioned (next to the 1:3
+#: resonance, or where it changes sign), the bound widens to this multiple
+#: of its sensitivity to a relative change of beta: a float rounding of the
+#: inputs alone moves the exact value that much.
+ORACLE_COND = 1.0e-14
+
+
+def _oracle_gap(p, kind, at="endemic"):
+    """Compare the float path with :func:`mpmath_normal_form` at ``p``.
+
+    Checks the fixed point to 1e-14 of its sup norm and A, B, C to 1e-13 of
+    their largest entry; returns ``(coefficient error, exact
+    coefficient)``.
+    """
+    S, I, A, B, C, exact = mpmath_normal_form(p, kind, at)
+    rep = endemic(p) if at == "endemic" else disease_free(p)
+    scale = max(abs(float(S)), abs(float(I)))
+    assert abs(rep.location.S - float(S)) <= 1.0e-14 * scale
+    assert abs(rep.location.I - float(I)) <= 1.0e-14 * scale
+    forms = shifted_forms(p, rep.location)
+    exact_tensors = [np.array(t, dtype=float) for t in (A, B, C)]
+    # one scale for all three: a tiny ``a`` leaves C far below the accuracy
+    # of numerical differentiation, which is absolute
+    scale = max(np.max(np.abs(t)) for t in exact_tensors)
+    for got, want in zip((forms.A, forms.B, forms.C), exact_tensors):
+        assert np.max(np.abs(got - want)) <= 1.0e-13 * scale, (p, got, want)
+    nf = flip_coefficient(p, rep) if kind == "flip" else ns_coefficient(p)
+    return abs(nf.coefficient - float(exact)), float(exact)
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5),
+            ModelParams(r=2.0, beta=beta2_threshold(2.0, 1.0, 0.5), a=1.0, K=0.5),
+        ],
+    )
+    def test_ns_goldens(self, p):
+        gap, exact = _oracle_gap(p, "ns")
+        assert gap <= 1.0e-14 * abs(exact)
+
+    @pytest.mark.parametrize(
+        "beta, a, K",
+        [(0.5, 1.0, 0.5), (1.2, 0.0, 0.3), (2.0, 2.0, 0.7), (0.8, 0.5, 0.25), (0.1, 3.0, 0.9)],
+    )
+    def test_disease_free_flip_goldens(self, beta, a, K):
+        gap, exact = _oracle_gap(ModelParams(r=3.0, beta=beta, a=a, K=K), "flip", "disease_free")
+        assert exact == 9.0
+        assert gap <= 1.0e-14 * 9.0
+
+    @given(
+        kind=st.sampled_from(["flip", "ns"]),
+        a=st.floats(0.0, 3.0),
+        K=st.floats(0.1, 0.9),
+        t=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_curve_points(self, kind, a, K, t):
+        # curve points at least 1e-3 in r from r = 3, r_bar, r_tilde and r_max
+        th = thresholds(2.0, a, K)
+        lo, hi = (3.0 if kind == "flip" else 1.05) + 1.0e-3, th.r_max - 1.0e-3
+        assume(lo < hi)
+        r = lo + t * (hi - lo)
+        assume(min(abs(r - th.r_bar), abs(r - th.r_tilde)) >= 1.0e-3)
+        at_r = thresholds(r, a, K)
+        beta = at_r.beta1 if kind == "flip" else at_r.beta2
+        p = ModelParams(r=r, beta=beta, a=a, K=K)
+        if kind == "flip":
+            # next to r_max, where -1 is nearly a double eigenvalue, the
+            # rounding of beta1 alone can move it past TOL_HYP, and
+            # flip_coefficient refuses the point
+            e = endemic(p).eigen
+            assume(min(abs(e.mu1 + 1.0), abs(e.mu2 + 1.0)) <= TOL_HYP)
+        gap, exact = _oracle_gap(p, kind)
+        if gap <= ORACLE_REL * abs(exact):
+            return
+        # d(coefficient)/d(log beta), by central differences of the oracle
+        h = 1.0e-10
+        up, down = (
+            float(mpmath_normal_form(ModelParams(r=r, beta=beta * (1.0 + s), a=a, K=K), kind)[-1])
+            for s in (h, -h)
+        )
+        sensitivity = abs(up - down) / (2.0 * h)
+        assert gap <= ORACLE_COND * sensitivity, (p, gap, exact, sensitivity)

@@ -9,7 +9,12 @@ a kernel; route the new caller through ``core.step``,
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
 the eigenvectors behind ``c`` and ``d`` come only from
-``normal_forms._eigenpair`` (the one caller of ``_null_vector``), the
+``normal_forms._eigenpair`` (the one caller of ``_null_vector``).  The
+per-point fixed-point and normal-form path is plain-float 2x2 algebra:
+``np.linalg``, ``einsum``, ``np.eye`` and ``np.vdot`` appear only in
+``normal_forms.iterate_forms`` (its k >= 2 chain rule), and in
+``equilibria`` and ``normal_forms`` one 2x2 solve helper,
+``normal_forms._solve2``, divides by a determinant (Cramer's rule).  The
 sensitivity recurrence of the cycle-birth Newton solve (its
 ``fxx``/``fxr`` terms) only by ``dynamics._tangency_residual``, and
 tolerances are module constants, not parameters of the public functions.
@@ -149,6 +154,68 @@ def test_point_tensors_composed_only_by_iterate_forms():
 def test_null_vector_called_only_by_eigenpair():
     sites = _occurrences(_calls("_null_vector"))
     assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "_eigenpair")}, sites
+
+
+ARRAY_ALGEBRA = {"linalg", "einsum", "eye", "vdot"}
+FIXED_POINT_MODULES = {"equilibria.py", "normal_forms.py"}
+
+
+def _is_array_algebra(node) -> bool:
+    """A reference to ``np.linalg``, ``einsum``, ``np.eye`` or ``np.vdot``, however imported."""
+    return (isinstance(node, ast.Attribute) and node.attr in ARRAY_ALGEBRA) or (
+        isinstance(node, ast.Name) and node.id in ARRAY_ALGEBRA
+    )
+
+
+def _is_determinant(node) -> bool:
+    """``<x>*<y> - <z>*<w>``: a 2x2 determinant."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (node.left, node.right)
+        )
+    )
+
+
+def _solve_helpers(tree) -> set:
+    """Functions that divide by a 2x2 determinant, directly or through a name bound to one."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        dets = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and _is_determinant(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                den = node.right
+                if _is_determinant(den) or (isinstance(den, ast.Name) and den.id in dets):
+                    found.add(func.name)
+    return found
+
+
+def test_array_algebra_only_in_iterate_forms():
+    sites = _occurrences(_is_array_algebra)
+    assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+
+
+def test_one_two_by_two_solve_helper():
+    helpers = {
+        (path.name, name)
+        for path in SOURCES
+        if path.name in FIXED_POINT_MODULES
+        for name in _solve_helpers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert helpers == {("normal_forms.py", "_solve2")}, helpers
+    # the guard sees the Cramer solve that the births Newton step keeps inline
+    births = ast.parse((Path(sirmap.__file__).parent / "dynamics.py").read_text(encoding="utf-8"))
+    assert _solve_helpers(births)
 
 
 def test_tangency_recurrence_only_in_tangency_residual():
