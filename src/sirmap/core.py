@@ -17,10 +17,13 @@ divergence: once ``|S| + |I|`` exceeds :data:`DIVERGENCE_BOUND` the
 iteration stops and the escape step is reported.  A state on the pole
 ``1 + a*S = 0`` of the incidence term counts as an escape at that state.
 
-:func:`step` is the single-step map (elementwise on numpy arrays, as the
-invariance probe uses it) and :func:`_advance` the one guarded plain-map
-loop, behind :func:`iterate` and the plain stretches of ``dynamics``.
-Only the tangent kernel ``dynamics._tangent`` keeps its own fused step.
+:func:`step` is the single-step map (on floats, and elementwise on numpy
+arrays) and :func:`_advance` the one guarded plain-map loop, behind
+:func:`iterate` and the plain stretches of ``dynamics``.  The invariance
+probe steps its ensemble with :func:`_step_into`, which overwrites the
+state arrays in place with :func:`step`'s operations in :func:`step`'s
+order (bit-identical states, no allocation per step).  Only the tangent
+kernel ``dynamics._tangent`` keeps its own fused step.
 
 A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
@@ -212,6 +215,30 @@ def step(p: ModelParams, x: tuple[float, float]) -> State:
         S=p.r * S * (1.0 - S) - force,
         I=(1.0 - p.K) * I + force,
     )
+
+
+def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -> None:
+    """Overwrite the float arrays ``S`` and ``I`` with their image under :func:`step`.
+
+    ``work`` holds two scratch rows of the same length.  Every ufunc runs
+    in :func:`step`'s operation order with the same operands, so each
+    state is bit-identical to ``step(p, (S, I))``, and nothing is allocated.
+    """
+    force, t = work
+    # force = ((beta*S)*I) / (1 + a*S)
+    np.multiply(p.beta, S, out=force)
+    np.multiply(force, I, out=force)
+    np.multiply(p.a, S, out=t)
+    np.add(1.0, t, out=t)
+    np.divide(force, t, out=force)
+    # S' = (r*S)*(1 - S) - force
+    np.subtract(1.0, S, out=t)
+    np.multiply(p.r, S, out=S)
+    np.multiply(S, t, out=S)
+    np.subtract(S, force, out=S)
+    # I' = (1 - K)*I + force
+    np.multiply(1.0 - p.K, I, out=I)
+    np.add(I, force, out=I)
 
 
 def step_full(u: UnscaledParams, x: tuple[float, float, float]) -> FullState:

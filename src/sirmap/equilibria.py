@@ -209,6 +209,19 @@ def disease_free(p: ModelParams) -> FixedPointReport:
         ) from None
 
 
+def _endemic_location(p: ModelParams) -> State | None:
+    """E1 = ``(K/(beta - a*K), (r-1)/(beta - a*K) - r*K/(beta - a*K)^2)``, or ``None``.
+
+    Requires ``r > 1``; ``None`` at or below the fold ``beta <= beta0``.
+    """
+    if not p.r > 1.0:
+        raise ValueError(f"endemic analysis requires r > 1, got r={p.r}")
+    if not p.beta > beta0_threshold(p.r, p.a, p.K):
+        return None
+    den = p.beta - p.a * p.K
+    return State(p.K / den, (p.r - 1.0) / den - p.r * p.K / (den * den))
+
+
 def endemic(p: ModelParams) -> FixedPointReport | None:
     """Report on the endemic fixed point E1, or ``None`` below the fold.
 
@@ -216,16 +229,10 @@ def endemic(p: ModelParams) -> FixedPointReport | None:
     exactly when ``beta > beta0``; at or below the threshold ``None`` is
     returned.
     """
-    if not p.r > 1.0:
-        raise ValueError(f"endemic analysis requires r > 1, got r={p.r}")
-    b0 = beta0_threshold(p.r, p.a, p.K)
-    if not p.beta > b0:
+    loc = _endemic_location(p)
+    if loc is None:
         return None
-    den = p.beta - p.a * p.K
-    S1 = p.K / den
-    I1 = (p.r - 1.0) / den - p.r * p.K / (den * den)
-    loc = State(S1, I1)
-    e = _eigen_quadratic(*_jacobian_entries(p, S1, I1))
+    e = _eigen_quadratic(*_jacobian_entries(p, *loc))
     return _report(p, "endemic", loc, e, tag=classify_boundary(p, "E1"))
 
 

@@ -43,6 +43,7 @@ from .equilibria import (
     BoundaryTag,
     FixedPointReport,
     _eigen_quadratic,
+    _endemic_location,
     _residual,
     endemic,
     thresholds,
@@ -286,20 +287,26 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     one point of the axis 2-cycle; in the latter case the expansion is
     taken for the second iterate at that point.  Requires the report's
     residual and the recomputed one to stay within :data:`TOL_RESIDUAL`,
-    the relevant Jacobian to have an eigenvalue within ``TOL_HYP`` of -1
-    and ``A - I`` to be invertible; the eigenvectors are :func:`_eigenpair`'s
-    at exactly -1.  ``cmd_analyze`` passes the endemic curve point: a flip tag
-    allows beta ``TOL_BOUNDARY`` off, past ``TOL_HYP`` in the eigenvalue.
+    the relevant Jacobian to have an eigenvalue -1 and ``A - I`` to be
+    invertible; the eigenvectors are :func:`_eigenpair`'s at exactly -1.
+    The eigenvalue test is ``|det(A + I)| <= TOL_HYP * max(1, |1 + mu_far|)``
+    with ``mu_far`` the eigenvalue farther from -1: while ``mu_far`` is O(1)
+    from -1 that puts the nearer one within about ``TOL_HYP`` of -1, and
+    next to the 1:2 point, where both are near -1 and the nearer one's
+    distance is ill-conditioned, it tests the well-conditioned ``det(A + I)``.
+    ``cmd_analyze`` passes the endemic curve point: a flip tag allows beta
+    ``TOL_BOUNDARY`` off, past ``TOL_HYP`` in the eigenvalue.
     """
     k = 2 if fp.kind == "period2" else 1
     A, B, C = _cycle_forms(p, fp.location, k, fp.residual)
     (a11, a12), (a21, a22) = A
     e = _eigen_quadratic(a11, a12, a21, a22)
-    mu = min((e.mu1, e.mu2), key=lambda m: abs(m + 1.0))
-    if abs(mu + 1.0) > TOL_HYP:
+    mu, far = sorted((e.mu1, e.mu2), key=lambda m: abs(m + 1.0))
+    char = 1.0 + e.trace + e.det  # det(A + I) = (1 + mu)*(1 + far)
+    if abs(char) > TOL_HYP * max(1.0, abs(1.0 + far)):
         raise ValueError(
-            f"flip coefficient needs an eigenvalue -1 within {TOL_HYP:.1e}; "
-            f"closest is {mu:.12g}"
+            f"flip coefficient needs an eigenvalue -1: det(A + I) = {char:.3e} exceeds "
+            f"{TOL_HYP:.1e} * max(1, |1 + far root|); closest is {mu:.12g}"
         )
     # det(A - I) = 1 - trace + det
     if abs(1.0 - e.trace + e.det) < 1.0e-10:
@@ -391,12 +398,20 @@ def rho_prime_at_ns(p: ModelParams) -> float:
     closed form.  The result is cross-validated internally against a
     central finite difference (relative 1e-5) and must be non-zero,
     so on the NS curve it certifies transversal unit-circle crossing.
+    Each determinant is read from the Jacobian entries at E1 alone; no
+    fixed-point report is built.
     """
     r, beta, a, K = p.r, p.beta, p.a, p.K
-    rep = endemic(p)
-    if rep is None:
+
+    def eigen(q: ModelParams):
+        x = _endemic_location(q)
+        if x is None:
+            return None
+        return _eigen_quadratic(*_jacobian_entries(q, *x))
+
+    e = eigen(p)
+    if e is None:
         raise ValueError("endemic point absent; no eigenvalue pair to track")
-    e = rep.eigen
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; modulus derivative not defined this way")
 
@@ -406,11 +421,10 @@ def rho_prime_at_ns(p: ModelParams) -> float:
     analytic = (da11 + K * da21) / (2.0 * math.sqrt(m))
 
     def modulus(b: float) -> float:
-        q = ModelParams(r=r, beta=b, a=a, K=K)
-        rr = endemic(q)
-        if rr is None:
+        eb = eigen(ModelParams(r=r, beta=b, a=a, K=K))
+        if eb is None:
             raise ValueError("finite-difference probe left the endemic region")
-        return math.sqrt(rr.eigen.det)
+        return math.sqrt(eb.det)
 
     h = 1.0e-6 * max(1.0, abs(beta))
     fd = (modulus(beta + h) - modulus(beta - h)) / (2.0 * h)

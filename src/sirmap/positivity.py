@@ -20,8 +20,12 @@ yields three candidate trapping regions:
 ``applicable_region`` hands out the region whose sufficient parameter
 conditions hold; ``invariance_probe`` bombards a region with uniform
 starts and reports any escape (these are findings about the region, not
-errors).  The probe steps its whole ensemble with ``core.step`` on numpy
-arrays and drops exited orbits, keeping their original indices.
+errors).  The probe allocates its buffers once per call: it steps the
+ensemble in place with ``core._step_into`` and writes every inequality
+into one membership table (``_holds``, also behind ``contains`` and the
+sampler), one row per constraint; a column's first False names an
+orbit's exit.  Exited orbits are dropped by moving the survivors, with
+their original indices, to the front of each buffer.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModelParams, step
+from .core import ModelParams, _step_into
 
 __all__ = [
     "RegionSpec",
@@ -157,19 +161,42 @@ class ProbeReport:
     escapes: list[EscapeRecord]
 
 
-def _holds(region: RegionSpec, S, I, tol):
+def _table(region: RegionSpec, shape: tuple) -> np.ndarray:
+    """An unfilled membership table: a bool row per constraint the region has."""
+    return np.empty((3 if region.case == 1 else len(_CONSTRAINTS),) + shape, dtype=bool)
+
+
+def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
     """Which region inequalities each point meets: one row per _CONSTRAINTS entry.
 
     Each inequality gets outward slack ``tol``; a NaN coordinate fails
     every inequality it enters.  The first False in a column names the
-    point's first violation.
+    point's first violation.  The rows are written into ``table`` (see
+    :func:`_table`) and the sum and the nullcline height go through
+    ``work``, two float rows shaped like ``S``; either is allocated when
+    not given.
     """
-    holds = [S >= -tol, I >= -tol, S + I <= region.u_star + tol]
+    if table is None:
+        table = _table(region, np.shape(S))
+    if work is None:
+        work = np.empty((2,) + np.shape(S))
+    t, w = work[0, ...], work[1, ...]
+    np.greater_equal(S, -tol, out=table[0, ...])
+    np.greater_equal(I, -tol, out=table[1, ...])
+    np.add(S, I, out=t)
+    np.less_equal(t, region.u_star + tol, out=table[2, ...])
     if region.case != 1:
-        holds.append(S <= 1.0 + tol)
+        np.less_equal(S, 1.0 + tol, out=table[3, ...])
+        # RegionSpec.nullcline's order: (v*(1 - x))*(1 + a*x), then the slack
         with np.errstate(invalid="ignore"):
-            holds.append(I <= region.nullcline(S) + tol)
-    return np.stack(holds)
+            np.subtract(1.0, S, out=t)
+            np.multiply(region.v, t, out=t)
+            np.multiply(region.params.a, S, out=w)
+            np.add(1.0, w, out=w)
+            np.multiply(t, w, out=t)
+            np.add(t, tol, out=t)
+        np.less_equal(I, t, out=table[4, ...])
+    return table
 
 
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -231,23 +258,30 @@ def invariance_probe(
     index = np.arange(samples)
     escapes: list[EscapeRecord] = []
     escape_count = 0
+    # allocated once; once orbits exit, the live ones fill a prefix of each
+    work = np.empty((2, samples))
+    table = _table(region, (samples,))
+    inside = np.empty(samples, dtype=bool)
+    s, i, w, ok, ins = S, I, work, table, inside
 
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            S, I = step(p, (S, I))
-            ok = _holds(region, S, I, MEMBERSHIP_TOL)
-            inside = ok.all(axis=0)
-            if not inside.all():
-                hits = np.flatnonzero(~inside)
+            _step_into(p, s, i, w)
+            _holds(region, s, i, MEMBERSHIP_TOL, ok, w)
+            ok.all(axis=0, out=ins)
+            if not ins.all():
+                hits = np.flatnonzero(~ins)
                 escape_count += hits.size
                 for j in hits[: max(0, max_records - len(escapes))]:
-                    point = (float(S[j]), float(I[j]))
+                    point = (float(s[j]), float(i[j]))
                     constraint = _CONSTRAINTS[ok[:, j].argmin()]
                     escapes.append(EscapeRecord(int(index[j]), k, point, constraint))
-                live = np.flatnonzero(inside)
-                S, I, index = S[live], I[live], index[live]
-                if index.size == 0:
+                live = np.flatnonzero(ins)
+                n = live.size
+                if n == 0:
                     break
+                S[:n], I[:n], index[:n] = s[live], i[live], index[live]
+                s, i, w, ok, ins = S[:n], I[:n], work[:, :n], table[:, :n], inside[:n]
 
     return ProbeReport(
         region=region,

@@ -17,14 +17,17 @@ orbit's first bit-exact repeat by remembering every state.
 replay.  ``numpy_jacobian`` is ``sirmap.jacobian`` as it was before its
 entries became plain floats, and ``mpmath_normal_form`` recomputes a fixed
 point, its derivative tensors and its flip or Neimark-Sacker coefficient
-at 40 digits.  Tests compare the library against all of them.
+at 40 digits.  ``report_modulus_slope`` is ``sirmap.rho_prime_at_ns``'s value
+read from a full ``sirmap.endemic`` report, as it was before the E1
+determinant came straight from the Jacobian entries.  Tests compare the
+library against all of them.
 """
 import math
 import struct
 
 import numpy as np
 
-from sirmap import DIVERGENCE_BOUND, ModelParams, jacobian, step
+from sirmap import DIVERGENCE_BOUND, ModelParams, endemic, jacobian, step
 from sirmap.normal_forms import MultilinearForms, _point_tensors
 
 
@@ -508,3 +511,11 @@ def mpmath_normal_form(p: ModelParams, kind: str, at: str = "endemic", dps: int 
             t3 = pair(pv, apply_B(qbar, w2))
             coefficient = mp.re(mp.expj(-theta) * (t1 + t2 + t3)) / 2
         return S, I, A, B, C, coefficient
+
+
+def report_modulus_slope(p: ModelParams) -> float:
+    """d|mu|/d(beta) at E1, with det J(E1) read from the ``endemic`` report."""
+    r, beta, a, K = p.r, p.beta, p.a, p.K
+    da11 = 2.0 * K * r / (a * K - beta) ** 2 - K * (a * (r - 1.0) + r) / beta**2
+    da21 = -K * (a - (a + 1.0) * r) / beta**2
+    return (da11 + K * da21) / (2.0 * math.sqrt(endemic(p).eigen.det))

@@ -392,6 +392,16 @@ class TestAnalyze:
         assert doc["endemic"]["stability"] == "non-hyperbolic"
         assert doc["endemic"]["eigenvalues"][1] == [-0.9999999970890866, 0.0]
 
+    def test_flip_next_to_the_one_to_two_point(self, capsys):
+        # beta1(r) 1e-3 below r_max: both eigenvalues are near -1
+        doc = run_json(capsys, "analyze", "--r", "106.97430111067736",
+                       "--beta", "0.7179780561979057", "--a", "3", "--K", "0.125")
+        assert doc["endemic"]["boundary"] == "flip"
+        assert doc["normal_form"]["kind"] == "flip"
+        # within 1e-10 relative of the 40-digit value (see test_normal_forms)
+        exact = -17916508.992125757
+        assert abs(doc["normal_form"]["coefficient"] - exact) <= 1.0e-10 * abs(exact)
+
     def test_normal_form_is_that_of_the_curve_point(self, capsys):
         # a point tagged within TOL_BOUNDARY of beta1 or beta2 reports the
         # normal form of (r, beta_k(r)) itself

@@ -22,7 +22,7 @@ from sirmap import (
     step_full,
 )
 from sirmap.cli import PRESETS
-from sirmap.core import _advance
+from sirmap.core import _advance, _step_into
 
 from oracles import exact_cycle, plain_advance
 
@@ -320,3 +320,70 @@ class TestExactCycleShortCircuit:
             S, I, escaped_at = _same_run(p, (0.3, I0), n)
             assert escaped_at is None
             assert math.copysign(1.0, float.fromhex(I)) == math.copysign(1.0, I0)
+
+
+_PARAMS = st.builds(
+    ModelParams,
+    r=st.floats(0.1, 10.0),
+    beta=st.floats(0.05, 10.0),
+    a=st.floats(0.0, 5.0),
+    K=st.floats(0.01, 0.99),
+)
+_SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0]
+_COORD = st.one_of(st.floats(), st.sampled_from(_SPECIAL))
+
+
+def _step_bits(p, S, I):
+    """``core.step``'s image of the arrays ``S`` and ``I``, as bytes."""
+    with np.errstate(all="ignore"):
+        want = step(p, (S, I))
+    return want.S.tobytes(), want.I.tobytes()
+
+
+def _step_into_bits(p, S, I):
+    """``core._step_into``'s image of copies of ``S`` and ``I``, as bytes."""
+    s, i = S.copy(), I.copy()
+    with np.errstate(all="ignore"):
+        _step_into(p, s, i, np.empty((2, s.size)))
+    return s.tobytes(), i.tobytes()
+
+
+class TestStepInto:
+    """The in-place ensemble kernel writes ``core.step``'s image, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=_PARAMS, pts=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40))
+    def test_bit_identical_to_step(self, p, pts):
+        S = np.array([x for x, _ in pts], dtype=np.float64)
+        I = np.array([y for _, y in pts], dtype=np.float64)
+        assert _step_into_bits(p, S, I) == _step_bits(p, S, I)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 4.0])
+    def test_state_on_the_pole(self, a):
+        # S = -1/a exactly, so 1 + a*S is zero and the incidence term is
+        # +-inf or NaN, whatever I is
+        p = ModelParams(r=3.0, beta=1.5, a=a, K=0.5)
+        I = np.array([1.0, -1.0, 0.0, -0.0, math.inf, math.nan])
+        S = np.full(I.size, -1.0 / a)
+        assert (1.0 + a * S == 0.0).all()
+        assert _step_into_bits(p, S, I) == _step_bits(p, S, I)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=_PARAMS,
+        half=st.integers(0, 20),
+        tail=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_odd_length_prefix_views(self, p, half, tail, seed):
+        # the probe steps the live prefix of buffers sized for every sample
+        n = 2 * half + 1
+        rng = np.random.default_rng(seed)
+        S, I = rng.uniform(-1.0, 2.0, size=(2, n + tail))
+        S0, I0 = S.copy(), I.copy()
+        work = np.empty((2, n + tail))
+        with np.errstate(all="ignore"):
+            _step_into(p, S[:n], I[:n], work[:, :n])
+        assert (S[:n].tobytes(), I[:n].tobytes()) == _step_bits(p, S0[:n], I0[:n])
+        assert S[n:].tobytes() == S0[n:].tobytes()
+        assert I[n:].tobytes() == I0[n:].tobytes()

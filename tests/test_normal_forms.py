@@ -24,9 +24,15 @@ from sirmap import (
     thresholds,
 )
 from sirmap.core import TOL_BOUNDARY, TOL_HYP
+from sirmap import normal_forms
 from sirmap.normal_forms import ResonanceError, _eigenpair
 
-from oracles import chain_rule_forms, finite_difference_forms, mpmath_normal_form
+from oracles import (
+    chain_rule_forms,
+    finite_difference_forms,
+    mpmath_normal_form,
+    report_modulus_slope,
+)
 
 R26 = 1.0 + math.sqrt(6.0)
 # closed forms for the two flip coefficients on the axis 2-cycle at r = 1+sqrt(6)
@@ -191,6 +197,27 @@ class TestNSCoefficient:
         b2 = beta2_threshold(r, 1.0, 0.5)
         assert rho_prime_at_ns(ModelParams(r=r, beta=b2, a=1.0, K=0.5)) > 0.0
 
+    @given(a=st.floats(0.0, 3.0), K=st.floats(0.1, 0.9), t=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_modulus_derivative_equals_the_report_based_value(self, a, K, t):
+        r_max = thresholds(2.0, a, K).r_max
+        r = 1.05 + t * (r_max - 1.05)
+        p = ModelParams(r=r, beta=beta2_threshold(r, a, K), a=a, K=K)
+        try:
+            rho = rho_prime_at_ns(p)
+        except ValueError:  # real pair or vanishing slope, off the NS segment's interior
+            assume(False)
+        assert rho == report_modulus_slope(p)
+
+    def test_modulus_derivative_builds_no_report(self, monkeypatch):
+        # the point and both finite-difference probes need only det J(E1)
+        def refuse(*args):
+            raise AssertionError("full fixed-point report built")
+
+        monkeypatch.setattr(normal_forms, "endemic", refuse)
+        rho = rho_prime_at_ns(ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5))
+        assert abs(rho - 0.128125) < 1.0e-9
+
 
 class TestEigenpair:
     @pytest.mark.parametrize(
@@ -336,6 +363,37 @@ class TestMpmathOracle:
         gap, exact = _oracle_gap(ModelParams(r=3.0, beta=beta, a=a, K=K), "flip", "disease_free")
         assert exact == 9.0
         assert gap <= 1.0e-14 * 9.0
+
+    def test_flip_next_to_the_one_to_two_point(self):
+        # 1e-3 below r_max on the flip curve the far eigenvalue lies 2e-5
+        # from -1, so the near one's distance (4.5e-9, past TOL_HYP) is
+        # ill-conditioned while det(A + I) = 8.9e-14 is not
+        r, a, K = 106.97430111067736, 3.0, 0.125
+        p = ModelParams(r=r, beta=thresholds(r, a, K).beta1, a=a, K=K)
+        rep = endemic(p)
+        assert rep.boundary is BoundaryTag.FLIP
+        assert min(abs(rep.eigen.mu1 + 1.0), abs(rep.eigen.mu2 + 1.0)) > TOL_HYP
+        gap, exact = _oracle_gap(p, "flip")
+        assert gap <= ORACLE_REL * abs(exact)
+
+    @given(a=st.floats(0.0, 3.0), K=st.floats(0.1, 0.9), log_gap=st.floats(-5.0, -3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_flip_points_next_to_the_one_to_two_point(self, a, K, log_gap):
+        # 1e-5 to 1e-3 below r_max every flip-tagged curve point gets a c
+        r = thresholds(2.0, a, K).r_max - 10.0**log_gap
+        beta = thresholds(r, a, K).beta1
+        p = ModelParams(r=r, beta=beta, a=a, K=K)
+        assert endemic(p).boundary is BoundaryTag.FLIP
+        gap, exact = _oracle_gap(p, "flip")
+        if gap <= ORACLE_REL * abs(exact):
+            return
+        # c grows like 1/(r_max - r) here; bound it by its sensitivity to beta
+        h = 1.0e-10
+        up, down = (
+            float(mpmath_normal_form(ModelParams(r=r, beta=beta * (1.0 + s), a=a, K=K), "flip")[-1])
+            for s in (h, -h)
+        )
+        assert gap <= ORACLE_COND * abs(up - down) / (2.0 * h), (p, gap, exact)
 
     @given(
         kind=st.sampled_from(["flip", "ns"]),

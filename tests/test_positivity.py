@@ -17,7 +17,8 @@ from sirmap import (
     step,
     u_star,
 )
-from sirmap.positivity import MEMBERSHIP_TOL, _sample_region
+from sirmap import positivity
+from sirmap.positivity import _CONSTRAINTS, MEMBERSHIP_TOL, _holds, _sample_region
 
 # five sets per region case, each verified escape-free at depth
 CASE1_SETS = [
@@ -116,6 +117,27 @@ class TestContains:
         y = float(reg.nullcline(x))
         assert contains(reg, (x, y))
         assert not contains(reg, (x, y + 1e-9))
+
+    def test_every_inequality_has_the_slack(self):
+        # half the slack past each boundary meets that inequality, twice the
+        # slack does not
+        r, beta, a, K = CASE2_SETS[0]
+        reg = applicable_region(ModelParams(r=r, beta=beta, a=a, K=K))
+        x = (reg.crossings[0] + 1.0) / 2.0
+        top = float(reg.nullcline(x))
+        for row, (point, outward) in enumerate((
+            ((0.0, 0.5), (-1.0, 0.0)),
+            ((0.5, 0.0), (0.0, -1.0)),
+            ((0.5, reg.u_star - 0.5), (0.0, 1.0)),
+            ((1.0, 0.0), (1.0, 0.0)),
+            ((x, top), (0.0, 1.0)),
+        )):
+            S, I = (
+                np.array([c + f * MEMBERSHIP_TOL * d for f in (0.5, 2.0)])
+                for c, d in zip(point, outward)
+            )
+            table = _holds(reg, S, I, MEMBERSHIP_TOL)
+            assert table[row].tolist() == [True, False], _CONSTRAINTS[row]
 
     def test_case3_left_wall_tops_at_nullcline(self):
         r, beta, a, K = CASE3_SETS[1]
@@ -250,6 +272,32 @@ class TestProbeOracle:
         capped = invariance_probe(p, samples=samples, steps=steps, seed=seed, region=region)
         assert capped.escape_count == len(expected)
         assert capped.escapes == expected[:50]
+
+    def test_ensemble_empties_within_two_steps(self, monkeypatch):
+        # a ceiling far too low for r = 100: every orbit exits at step 1 or
+        # 2, and the loop stops once the ensemble is empty
+        p, region = _hand_built(1, 100.0, 0.5, 1.0, 0.5, v=200.0, u=1.0)
+        samples, steps, seed = 300, 80, 0
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        assert len(expected) == samples
+        assert {e.step for e in expected} == {1, 2}
+        calls = []
+        kernel = positivity._step_into
+        monkeypatch.setattr(positivity, "_step_into", lambda *a: calls.append(kernel(*a)))
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=seed, region=region, max_records=samples
+        )
+        assert len(calls) == 2
+        assert rep.escape_count == samples
+        assert rep.escapes == expected
+
+    def test_no_records_kept(self):
+        p = ModelParams(r=3.98, beta=2.8, a=1.0, K=0.5)  # the leaking curved-region preset
+        samples, steps, seed = 300, 80, 0
+        expected = _scalar_probe(p, applicable_region(p), samples, steps, seed)
+        rep = invariance_probe(p, samples=samples, steps=steps, seed=seed, max_records=0)
+        assert rep.escape_count == len(expected) > 0
+        assert rep.escapes == []
 
 
 class TestCeilingLemma:

@@ -1,11 +1,16 @@
 """Source-structure guards: one implementation of each decision.
 
 The per-step infected update ``(1 - K) * I + force`` appears exactly once
-in each map kernel and nowhere else, and a ``hypot`` call (the
-normalisation of the tangent vector) exactly once, in the tangent
-kernel.  A new hand-inlined copy of either fails here, also one inside
-a kernel; route the new caller through ``core.step``,
-``core._advance`` or ``dynamics._tangent`` instead.  Likewise the
+in each map kernel and nowhere else (in the in-place ensemble kernel
+``core._step_into`` as its ``np.multiply(1 - K, I, out=...)``), and a
+``hypot`` call (the normalisation of the tangent vector) exactly once, in
+the tangent kernel.  A new hand-inlined copy of either fails here, also
+one inside a kernel; route the new caller through ``core.step``,
+``core._step_into``, ``core._advance`` or ``dynamics._tangent`` instead.
+numpy functions are called with an ``out=`` buffer only in
+``core._step_into`` and in ``positivity._holds``, the one membership
+site, and the only other call with ``out=`` is the probe's reduction of
+the membership table in ``positivity.invariance_probe``.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
 the eigenvectors behind ``c`` and ``d`` come only from
@@ -31,7 +36,7 @@ from pathlib import Path
 import sirmap
 
 SOURCES = sorted(Path(sirmap.__file__).parent.glob("*.py"))
-STEP_KERNELS = {"step", "step_full", "_advance", "_tangent"}
+STEP_KERNELS = {"step", "_step_into", "step_full", "_advance", "_tangent"}
 TANGENT_KERNELS = {"_tangent"}
 
 
@@ -41,21 +46,27 @@ def _is_K(node) -> bool:
     )
 
 
+def _is_decay(node) -> bool:
+    """``1 - K``, with K a name or an attribute."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 1
+        and _is_K(node.right)
+    )
+
+
 def _is_infected_update(node) -> bool:
-    """``(1 - K) * <x> + <y>``, with K a name or an attribute."""
+    """``(1 - K) * <x> + <y>``, or its in-place first half ``multiply(1 - K, <x>, ...)``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "multiply" and bool(node.args) and _is_decay(node.args[0])
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
         return False
     prod = node.left
-    if not (isinstance(prod, ast.BinOp) and isinstance(prod.op, ast.Mult)):
-        return False
-    diff = prod.left
-    return (
-        isinstance(diff, ast.BinOp)
-        and isinstance(diff.op, ast.Sub)
-        and isinstance(diff.left, ast.Constant)
-        and diff.left.value == 1
-        and _is_K(diff.right)
-    )
+    return isinstance(prod, ast.BinOp) and isinstance(prod.op, ast.Mult) and _is_decay(prod.left)
 
 
 def _is_hypot(node) -> bool:
@@ -139,6 +150,36 @@ def test_hypot_only_in_tangent_kernel():
     # exactly one call: a second normalised tangent column cannot come back
     calls = _occurrences(_is_hypot_call)
     assert [(path, func) for path, func, _ in calls] == [("dynamics.py", "_tangent")], calls
+
+
+def _writes_out(numpy_function: bool):
+    """Calls with an ``out=`` keyword, of ``np.<name>`` or of anything else."""
+
+    def predicate(node) -> bool:
+        if not (isinstance(node, ast.Call) and any(k.arg == "out" for k in node.keywords)):
+            return False
+        func = node.func
+        is_np = (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "np"
+        )
+        return is_np == numpy_function
+
+    return predicate
+
+
+def test_out_buffers_only_in_ensemble_kernels():
+    sites = _occurrences(_writes_out(numpy_function=True))
+    assert {(path, func) for path, func, _ in sites} == {
+        ("core.py", "_step_into"),
+        ("positivity.py", "_holds"),
+    }, sites
+    # the probe reduces the membership table into its `inside` buffer, once
+    others = _occurrences(_writes_out(numpy_function=False))
+    assert [(path, func) for path, func, _ in others] == [
+        ("positivity.py", "invariance_probe")
+    ], others
 
 
 def test_residual_only_in_equilibria_residual():
