@@ -35,7 +35,7 @@ from dataclasses import replace
 
 from .core import DivergenceError, ModelParams, iterate
 from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
-from .equilibria import BoundaryTag, disease_free, endemic, thresholds
+from .equilibria import _NS_CURVE_TAGS, BoundaryTag, disease_free, endemic, thresholds
 from .normal_forms import ResonanceError, flip_coefficient, ns_coefficient, rho_prime_at_ns
 from .positivity import applicable_region, invariance_probe
 
@@ -280,12 +280,7 @@ def cmd_analyze(opts: dict) -> int:
         elif tag1 == BoundaryTag.FLIP:
             q = replace(p, beta=th.beta1)
             doc["normal_form"] = _normal_form_json("endemic", flip_coefficient(q, endemic(q)))
-        elif tag1 in (
-            BoundaryTag.NEIMARK_SACKER,
-            BoundaryTag.RESONANCE_12,
-            BoundaryTag.RESONANCE_13,
-            BoundaryTag.RESONANCE_14,
-        ):
+        elif tag1 in _NS_CURVE_TAGS:
             # ns_coefficient refuses points on or near a strong resonance
             q = replace(p, beta=th.beta2)
             nf = ns_coefficient(q)

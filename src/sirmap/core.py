@@ -224,21 +224,25 @@ def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -
     in :func:`step`'s operation order with the same operands, so each
     state is bit-identical to ``step(p, (S, I))``, and nothing is allocated.
     """
-    force, t = work
-    # force = ((beta*S)*I) / (1 + a*S)
-    np.multiply(p.beta, S, out=force)
-    np.multiply(force, I, out=force)
-    np.multiply(p.a, S, out=t)
-    np.add(1.0, t, out=t)
-    np.divide(force, t, out=force)
+    t, w = work
+    # t = (1 - K)*I, kept for the last line
+    np.multiply(1.0 - p.K, I, out=t)
+    # I <- force = ((beta*S)*I) / (1 + a*S)
+    np.multiply(p.beta, S, out=w)
+    np.multiply(w, I, out=I)
+    np.multiply(p.a, S, out=w)
+    np.add(1.0, w, out=w)
+    np.divide(I, w, out=I)
     # S' = (r*S)*(1 - S) - force
-    np.subtract(1.0, S, out=t)
+    np.subtract(1.0, S, out=w)
     np.multiply(p.r, S, out=S)
-    np.multiply(S, t, out=S)
-    np.subtract(S, force, out=S)
-    # I' = (1 - K)*I + force
-    np.multiply(1.0 - p.K, I, out=I)
-    np.add(I, force, out=I)
+    np.multiply(S, w, out=S)
+    np.subtract(S, I, out=S)
+    # I' = (1 - K)*I + force, written over its second operand: on a
+    # length-1 array numpy's add written over its first operand may return
+    # the second operand's NaN, where step's fresh output keeps the first's;
+    # a sum into a third row would keep it too, but slowed the probe by ~10%
+    np.add(t, I, out=I)
 
 
 def step_full(u: UnscaledParams, x: tuple[float, float, float]) -> FullState:

@@ -68,6 +68,16 @@ class BoundaryTag(Enum):
     RESONANCE_14 = "1:4 resonance"
 
 
+#: The E1 tags of points on the Neimark-Sacker curve: the curve itself and
+#: its three strong resonances.
+_NS_CURVE_TAGS = (
+    BoundaryTag.NEIMARK_SACKER,
+    BoundaryTag.RESONANCE_12,
+    BoundaryTag.RESONANCE_13,
+    BoundaryTag.RESONANCE_14,
+)
+
+
 @dataclass(frozen=True)
 class EigenData:
     """Eigenvalues of a real 2x2 matrix via its trace and determinant.
@@ -331,10 +341,23 @@ def thresholds(r: float, a: float, K: float) -> Thresholds:
 def classify_boundary(p: ModelParams, which: Literal["E0", "E1"]) -> BoundaryTag | None:
     """Label the codimension-1/2 boundary passing through ``p``, if any.
 
-    Matching is absolute within ``TOL_BOUNDARY`` on both r and beta.  Codim-2
-    points win over the codim-1 curves meeting there: the fold-flip
-    corner at (r, beta) = (3, beta0), and the 1:2 / 1:3 / 1:4 resonances
-    on the NS curve at r_max, r_tilde and r_bar.
+    Matching is absolute within ``TOL_BOUNDARY`` on both r and beta.  A
+    point can lie within that band of more than one curve (next to the 1:2
+    point the flip and NS curves come within 1e-9 of each other), so the
+    first match in this order wins:
+
+    1. codim-2 points: the fold-flip corner at (r, beta) = (3, beta0), and
+       the 1:2 / 1:3 / 1:4 resonances on the NS curve at r_max, r_tilde
+       and r_bar;
+    2. the NS curve ``beta2`` for 1 < r < r_max;
+    3. the fold ``beta0`` for 1 < r < 3;
+    4. the flip curve ``beta1`` for 3 < r < r_max.
+
+    The tag places ``p`` in the (r, beta) plane; it does not look at the
+    eigenvalues, which within the band may sit on either side of the
+    real/complex split.  For E0 the order is the fold at r = 1, the
+    fold-flip corner, the flip along r = 3 below beta0, then the fold
+    along beta0.
     """
     r, beta, a, K, tol = p.r, p.beta, p.a, p.K, TOL_BOUNDARY
     if which == "E0":

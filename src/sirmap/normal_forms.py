@@ -38,14 +38,15 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, _jacobian_entries, step
+from .core import ModelParams, State, TOL_HYP, _jacobian_entries, step
 from .equilibria import (
+    _NS_CURVE_TAGS,
     BoundaryTag,
     FixedPointReport,
     _eigen_quadratic,
     _endemic_location,
     _residual,
-    endemic,
+    classify_boundary,
     thresholds,
 )
 
@@ -329,20 +330,22 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
 def ns_coefficient(p: ModelParams) -> NormalFormData:
     """First coefficient ``d`` at the Neimark-Sacker boundary of E1.
 
-    Requires ``beta`` within ``TOL_BOUNDARY`` of beta2, the test
-    ``classify_boundary`` makes, and evaluates ``d`` at ``p`` itself
-    (``cmd_analyze`` passes the curve point); the eigenvectors are
-    :func:`_eigenpair`'s.  The growth value must stay clear (by
-    :data:`RESONANCE_EXCLUSION` in r) of the strong resonances at r_bar,
-    r_tilde and r_max, where the coefficient is undefined; those are
-    refused with :class:`ResonanceError` naming the resonance.
+    Accepts exactly the points that :func:`classify_boundary` tags as on
+    the NS curve (the curve or one of its three strong resonances) and
+    makes no on-curve test of its own; ``d`` is evaluated at ``p`` itself
+    (``cmd_analyze`` passes the curve point).  The growth value must stay
+    clear (by :data:`RESONANCE_EXCLUSION` in r) of the strong resonances at
+    r_bar, r_tilde and r_max, where the coefficient is undefined; those are
+    refused with :class:`ResonanceError` naming the resonance.  E1 comes
+    from its closed-form location and its eigenvalues from the Jacobian of
+    the forms, so no fixed-point report is built; the eigenvectors are
+    :func:`_eigenpair`'s.
     """
+    tag1 = classify_boundary(p, "E1")
+    if tag1 not in _NS_CURVE_TAGS:
+        found = f"tagged {tag1.value}" if tag1 else "untagged"
+        raise ValueError(f"ns_coefficient requires E1 on the NS curve; it is {found} at {p}")
     th = thresholds(p.r, p.a, p.K)
-    if abs(p.beta - th.beta2) > TOL_BOUNDARY:
-        raise ValueError(
-            f"ns_coefficient requires beta on the NS curve: "
-            f"|beta - beta2| = {abs(p.beta - th.beta2):.3e} exceeds {TOL_BOUNDARY:.1e}"
-        )
     for r_star, tag in (
         (th.r_max, BoundaryTag.RESONANCE_12),
         (th.r_tilde, BoundaryTag.RESONANCE_13),
@@ -350,15 +353,13 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     ):
         if abs(p.r - r_star) < RESONANCE_EXCLUSION:
             raise ResonanceError(tag, p.r, r_star)
-    if not p.r < th.r_max:
-        raise ValueError(f"NS boundary needs 1 < r < r_max = {th.r_max:.6g}, got r={p.r}")
 
-    rep = endemic(p)
-    if rep is None:
+    x = _endemic_location(p)
+    if x is None:
         raise ValueError("endemic point absent at these parameters")
-    A, B, C = _cycle_forms(p, rep.location, 1, rep.residual)
+    A, B, C = _cycle_forms(p, x, 1)
     (a11, a12), (a21, a22) = A
-    e = rep.eigen
+    e = _eigen_quadratic(a11, a12, a21, a22)
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
     theta0 = math.atan2(e.omega, e.sigma)

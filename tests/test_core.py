@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sirmap import (
@@ -353,6 +353,9 @@ class TestStepInto:
 
     @settings(max_examples=300, deadline=None)
     @given(p=_PARAMS, pts=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40))
+    # a NaN of each sign meets in the last add: on a length-1 array an add
+    # written over its first operand returns the second operand's NaN
+    @example(p=ModelParams(r=1, beta=1, a=0, K=0.5), pts=[(math.nan, -math.nan)])
     def test_bit_identical_to_step(self, p, pts):
         S = np.array([x for x, _ in pts], dtype=np.float64)
         I = np.array([y for _, y in pts], dtype=np.float64)

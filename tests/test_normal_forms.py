@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sirmap import (
@@ -24,7 +24,7 @@ from sirmap import (
     thresholds,
 )
 from sirmap.core import TOL_BOUNDARY, TOL_HYP
-from sirmap import normal_forms
+from sirmap import equilibria
 from sirmap.normal_forms import ResonanceError, _eigenpair
 
 from oracles import (
@@ -146,6 +146,25 @@ class TestNSCoefficient:
         with pytest.raises(ValueError, match="NS curve"):
             ns_coefficient(ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5))
 
+    def test_beta2_formula_past_r_max_refused(self):
+        # the closed form of beta2 goes on past the 1:2 point, the NS curve does not
+        a, K = 1.0, 0.5
+        r = thresholds(2.0, a, K).r_max + 1.0e-3
+        p = ModelParams(r=r, beta=beta2_threshold(r, a, K), a=a, K=K)
+        assert classify_boundary(p, "E1") is None
+        with pytest.raises(ValueError, match="NS curve"):
+            ns_coefficient(p)
+
+    def test_real_pair_on_both_curves_refused(self):
+        # 1e-5 below r_max this flip point lies 8.4e-10 below beta2: it is
+        # tagged NS, but its eigenvalues are real
+        a, K = 3.0, 0.1015625
+        r = thresholds(2.0, a, K).r_max - 1.0e-5
+        p = ModelParams(r=r, beta=thresholds(r, a, K).beta1, a=a, K=K)
+        assert classify_boundary(p, "E1") is BoundaryTag.NEIMARK_SACKER
+        with pytest.raises(ValueError, match="eigenvalues are real"):
+            ns_coefficient(p)
+
     @pytest.mark.parametrize(
         "which, tag",
         [
@@ -210,13 +229,16 @@ class TestNSCoefficient:
         assert rho == report_modulus_slope(p)
 
     def test_modulus_derivative_builds_no_report(self, monkeypatch):
-        # the point and both finite-difference probes need only det J(E1)
-        def refuse(*args):
+        # the point and both finite-difference probes need only det J(E1),
+        # and the coefficient reads E1's eigenvalues from its own forms
+        def refuse(*args, **kwargs):
             raise AssertionError("full fixed-point report built")
 
-        monkeypatch.setattr(normal_forms, "endemic", refuse)
-        rho = rho_prime_at_ns(ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5))
+        monkeypatch.setattr(equilibria, "_report", refuse)
+        p = ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5)
+        rho = rho_prime_at_ns(p)
         assert abs(rho - 0.128125) < 1.0e-9
+        assert abs(ns_coefficient(p).coefficient - D_AT_35_16) < 1.0e-9
 
 
 class TestEigenpair:
@@ -377,13 +399,19 @@ class TestMpmathOracle:
         assert gap <= ORACLE_REL * abs(exact)
 
     @given(a=st.floats(0.0, 3.0), K=st.floats(0.1, 0.9), log_gap=st.floats(-5.0, -3.0))
+    # a corner where the flip point lies 8.4e-10 below beta2
+    @example(a=3.0, K=0.1015625, log_gap=-5.0)
     @settings(max_examples=15, deadline=None)
     def test_flip_points_next_to_the_one_to_two_point(self, a, K, log_gap):
-        # 1e-5 to 1e-3 below r_max every flip-tagged curve point gets a c
+        # 1e-5 to 1e-3 below r_max every flip curve point gets a c.  It is
+        # tagged flip unless it also lies within TOL_BOUNDARY of the NS
+        # curve, which classify_boundary matches first
         r = thresholds(2.0, a, K).r_max - 10.0**log_gap
-        beta = thresholds(r, a, K).beta1
+        th = thresholds(r, a, K)
+        beta = th.beta1
         p = ModelParams(r=r, beta=beta, a=a, K=K)
-        assert endemic(p).boundary is BoundaryTag.FLIP
+        on_ns = abs(th.beta1 - th.beta2) <= TOL_BOUNDARY
+        assert endemic(p).boundary is (BoundaryTag.NEIMARK_SACKER if on_ns else BoundaryTag.FLIP)
         gap, exact = _oracle_gap(p, "flip")
         if gap <= ORACLE_REL * abs(exact):
             return
