@@ -37,7 +37,7 @@ from .core import DivergenceError, ModelParams, iterate
 from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
 from .equilibria import _NS_CURVE_TAGS, BoundaryTag, disease_free, endemic, thresholds
 from .normal_forms import ResonanceError, flip_coefficient, ns_coefficient, rho_prime_at_ns
-from .positivity import applicable_region, invariance_probe
+from .positivity import _check_probe_input, applicable_region, invariance_probe
 
 _SQRT2 = math.sqrt(2.0)
 #: Most floats one subcommand may hold in its sample arrays (80 MB); the
@@ -342,6 +342,7 @@ def cmd_cycles(opts: dict) -> int:
 
 def cmd_regions(opts: dict) -> int:
     _check_size("regions --samples", 2 * opts["samples"])
+    _check_probe_input(opts["samples"], opts["steps"], opts["seed"])
     p = _params(opts)
     region = applicable_region(p)
     if region is None:
@@ -413,29 +414,22 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_option(parser: argparse.ArgumentParser, key: str) -> argparse.Action:
+def _add_option(parser: argparse.ArgumentParser, key: str) -> None:
     opt = _OPTIONS[key]
-    return parser.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
+    parser.add_argument(f"--{key}", type=opt.type, choices=opt.choices, help=opt.help)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``sirmap`` parser, built on the first call and shared after it.
 
-    Building it costs more than a ``cycles`` solve, so ``main`` reuses one
-    parser per process.  Reuse is safe: ``parse_args`` does not change the
-    parser, ``prog`` is fixed, and argparse looks up ``sys.stdout`` and
-    ``sys.stderr`` (and the terminal width) only when it prints.
+    Each subcommand gets one flag per key of its ``_SUBCOMMANDS`` row, then
+    --preset and --config.  Building the parser costs more than a ``cycles``
+    solve, so ``main`` reuses one parser per process.  Reuse is safe:
+    ``parse_args`` does not change the parser, ``prog`` is fixed, and
+    argparse looks up ``sys.stdout`` and ``sys.stderr`` (and the terminal
+    width) only when it prints.
     """
-    # one action per option, shared by the subcommands that read it (as
-    # parents= shares them): an add_argument per subcommand builds 40% slower
-    pool = _Parser(add_help=False)
-    actions = {key: _add_option(pool, key) for key in _OPTIONS}
-    bundles = (
-        pool.add_argument("--preset", help="named parameter bundle"),
-        pool.add_argument("--config", help="flat key=value option file"),
-    )
-
     parser = _Parser(
         prog="sirmap",
         description="Numerical laboratory for a planar SIR map with saturated incidence",
@@ -443,8 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _SUBCOMMANDS.items():
         ps = sub.add_parser(name, help=command.help)
-        for action in (*(actions[key] for key in command.keys), *bundles):
-            ps._add_action(action)
+        for key in command.keys:
+            _add_option(ps, key)
+        ps.add_argument("--preset", help="named parameter bundle")
+        ps.add_argument("--config", help="flat key=value option file")
     return parser
 
 

@@ -76,6 +76,13 @@ _NS_CURVE_TAGS = (
     BoundaryTag.RESONANCE_13,
     BoundaryTag.RESONANCE_14,
 )
+#: The strong resonances of the NS curve as (x, tag), in the order
+#: :func:`classify_boundary` tests them; each sits at r = resonance_growth(x).
+_RESONANCES = (
+    (4.0, BoundaryTag.RESONANCE_12),
+    (3.0, BoundaryTag.RESONANCE_13),
+    (2.0, BoundaryTag.RESONANCE_14),
+)
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,7 @@ class EigenData:
     """Eigenvalues of a real 2x2 matrix via its trace and determinant.
 
     ``sigma`` is half the trace; ``omega`` the non-negative imaginary
-    part of the pair (zero for real eigenvalues).  ``theta0`` is the
-    argument of the eigenvalue with positive imaginary part, recorded
-    only when the pair is complex and lies on the unit circle within
-    ``TOL_HYP``.
+    part of the pair (zero for real eigenvalues).
     """
 
     trace: float
@@ -95,7 +99,6 @@ class EigenData:
     mu2: complex
     sigma: float
     omega: float
-    theta0: float | None
 
 
 def _eigen_quadratic(a11: float, a12: float, a21: float, a22: float) -> EigenData:
@@ -109,15 +112,11 @@ def _eigen_quadratic(a11: float, a12: float, a21: float, a22: float) -> EigenDat
         mu1 = complex(sigma + root, 0.0)
         mu2 = complex(sigma - root, 0.0)
         omega = 0.0
-        theta0 = None
     else:
         omega = math.sqrt(-disc)
         mu1 = complex(sigma, omega)
         mu2 = complex(sigma, -omega)
-        theta0 = None
-        if abs(abs(mu1) - 1.0) <= TOL_HYP:
-            theta0 = math.atan2(omega, sigma)
-    return EigenData(trace=T, det=D, mu1=mu1, mu2=mu2, sigma=sigma, omega=omega, theta0=theta0)
+    return EigenData(trace=T, det=D, mu1=mu1, mu2=mu2, sigma=sigma, omega=omega)
 
 
 def eigen_from_matrix(A: np.ndarray) -> EigenData:
@@ -208,7 +207,6 @@ def disease_free(p: ModelParams) -> FixedPointReport:
             mu2=complex(lam2),
             sigma=(lam1 + lam2) / 2.0,
             omega=0.0,
-            theta0=None,
         )
         # the residual steps E0 through the incidence term too
         return _report(p, "disease_free", loc, e, tag=classify_boundary(p, "E0"))
@@ -304,9 +302,6 @@ class Thresholds:
     raw expression remains available as :func:`beta1_formula`.
     """
 
-    r: float
-    a: float
-    K: float
     beta0: float
     beta1: float | None
     beta2: float
@@ -326,9 +321,6 @@ def thresholds(r: float, a: float, K: float) -> Thresholds:
     r_max = resonance_growth(4.0, a, K)
     b1 = beta1_formula(r, a, K) if 3.0 < r < r_max else None
     return Thresholds(
-        r=r,
-        a=a,
-        K=K,
         beta0=beta0_threshold(r, a, K),
         beta1=b1,
         beta2=beta2_threshold(r, a, K),
@@ -383,12 +375,9 @@ def classify_boundary(p: ModelParams, which: Literal["E0", "E1"]) -> BoundaryTag
             return BoundaryTag.FOLD_FLIP
         r_max = resonance_growth(4.0, a, K)
         if abs(beta - beta2_threshold(r, a, K)) <= tol:
-            if abs(r - r_max) <= tol:
-                return BoundaryTag.RESONANCE_12
-            if abs(r - resonance_growth(3.0, a, K)) <= tol:
-                return BoundaryTag.RESONANCE_13
-            if abs(r - resonance_growth(2.0, a, K)) <= tol:
-                return BoundaryTag.RESONANCE_14
+            for x, tag in _RESONANCES:
+                if abs(r - resonance_growth(x, a, K)) <= tol:
+                    return tag
             if 1.0 < r < r_max:
                 return BoundaryTag.NEIMARK_SACKER
         if abs(beta - b0) <= tol and 1.0 < r < 3.0:

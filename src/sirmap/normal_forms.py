@@ -41,13 +41,14 @@ import numpy as np
 from .core import ModelParams, State, TOL_HYP, _jacobian_entries, step
 from .equilibria import (
     _NS_CURVE_TAGS,
+    _RESONANCES,
     BoundaryTag,
     FixedPointReport,
     _eigen_quadratic,
     _endemic_location,
     _residual,
     classify_boundary,
-    thresholds,
+    resonance_growth,
 )
 
 __all__ = [
@@ -87,19 +88,12 @@ class MultilinearForms:
     ``A`` is the Jacobian, ``B`` the array of second partials indexed
     ``[component, j, k]``, and ``C`` the third partials
     ``[component, j, k, l]``.  ``B`` and ``C`` are symmetric in their
-    trailing indices.  ``apply_B`` and ``apply_C`` are the plain-float sums
-    :func:`_apply_B` and :func:`_apply_C` that the coefficients use.
+    trailing indices.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-
-    def apply_B(self, x, y) -> np.ndarray:
-        return np.array(_apply_B(self.B.tolist(), x, y))
-
-    def apply_C(self, x, y, z) -> np.ndarray:
-        return np.array(_apply_C(self.C.tolist(), x, y, z))
 
 
 def _form(M, x, y):
@@ -345,12 +339,8 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     if tag1 not in _NS_CURVE_TAGS:
         found = f"tagged {tag1.value}" if tag1 else "untagged"
         raise ValueError(f"ns_coefficient requires E1 on the NS curve; it is {found} at {p}")
-    th = thresholds(p.r, p.a, p.K)
-    for r_star, tag in (
-        (th.r_max, BoundaryTag.RESONANCE_12),
-        (th.r_tilde, BoundaryTag.RESONANCE_13),
-        (th.r_bar, BoundaryTag.RESONANCE_14),
-    ):
+    for x, tag in _RESONANCES:
+        r_star = resonance_growth(x, p.a, p.K)
         if abs(p.r - r_star) < RESONANCE_EXCLUSION:
             raise ResonanceError(tag, p.r, r_star)
 

@@ -227,6 +227,14 @@ def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndar
     return S, I
 
 
+def _check_probe_input(samples: int, steps: int, seed: int) -> None:
+    """Refuse a probe size or seed that :func:`invariance_probe` cannot run."""
+    if samples < 1 or steps < 1:
+        raise ValueError("samples and steps must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
+
+
 def invariance_probe(
     p: ModelParams,
     samples: int = 1000,
@@ -242,6 +250,7 @@ def invariance_probe(
     most ``max_records`` detailed records are kept; the count is exact).
     The ``region`` override lets a caller probe a hand-built region.
     """
+    _check_probe_input(samples, steps, seed)
     if region is None:
         region = applicable_region(p)
         if region is None:
@@ -249,10 +258,6 @@ def invariance_probe(
                 "no invariance region applies at these parameters; "
                 "pass an explicit region to probe one anyway"
             )
-    if samples < 1 or steps < 1:
-        raise ValueError("samples and steps must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got seed={seed}")
     rng = np.random.default_rng(seed)
     S, I = _sample_region(region, samples, rng)
     index = np.arange(samples)

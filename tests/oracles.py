@@ -10,9 +10,11 @@ ran before it enumerated kneading words; ``mpmath_birth`` solves one
 birth's defining system at 40 digits, ``mpmath_tangent_sums`` replays a
 float orbit's tangent vector and ``log|det J|`` at 40 digits, and
 ``primitive_orbits`` counts the orbits of minimal period n of
-x -> 4x(1-x).  ``plain_advance`` is ``sirmap.core._advance`` without its
-exact-cycle short-circuit, every step run, and ``exact_cycle`` finds an
-orbit's first bit-exact repeat by remembering every state.
+x -> 4x(1-x).  ``kneading_admissible`` decides a superstable word's
+admissibility by exact symbol comparison.  ``plain_advance`` is
+``sirmap.core._advance`` without its exact-cycle short-circuit, every step
+run, and ``exact_cycle`` finds an orbit's first bit-exact repeat by
+remembering every state.
 ``plain_tangent`` is ``sirmap.dynamics._tangent`` without its exact-cycle
 replay.  ``numpy_jacobian`` is ``sirmap.jacobian`` as it was before its
 entries became plain floats, and ``mpmath_normal_form`` recomputes a fixed
@@ -315,6 +317,36 @@ def primitive_orbits(n: int) -> int:
         return -sign if k > 1 else sign
 
     return sum(mobius(n // d) * 2**d for d in range(1, n + 1) if n % d == 0) // n
+
+
+#: The kneading symbols in their order on the line: left of 1/2, 1/2, right.
+_SYMBOL_RANK = {"L": 0, "C": 1, "R": 2}
+
+
+def _parity_less(u: str, v: str) -> bool:
+    """Whether kneading sequence ``u`` precedes ``v`` in the parity-lexicographic order.
+
+    At the first difference L < C < R, reversed when the common prefix holds
+    an odd number of R's: the map reverses order right of 1/2.
+    """
+    odd = False
+    for x, y in zip(u, v):
+        if x != y:
+            return (_SYMBOL_RANK[x] < _SYMBOL_RANK[y]) != odd
+        odd ^= x == "R"
+    return False
+
+
+def kneading_admissible(word: str) -> bool:
+    """Whether the sides ``word`` (L/R of 1/2) spell a superstable orbit of the logistic family.
+
+    Metropolis, Stein & Stein: exactly when the kneading sequence (word C)^inf
+    is shift-maximal in the parity-lexicographic order.  Shifts of a period-m
+    sequence differ within m symbols, so each is compared over one period.
+    No floating point.
+    """
+    a = word + "C"
+    return not any(_parity_less(a, a[k:] + a[:k]) for k in range(1, len(a)))
 
 
 def plain_advance(p: ModelParams, x0, n: int, out=None):

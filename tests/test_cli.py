@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sirmap import cli
+from sirmap import ModelParams, applicable_region, cli
 from sirmap.cli import PRESETS, main
 from sirmap.core import TOL_BOUNDARY
 from sirmap.equilibria import beta2_threshold, thresholds
@@ -560,6 +560,20 @@ class TestRegions:
         assert (code, out) == (2, "")
         assert err == "error: seed must be non-negative, got seed=-1\n"
 
+    @pytest.mark.parametrize(
+        "flag, err",
+        [
+            (["--samples", "-5"], "error: samples and steps must be positive\n"),
+            (["--steps", "0"], "error: samples and steps must be positive\n"),
+            (["--seed", "-1"], "error: seed must be non-negative, got seed=-1\n"),
+        ],
+        ids=["samples", "steps", "seed"],
+    )
+    def test_bad_probe_input_refused_where_no_region_applies(self, capsys, flag, err):
+        # checked before the region lookup, as where a region applies
+        assert applicable_region(ModelParams(r=0.5, beta=3.0, a=1.0, K=0.5)) is None
+        assert run_cli(capsys, "regions", "--r", "0.5", *flag) == (2, "", err)
+
 
 class TestLyapunov:
     def test_sink_exponents_json(self, capsys):
@@ -804,9 +818,9 @@ class TestParserReuse:
         cli.build_parser.cache_clear()
         for argv in (*_REUSE_SEQUENCE, ["analyze"], ["cycles", "--n", "4"]):
             _outcome(capsys, argv)
-        # one build: the option pool, the top-level parser, one per subcommand
+        # one build: the top-level parser and one per subcommand
         assert built.count("sirmap") == 1
-        assert len(built) == 2 + len(cli._SUBCOMMANDS)
+        assert len(built) == 1 + len(cli._SUBCOMMANDS)
 
     def test_parser_not_built_at_import(self):
         proc = _python("-c", "import sirmap.cli as c; print(c.build_parser.cache_info().currsize)")

@@ -2,6 +2,7 @@
 parameter scans, cycle births on the invariant axis, and the decay
 envelope check."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     full_grid_cycle_births,
+    kneading_admissible,
     mpmath_birth,
     mpmath_tangent_sums,
     plain_tangent,
@@ -680,6 +682,14 @@ class TestCycleBirthOracle:
         # every period-n orbit of 4x(1-x) was born at one of these values:
         # two per saddle-node, one per period-doubling
         assert 2 * saddle_nodes + doublings == primitive_orbits(n)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_words_are_exactly_the_admissible_ones(self, m):
+        # product order, as the enumeration walks the words
+        words = ["".join(w) for w in itertools.product("LR", repeat=m - 1)]
+        admissible = [w for w in words if kneading_admissible(w)]
+        assert len(admissible) == self.SUPERSTABLE[m]
+        assert [w for w, _ in dynamics._superstable_words(m)] == admissible
 
     def test_default_grid(self):
         # the seed-grid solve this enumeration replaced, on its default grid

@@ -170,19 +170,16 @@ class TestEigenFromMatrix:
         e = eigen_from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
         assert e.omega == 1.0
         assert e.sigma == 0.0
-        assert e.theta0 is not None
-        assert math.isclose(e.theta0, math.pi / 2)
 
     def test_real_pair_sorted_by_modulus(self):
         e = eigen_from_matrix(np.array([[3.0, 0.0], [0.0, -0.5]]))
         assert abs(e.mu1) >= abs(e.mu2)
-        assert e.theta0 is None
 
 
 def _bits(e):
     """The bit patterns of every float an EigenData holds, signed zeros included."""
     floats = [e.trace, e.det, e.mu1.real, e.mu1.imag, e.mu2.real, e.mu2.imag, e.sigma, e.omega]
-    return struct.pack("<8d", *floats), None if e.theta0 is None else struct.pack("<d", e.theta0)
+    return struct.pack("<8d", *floats)
 
 
 class TestFloatJacobianPath:

@@ -25,7 +25,7 @@ from sirmap import (
 )
 from sirmap.core import TOL_BOUNDARY, TOL_HYP
 from sirmap import equilibria
-from sirmap.normal_forms import ResonanceError, _eigenpair
+from sirmap.normal_forms import ResonanceError, _apply_B, _apply_C, _eigenpair
 
 from oracles import (
     chain_rule_forms,
@@ -300,9 +300,10 @@ class TestFormsConsistency:
         u = np.array([0.3, -1.1])
         v = np.array([2.0, 0.7])
         w = np.array([-0.4, 0.9])
-        assert np.allclose(forms.apply_B(u, v), np.einsum("ijk,j,k->i", forms.B, u, v))
+        B, C = forms.B.tolist(), forms.C.tolist()
+        assert np.allclose(_apply_B(B, u, v), np.einsum("ijk,j,k->i", forms.B, u, v))
         assert np.allclose(
-            forms.apply_C(u, v, w), np.einsum("ijkl,j,k,l->i", forms.C, u, v, w)
+            _apply_C(C, u, v, w), np.einsum("ijkl,j,k,l->i", forms.C, u, v, w)
         )
 
     def test_shifted_forms_rejects_wandering_point(self):

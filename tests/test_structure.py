@@ -27,7 +27,13 @@ Every CLI flag is built by ``cli._add_option`` from a key of the option
 table ``cli._OPTIONS``, at one call site; only ``--preset`` and
 ``--config`` are written out as literals.  Each subcommand takes its flags
 from its own row of ``cli._SUBCOMMANDS``: no option list shared by all
-subcommands (``_COMMON``) and no ``parents=`` parser.
+subcommands (``_COMMON``) and no ``parents=`` parser, and ``cli`` calls no
+private argparse method (``_add_action``); the one private argparse name it
+touches is the ``_negative_number_matcher`` that ``cli._Parser`` sets.  The
+strong-resonance tags ``RESONANCE_12/13/14`` are named only in the tables
+``equilibria._NS_CURVE_TAGS`` and ``equilibria._RESONANCES``, the one
+pairing of each resonance with its growth value, and ``normal_forms``
+does not reach for ``thresholds`` to pair them again.
 """
 import ast
 import inspect
@@ -297,7 +303,7 @@ def test_cli_flags_come_from_option_table():
     # the one computed flag is --<key>, its type, choices and help read from the table
     assert computed == [("_add_option", "f'--{key}'")]
     assert "_OPTIONS[key]" in ast.unparse(funcs["_add_option"])
-    # built once per option, and attached to a subcommand only in build_parser
+    # added to the subcommands only in build_parser, with no private argparse call
     calls = [
         (name, node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id)
         for name, func in funcs.items()
@@ -305,8 +311,70 @@ def test_cli_flags_come_from_option_table():
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
     ]
     assert [c for c in calls if c[1] == "_add_option"] == [("build_parser", "_add_option")]
-    assert {c for c in calls if c[1] == "_add_action"} == {("build_parser", "_add_action")}
+    assert [c for c in calls if c[1] == "_add_action"] == []
     # no option list shared by every subcommand, and no parent parser
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "_COMMON" not in names
     assert not [k for k in ast.walk(tree) if isinstance(k, ast.keyword) and k.arg == "parents"]
+
+
+def _private_attributes(tree) -> list:
+    """(name, Load or Store) of each ``<x>._name`` in ``tree``, dunders aside."""
+    return sorted(
+        (node.attr, type(node.ctx).__name__)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    )
+
+
+def test_cli_touches_no_private_argparse_name():
+    tree = ast.parse((Path(sirmap.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    # _asdict is the documented namedtuple method behind the regions escapes
+    private = _private_attributes(tree)
+    assert private == [("_asdict", "Load"), ("_negative_number_matcher", "Store")], private
+    parser = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Parser")
+    assert _private_attributes(parser) == [("_negative_number_matcher", "Store")]
+
+
+RESONANCE_TAGS = ("RESONANCE_12", "RESONANCE_13", "RESONANCE_14")
+RESONANCE_TABLES = ("_NS_CURVE_TAGS", "_RESONANCES")
+
+
+def _resonance_tag(node) -> str | None:
+    """The tag a node reads: ``BoundaryTag.RESONANCE_1q`` or a bare loaded name."""
+    if isinstance(node, ast.Attribute) and node.attr in RESONANCE_TAGS:
+        return node.attr
+    if isinstance(node, ast.Name) and node.id in RESONANCE_TAGS and isinstance(node.ctx, ast.Load):
+        return node.id
+    return None
+
+
+def test_resonance_tags_only_in_the_ns_curve_tables():
+    inside, everywhere = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        everywhere += [(path.name, tag) for n in ast.walk(tree) if (tag := _resonance_tag(n))]
+        for node in tree.body:
+            table = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+            if table in RESONANCE_TABLES:
+                inside += [
+                    (path.name, table, tag) for n in ast.walk(node.value) if (tag := _resonance_tag(n))
+                ]
+    assert sorted(inside) == [
+        ("equilibria.py", table, tag) for table in RESONANCE_TABLES for tag in RESONANCE_TAGS
+    ], inside
+    assert len(everywhere) == len(inside), everywhere
+
+
+def test_normal_forms_does_not_reference_thresholds():
+    tree = ast.parse((Path(sirmap.__file__).parent / "normal_forms.py").read_text(encoding="utf-8"))
+    refs = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "thresholds")
+        or (isinstance(node, ast.Attribute) and node.attr == "thresholds")
+        or (isinstance(node, ast.alias) and node.name == "thresholds")
+    ]
+    assert refs == [], refs
