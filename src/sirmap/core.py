@@ -32,7 +32,9 @@ all passed the guard; it runs only the steps that reach the same phase
 and returns the bits the full loop would.  Recorded windows still run
 every step.  The tangent kernel ``dynamics._tangent`` stops the same way
 at a repeat of its whole state, then replays one recorded turn's log
-stretches.
+stretches.  The invariance probe drops each ensemble orbit whose state is
+bit-equal to its image under :func:`_step_into` (an exact fixed point);
+it does not look for longer cycles.
 """
 from __future__ import annotations
 

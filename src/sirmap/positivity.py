@@ -26,6 +26,15 @@ into one membership table (``_holds``, also behind ``contains`` and the
 sampler), one row per constraint; a column's first False names an
 orbit's exit.  Exited orbits are dropped by moving the survivors, with
 their original indices, to the front of each buffer.
+
+Orbits that settle are dropped the same way.  Every ``_SETTLE_EVERY``-th
+step the probe keeps the states before the step and drops each orbit
+whose new state has the same bits (signed zeros included).  That state is
+its own image, and it passed the membership check one step earlier, so
+the orbit can never leave and would add no record: the count, the
+records and their order are those of the full run.  Sealed regions whose
+orbits land on a fixed point in float (E1 of the triangle-region and
+capped-region presets) stop within a few hundred steps.
 """
 from __future__ import annotations
 
@@ -51,6 +60,8 @@ __all__ = [
 MEMBERSHIP_TOL = 1.0e-12
 #: Constraints in checking order; the last two bound cases 2 and 3 only.
 _CONSTRAINTS = ("S<0", "I<0", "S+I>u*", "S>1", "I>nullcline")
+#: Steps between the probe's checks for orbits sitting on an exact fixed point.
+_SETTLE_EVERY = 16
 
 
 def u_star(p: ModelParams) -> float:
@@ -128,7 +139,18 @@ def applicable_region(p: ModelParams) -> RegionSpec | None:
             A = v * a
             Bq = -(v * a - v + 1.0)
             Cq = u - v
-            xbar = (-Bq + math.sqrt(Bq * Bq - 4.0 * A * Cq)) / (2.0 * A)
+            disc = Bq * Bq - 4.0 * A * Cq
+            if math.isfinite(disc):
+                xbar = (-Bq + math.sqrt(disc)) / (2.0 * A)
+            else:
+                # v past ~1e154 overflows the products; divided by v the
+                # quadratic is a*x^2 - b*x - c = 0 with c = 1 - u/v > 0, whose
+                # positive root (taken without cancellation) tends to 1
+                w = 1.0 / v
+                b = a - 1.0 + w
+                c = 1.0 - u * w
+                root = math.sqrt(b * b + 4.0 * a * c)
+                xbar = (b + root) / (2.0 * a) if b >= 0.0 else 2.0 * c / (root - b)
         return RegionSpec(case=2, params=p, u_star=u, v=v, crossings=(xbar,))
 
     return None
@@ -249,6 +271,12 @@ def invariance_probe(
     index, step number, exiting point, and the violated constraint (at
     most ``max_records`` detailed records are kept; the count is exact).
     The ``region`` override lets a caller probe a hand-built region.
+
+    An orbit whose state is bit-equal to its own image at a settle step
+    (every ``_SETTLE_EVERY``-th) is dropped: the map is deterministic and
+    the state met the membership check one step earlier, so the orbit
+    stays put for good, and the report is that of all ``steps`` steps.
+    The loop ends once every orbit has left or settled.
     """
     _check_probe_input(samples, steps, seed)
     if region is None:
@@ -263,30 +291,43 @@ def invariance_probe(
     index = np.arange(samples)
     escapes: list[EscapeRecord] = []
     escape_count = 0
-    # allocated once; once orbits exit, the live ones fill a prefix of each
-    work = np.empty((2, samples))
+    # allocated once; once orbits exit or settle, the live ones fill a
+    # prefix of each.  Rows 0-1 of `work` are scratch, rows 2-3 the states
+    # before a settle step
+    work = np.empty((4, samples))
     table = _table(region, (samples,))
     inside = np.empty(samples, dtype=bool)
-    s, i, w, ok, ins = S, I, work, table, inside
+    s, i, w, last, ok, ins = S, I, work[:2], work[2:], table, inside
 
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
+            settle = k % _SETTLE_EVERY == 0
+            if settle:
+                last[0] = s
+                last[1] = i
             _step_into(p, s, i, w)
             _holds(region, s, i, MEMBERSHIP_TOL, ok, w)
             ok.all(axis=0, out=ins)
-            if not ins.all():
+            keep = ins
+            if settle:
+                # an orbit whose state is its own image bit for bit never leaves
+                moved = s.view(np.int64) != last[0].view(np.int64)
+                moved |= i.view(np.int64) != last[1].view(np.int64)
+                keep = ins & moved
+            if not keep.all():
                 hits = np.flatnonzero(~ins)
                 escape_count += hits.size
                 for j in hits[: max(0, max_records - len(escapes))]:
                     point = (float(s[j]), float(i[j]))
                     constraint = _CONSTRAINTS[ok[:, j].argmin()]
                     escapes.append(EscapeRecord(int(index[j]), k, point, constraint))
-                live = np.flatnonzero(ins)
+                live = np.flatnonzero(keep)
                 n = live.size
                 if n == 0:
                     break
                 S[:n], I[:n], index[:n] = s[live], i[live], index[live]
-                s, i, w, ok, ins = S[:n], I[:n], work[:, :n], table[:, :n], inside[:n]
+                s, i, ok, ins = S[:n], I[:n], table[:, :n], inside[:n]
+                w, last = work[:2, :n], work[2:, :n]
 
     return ProbeReport(
         region=region,

@@ -433,6 +433,15 @@ class TestAnalyze:
             assert region == probed
             assert region.keys() == {"case", "u_star", "v", "crossings"}
 
+    def test_capped_region_for_tiny_beta(self, capsys):
+        # v = r/beta = 3.9e160 overflows the plain form of the crossing's
+        # quadratic; a non-finite crossing would fail the strict-JSON check
+        doc = run_json(
+            capsys, "analyze", "--r", "3.9", "--beta", "1e-160", "--a", "1", "--K", "0.5"
+        )
+        assert doc["region"]["case"] == 2
+        assert doc["region"]["crossings"] == [1.0]
+
     def test_subcritical_growth_has_no_thresholds(self, capsys):
         doc = run_json(capsys, "analyze", "--r", "0.8")
         assert doc["thresholds"] is None

@@ -1,6 +1,7 @@
 """Region geometry, case selection, and invariance probes."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,20 @@ class TestApplicableRegion:
         (xbar,) = reg.crossings
         assert 0.5 < xbar < 1.0
         assert abs((reg.u_star - xbar) - float(reg.nullcline(xbar))) < 1e-12
+
+    @pytest.mark.parametrize("beta", [1e-100, 1e-150, 1e-154, 1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_case2_crossing_solves_line_meets_nullcline_for_tiny_beta(self, beta, a):
+        # v = r/beta up to 3.9e300: the crossing is the 50-digit root of
+        # v*a*x^2 - (v*a - v + 1)*x + (u - v) = 0, to within 2 ulp of 1
+        reg = applicable_region(ModelParams(r=3.9, beta=beta, a=a, K=0.5))
+        assert reg.case == 2
+        (xbar,) = reg.crossings
+        with mpmath.workdps(50):
+            v, u = mpmath.mpf(reg.v), mpmath.mpf(reg.u_star)
+            A, B, C = v * a, -(v * a - v + 1), u - v
+            want = (-B + mpmath.sqrt(B * B - 4 * A * C)) / (2 * A)
+            assert abs(xbar - want) <= 2.0 * 2.0**-53
 
     @pytest.mark.parametrize("params", CASE3_SETS)
     def test_case3_crossings_interior_and_ordered(self, params):
@@ -208,14 +223,16 @@ class TestInvarianceProbe:
             invariance_probe(p, samples=10, steps=10, seed=-3)
 
 
-def _scalar_probe(p, region, samples, steps, seed):
+def _scalar_probe(p, region, samples, steps, seed, starts=None):
     """Reference for invariance_probe: one orbit at a time with core.step.
 
-    Each start is stepped as a plain-float State and stopped at its first
-    exit, labelled by the first violated constraint in the documented
-    order.  Records come back ordered by step, then sample index.
+    Each start (the region's seeded sample, or the ``(S0, I0)`` arrays
+    ``starts``) is stepped as a plain-float State for all ``steps`` steps
+    or up to its first exit, labelled by the first violated constraint in
+    the documented order.  Records come back ordered by step, then sample
+    index.
     """
-    S0, I0 = _sample_region(region, samples, np.random.default_rng(seed))
+    S0, I0 = starts or _sample_region(region, samples, np.random.default_rng(seed))
     tol = MEMBERSHIP_TOL
     records = []
     for index in range(samples):
@@ -243,6 +260,14 @@ def _scalar_probe(p, region, samples, steps, seed):
 def _hand_built(case, r, beta, a, K, v, u=None):
     p = ModelParams(r=r, beta=beta, a=a, K=K)
     return p, RegionSpec(case=case, params=p, u_star=u_star(p) if u is None else u, v=v)
+
+
+def _count_kernel_calls(monkeypatch):
+    """The list that gains one entry per ``positivity._step_into`` call."""
+    calls = []
+    kernel = positivity._step_into
+    monkeypatch.setattr(positivity, "_step_into", lambda *a: calls.append(kernel(*a)))
+    return calls
 
 
 class TestProbeOracle:
@@ -281,9 +306,7 @@ class TestProbeOracle:
         expected = _scalar_probe(p, region, samples, steps, seed)
         assert len(expected) == samples
         assert {e.step for e in expected} == {1, 2}
-        calls = []
-        kernel = positivity._step_into
-        monkeypatch.setattr(positivity, "_step_into", lambda *a: calls.append(kernel(*a)))
+        calls = _count_kernel_calls(monkeypatch)
         rep = invariance_probe(
             p, samples=samples, steps=steps, seed=seed, region=region, max_records=samples
         )
@@ -298,6 +321,113 @@ class TestProbeOracle:
         rep = invariance_probe(p, samples=samples, steps=steps, seed=seed, max_records=0)
         assert rep.escape_count == len(expected) > 0
         assert rep.escapes == []
+
+
+class TestProbeSettledOrbits:
+    """The probe drops an orbit once its state is its own image bit for bit."""
+
+    @pytest.mark.parametrize("params, steps", [(CASE1_SETS[0], 450), (CASE2_SETS[0], 250)])
+    def test_sealed_presets_match_scalar_orbits_past_the_settle_step(
+        self, monkeypatch, params, steps
+    ):
+        # the triangle-region and capped-region presets: every orbit lands
+        # on E1 within the run, and none leaves
+        p = ModelParams(*params)
+        samples, seed = 60, 3
+        expected = _scalar_probe(p, applicable_region(p), samples, steps, seed)
+        calls = _count_kernel_calls(monkeypatch)
+        rep = invariance_probe(p, samples=samples, steps=steps, seed=seed, max_records=samples)
+        assert rep.escape_count == len(expected) == 0
+        assert rep.escapes == []
+        assert len(calls) < steps
+
+    @pytest.mark.parametrize("params", [CASE1_SETS[0], CASE2_SETS[0]])
+    def test_sealed_presets_stop_early(self, monkeypatch, params):
+        p = ModelParams(*params)
+        steps = 1000
+        calls = _count_kernel_calls(monkeypatch)
+        rep = invariance_probe(p, samples=1000, steps=steps, seed=0)
+        assert rep.escape_count == 0
+        assert len(calls) < steps / 2
+
+    def test_kernel_runs_every_step_while_no_orbit_settles(self, monkeypatch):
+        # the leaking curved-region preset: its orbits escape at step 1 or
+        # never settle on a fixed point
+        p = ModelParams(r=3.98, beta=2.8, a=1.0, K=0.5)
+        samples, steps, seed = 1000, 200, 0
+        expected = _scalar_probe(p, applicable_region(p), samples, steps, seed)
+        calls = _count_kernel_calls(monkeypatch)
+        rep = invariance_probe(p, samples=samples, steps=steps, seed=seed, max_records=samples)
+        assert rep.escapes == expected
+        assert len(calls) == steps
+
+    def test_lowered_ceiling_mixes_escapes_and_settled_orbits(self, monkeypatch):
+        # the triangle-region preset under a ceiling 5% lower: orbits leave
+        # at many steps on the way round the focus E1, the rest settle on it
+        p = ModelParams(*CASE1_SETS[0])
+        region = RegionSpec(case=1, params=p, u_star=0.95 * u_star(p), v=p.r / p.beta)
+        samples, steps, seed = 40, 450, 0
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        assert 0 < len(expected) < samples
+        assert len({e.step for e in expected}) > 10
+        calls = _count_kernel_calls(monkeypatch)
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=seed, region=region, max_records=samples
+        )
+        assert rep.escapes == expected
+        assert len(calls) < steps
+
+    @given(factor=st.floats(0.9, 1.0), seed=st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_lowered_ceiling_matches_scalar_orbits(self, factor, seed):
+        p = ModelParams(*CASE1_SETS[0])
+        region = RegionSpec(case=1, params=p, u_star=factor * u_star(p), v=p.r / p.beta)
+        samples, steps = 40, 450
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=seed, region=region, max_records=samples
+        )
+        assert rep.escape_count == len(expected)
+        assert rep.escapes == expected
+
+    @given(exponents=st.lists(st.integers(24, 60), min_size=1, max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_orbit_whose_infected_still_move_is_kept(self, exponents):
+        # at r = 2 the susceptibles S = 1/2 are bit-fixed while I < 1e-17
+        # grows by 1.75 a step from 1e-24..1e-60; the orbits pass settle
+        # steps with S unchanged and leave over the ceiling 0.6 later
+        p = ModelParams(r=2.0, beta=3.0, a=1.0, K=0.25)
+        region = RegionSpec(case=1, params=p, u_star=0.6, v=p.r / p.beta)
+        S0 = np.full(len(exponents), 0.5)
+        I0 = 10.0 ** -np.array(exponents, dtype=float)
+        samples, steps = len(exponents), 400
+        expected = _scalar_probe(p, region, samples, steps, 0, starts=(S0, I0))
+        assert len(expected) == samples
+        assert min(e.step for e in expected) > 2 * positivity._SETTLE_EVERY
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(positivity, "_sample_region", lambda *_: (S0.copy(), I0.copy()))
+            rep = invariance_probe(
+                p, samples=samples, steps=steps, seed=0, region=region, max_records=samples
+            )
+        assert rep.escapes == expected
+
+    def test_orbit_whose_susceptibles_still_move_is_kept(self, monkeypatch):
+        # on the axis I = 0 the infected stay bit-fixed while S runs the
+        # chaotic logistic map at r = 3.9, up to 0.975; the orbits leave
+        # over the ceiling 0.9745 at steps 7 to 374
+        p = ModelParams(r=3.9, beta=1.0, a=1.0, K=0.5)
+        region = RegionSpec(case=1, params=p, u_star=0.9745, v=p.r / p.beta)
+        S0 = np.linspace(0.05, 0.95, 20)
+        I0 = np.zeros_like(S0)
+        samples, steps = S0.size, 400
+        expected = _scalar_probe(p, region, samples, steps, 0, starts=(S0, I0))
+        assert len(expected) == samples
+        assert max(e.step for e in expected) > 2 * positivity._SETTLE_EVERY
+        monkeypatch.setattr(positivity, "_sample_region", lambda *_: (S0.copy(), I0.copy()))
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=0, region=region, max_records=samples
+        )
+        assert rep.escapes == expected
 
 
 class TestCeilingLemma:
