@@ -29,12 +29,14 @@ A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
 an earlier one, the rest of the run goes round a cycle whose states have
 all passed the guard; it runs only the steps that reach the same phase
-and returns the bits the full loop would.  Recorded windows still run
-every step.  The tangent kernel ``dynamics._tangent`` stops the same way
-at a repeat of its whole state, then replays one recorded turn's log
-stretches.  The invariance probe drops each ensemble orbit whose state is
-bit-equal to its image under :func:`_step_into` (an exact fixed point);
-it does not look for longer cycles.
+and returns the bits the full loop would.  A state is packed to bits only
+after its S and I compare equal, as floats, to the kept state's.
+Recorded windows still run every step.  The tangent kernel
+``dynamics._tangent`` stops the same way at a repeat of its whole state,
+then replays one recorded turn's log stretches.  The invariance probe
+drops each ensemble orbit whose state is bit-equal to its image under
+:func:`_step_into` (an exact fixed point); it does not look for longer
+cycles.
 """
 from __future__ import annotations
 
@@ -363,22 +365,30 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     r, beta, a, K = p.r, p.beta, p.a, p.K
     m = 0 if out is None else out.shape[0]
     bound = DIVERGENCE_BOUND
+    # the box |S|, |I| <= bound/2 lies inside the guard region (the rounded
+    # sum of two such terms stays <= bound): only a state outside it pays
+    # for the exact test
+    low, high = -0.5 * bound, 0.5 * bound
     # the kept state (none yet: NaN equals nothing) and the next step to
     # keep; until then every step with a row of `out` is due
-    kept, next_keep, S_kept, bits_kept = 0, 0 if m else 1, math.nan, b""
+    kept, next_keep, bits_kept = 0, 0 if m else 1, b""
+    S_kept = I_kept = math.nan
     try:
         # `not (total <= bound)` also catches NaN
         for k in range(n):
-            if not (abs(S) + abs(I) <= bound):
+            if not (low <= S <= high and low <= I <= high) and not (abs(S) + abs(I) <= bound):
                 return S, I, k
-            if S == S_kept and _bits(S, I) == bits_kept:
+            # S can sit still while I moves on, as when I decays to the
+            # axis: compare I too before packing the bits
+            if S == S_kept and I == I_kept and _bits(S, I) == bits_kept:
                 return _advance(p, (S, I), (n - k) % (k - kept))
             if k >= next_keep:
                 if k < m:
                     out[k, 0] = S
                     out[k, 1] = I
                 else:
-                    kept, next_keep, S_kept, bits_kept = k, 2 * k, S, _bits(S, I)
+                    kept, next_keep, S_kept, I_kept = k, 2 * k, S, I
+                    bits_kept = _bits(S, I)
             force = beta * S * I / (1.0 + a * S)
             S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0

@@ -11,7 +11,9 @@ as ``phi * I``, which rounds differently from ``core.step``, and the scan
 and Lyapunov outputs follow that orbit bit for bit.  Like ``_advance``, it
 stops at the first bit-exact repeat of its state (the orbit point, the
 vector and its lost flag) and replays one turn's log stretches one step
-at a time, so the sums are those of the every-step loop.
+at a time, so the sums are those of the every-step loop.  It packs a
+state to bits only after S, the vector's q2 and I compare equal, as
+floats, to the kept state's.
 """
 from __future__ import annotations
 
@@ -86,17 +88,26 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     m = 0 if out is None else out.shape[0]
     bound, tiny, hypot, log = DIVERGENCE_BOUND, 1.0e-300, math.hypot, math.log
     two_r, retain = 2.0 * r, 1.0 - K
+    low, high = -0.5 * bound, 0.5 * bound  # the guard's fast box, as in core._advance
     s1 = s2 = 0.0
     lost = False
     # the kept state and the next step to keep, as in core._advance; `turn`
     # records (d1, d2, state) per step once the kept state comes round
-    kept, next_keep, S_kept, bits_kept = 0, 0 if m else 1, math.nan, b""
+    kept, next_keep, bits_kept = 0, 0 if m else 1, b""
+    S_kept = I_kept = q2_kept = math.nan
     turn = None
     try:
         for k in range(n):
-            if not (abs(S) + abs(I) <= bound):
+            if not (low <= S <= high and low <= I <= high) and not (abs(S) + abs(I) <= bound):
                 return S, I, (q1, q2), s1, s2, k
-            if S == S_kept and _tangent_bits(S, I, q1, q2, lost) == bits_kept:
+            # S can sit still while the vector turns or I decays to the
+            # axis: compare q2 and I too before packing the bits
+            if (
+                S == S_kept
+                and q2 == q2_kept
+                and I == I_kept
+                and _tangent_bits(S, I, q1, q2, lost) == bits_kept
+            ):
                 if turn:  # round once more: replay the recorded turn
                     rest = n - k
                     for d1, d2, _ in itertools.islice(itertools.cycle(turn), rest):
@@ -112,7 +123,7 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
                     out[k, 0] = S
                     out[k, 1] = I
                 else:
-                    kept, next_keep, S_kept = k, 2 * k, S
+                    kept, next_keep, S_kept, I_kept, q2_kept = k, 2 * k, S, I, q2
                     bits_kept = _tangent_bits(S, I, q1, q2, lost)
             # Jacobian [[j11, -phi], [j21, j22]] at (S, I)
             den = 1.0 + a * S
@@ -125,12 +136,14 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
             m1 = j11 * q1 - phi * q2
             m2 = j21 * q1 + j22 * q2
             stretch = hypot(m1, m2)
-            if stretch == 0.0 and not lost:
-                # the vector fell into the kernel of J, as the first QR column
-                # would; from here on its perpendicular carries the second
-                lost, m1, m2, stretch = True, -q2, q1, 1.0
             if stretch < tiny:
-                stretch = tiny
+                if stretch == 0.0 and not lost:
+                    # the vector fell into the kernel of J, as the first QR
+                    # column would; from here on its perpendicular carries
+                    # the second
+                    lost, m1, m2, stretch = True, -q2, q1, 1.0
+                else:
+                    stretch = tiny
             q1, q2 = m1 / stretch, m2 / stretch
             if lost:  # r11 stays at its clamp; the stretch is r22
                 d1, d2 = log(tiny), log(stretch)
@@ -238,7 +251,9 @@ def scan(
 
     Each row warm-starts from the previous row's final state so that
     attractor branches are followed continuously; after an escape the
-    next row falls back to the cold start ``x0``.
+    next row falls back to the cold start ``x0``.  A grid value outside
+    the model's domain raises ``ValueError`` (the first such value's
+    :class:`ModelParams` message) before any row runs.
     """
     if parameter_name not in _SCANNABLE:
         raise ValueError(f"parameter_name must be one of {_SCANNABLE}, got {parameter_name!r}")
@@ -253,6 +268,9 @@ def scan(
         values = np.linspace(lo, hi, steps)
     if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
         raise ValueError(f"require a finite scan range and grid, got prange=({lo}, {hi})")
+    # every row's parameters first: a grid that leaves the model's domain
+    # is refused before any row runs
+    row_params = [replace(p, **{parameter_name: val}) for val in values.tolist()]
     samples = np.full((steps, keep, 2), np.nan)
     lyap_max = np.full(steps, np.nan)
     escapes: list[tuple[int, int]] = []
@@ -260,8 +278,7 @@ def scan(
     cold = (float(x0[0]), float(x0[1]))
     state = cold
     n_lyap = max(keep, 1000)
-    for row, val in enumerate(values):
-        q = replace(p, **{parameter_name: float(val)})
+    for row, q in enumerate(row_params):
         S, I, escaped_at = _advance(q, state, transient)
         if escaped_at is None:
             S, I, _, log_r11, _, k = _tangent(q, (S, I), _START, n_lyap, samples[row])

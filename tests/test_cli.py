@@ -5,7 +5,9 @@ path as the installed ``sirmap`` script without spawning processes; two
 parser-reuse tests compare against a fresh interpreter.
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,11 +19,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sirmap import ModelParams, applicable_region, cli
+from sirmap import ModelParams, applicable_region, cli, dynamics
 from sirmap.cli import PRESETS, main
 from sirmap.core import TOL_BOUNDARY
+from sirmap.dynamics import ScanResult
 from sirmap.equilibria import beta2_threshold, thresholds
 
 
@@ -39,6 +43,8 @@ def run_json(capsys, *argv):
 
 #: The output digests the benchmark records for its sweep workload (read only).
 _SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.json"
+
+nan, inf = math.nan, math.inf
 
 
 class TestDispatchAndErrors:
@@ -180,6 +186,22 @@ class TestDispatchAndErrors:
         assert (code, out) == (2, "")
         assert err == "error: require a finite scan range and grid, got prange=(1e+308, inf)\n"
 
+    def test_out_of_domain_scan_grid_refused_before_any_row(self, capsys, monkeypatch):
+        calls = []
+        advance = dynamics._advance
+
+        def counting_advance(*args, **kwargs):
+            calls.append(None)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_advance", counting_advance)
+        argv = ["scan", "--param", "K", "--lo", "0.5", "--hi", "1.5", "--steps", "400",
+                "--r", "3.6", "--beta", "2", "--keep", "2"]
+        code, out, err = run_cli(capsys, *argv)
+        first_bad = next(K for K in np.linspace(0.5, 1.5, 400).tolist() if K >= 1.0)
+        assert (code, out, len(calls)) == (2, "", 0)
+        assert err == f"error: require 0 < K < 1, got K={first_bad}\n"
+
     def test_negative_exponent_value_after_space(self, capsys):
         argv = ["simulate", "--s0", "0.5", "--transient", "5", "--steps", "3"]
         code, joined, _ = run_cli(capsys, *argv, "--i0=-1e-3")
@@ -315,6 +337,21 @@ class TestSimulate:
         assert code == 0
         assert silent == ""
         assert path.read_text() == out
+
+
+    def test_locked_ten_matches_sweep_reference(self, capsys, tmp_path):
+        # the benchmark's simulate call at its default seed, pinned to the
+        # bytes recorded in its reference digests; --out writes the same bytes
+        argv = ["simulate", "--preset", "locked-ten", "--s0", "0.6", "--i0", "0.2",
+                "--transient", "1000000", "--steps", "2000"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        ref = json.loads(_SWEEP_REFERENCE.read_text(encoding="utf-8"))["simulate locked-ten"]
+        data = out.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (ref["bytes"], ref["sha256"])
+        path = tmp_path / "orbit.csv"
+        assert run_cli(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == data
 
 
 class TestAnalyze:
@@ -514,6 +551,62 @@ class TestScan:
         ref = json.loads(_SWEEP_REFERENCE.read_text(encoding="utf-8"))[f"scan {preset}"]
         data = out.encode("utf-8")
         assert (len(data), hashlib.sha256(data).hexdigest()) == (ref["bytes"], ref["sha256"])
+
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            # keep = 1: one row holds both signed zeros, one a repeat, one is escaped
+            [[[0.0], [-0.0]], [[-0.0], [0.0]], [[0.25], [0.25]], [[nan], [nan]],
+             [[inf], [-inf]]],
+            # keep = 4: signed zeros among repeats, a period-2 row, an infinity
+            [[[0.5, -0.0, 0.5, 0.0], [-0.0, 0.0, 0.0, -0.0]],
+             [[0.1, 0.7, 0.1, 0.7], [0.7, 0.1, 0.7, 0.1]],
+             [[nan] * 4, [nan] * 4],
+             [[1e-310, -1e-310, 1e-310, 5e-324], [inf, 1.0, inf, -1.0]],
+             [[0.3, 0.3, 0.3, 0.3], [-0.0, -0.0, -0.0, -0.0]]],
+        ],
+        ids=["keep-1", "keep-4"],
+    )
+    def test_rows_match_csv_module_oracle(self, capsys, monkeypatch, tmp_path, samples):
+        rows = len(samples)
+        result = ScanResult(
+            parameter="beta",
+            values=np.linspace(1.0, 2.0, rows),
+            s_samples=np.array([s for s, _ in samples]),
+            i_samples=np.array([i for _, i in samples]),
+            lyap_max=np.array([0.5, -0.0, 0.0, nan, -inf][:rows]),
+            escapes=[(3, 17)] if rows > 3 else [],
+        )
+        monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: result)
+        argv = ["scan", "--param", "beta", "--lo", "1", "--hi", "2", "--steps", str(rows),
+                "--keep", str(result.s_samples.shape[1])]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == _csv_oracle(result)
+        path = tmp_path / "scan.csv"
+        assert run_cli(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+
+def _csv_oracle(result) -> str:
+    """A scan CSV as csv.writer writes it, every cell formatted on its own."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    keep = result.s_samples.shape[1]
+    writer.writerow(
+        [result.parameter, "lyap_max", "escaped_at"]
+        + [f"S_{j + 1}" for j in range(keep)]
+        + [f"I_{j + 1}" for j in range(keep)]
+    )
+    escaped_at = dict(result.escapes)
+    for row, val in enumerate(result.values):
+        cells = [f"{float(val):.17g}", f"{float(result.lyap_max[row]):.17g}"]
+        cells.append(escaped_at.get(row, ""))
+        cells += [f"{float(x):.17g}" for x in result.s_samples[row]]
+        cells += [f"{float(x):.17g}" for x in result.i_samples[row]]
+        writer.writerow(cells)
+    return buf.getvalue()
 
 
 class TestCycles:

@@ -21,6 +21,7 @@ from sirmap import (
     step,
     step_full,
 )
+from sirmap import core
 from sirmap.cli import PRESETS
 from sirmap.core import _advance, _step_into
 
@@ -300,6 +301,23 @@ class TestExactCycleShortCircuit:
         assert _same_run(p, (0.9, 0.0), 3)[2] is None
         p = ModelParams(r=4.0 + 1.0e-6, beta=0.5, a=1.0, K=0.5)
         assert _same_run(p, (0.34, 0.0), 5000, rows=50)[2] == 2750
+
+    def test_axis_approach_packs_only_at_kept_states(self, monkeypatch):
+        # S = 1/2 sits bit-fixed at r = 2 while I decays to its last value
+        p, x0 = ModelParams(r=2.0, beta=0.5, a=1.0, K=0.5), (0.5, 1.0e-20)
+        for n in (1, 100, 1000, 1800, 2100, 5000):
+            for rows in (0, 3):
+                assert _same_run(p, x0, n, rows)[0] == (0.5).hex()
+        packs = []
+        pack = core._bits
+
+        def counting_pack(S, I):
+            packs.append(None)
+            return pack(S, I)
+
+        monkeypatch.setattr(core, "_bits", counting_pack)
+        assert _bits(_advance(p, x0, 10**5)) == _bits(plain_advance(p, x0, 10**5))
+        assert len(packs) < 40  # one per kept state and one at the repeat, not one per step
 
     def test_billion_steps_take_the_cycle_phase(self):
         states, mu, lam = exact_cycle(_LOCKED_TEN, _LOCKED_TEN_X0)

@@ -289,6 +289,8 @@ _AXIS_TWO_CYCLE = ModelParams(r=3.2, beta=0.5, a=1.0, K=0.5), (0.3, 0.0)
 _ENDEMIC_NODE = ModelParams(r=1.8, beta=1.8, a=1.0, K=0.5), (0.6, 0.2)
 # J = [[0, -1], [0, 1.5]] at S = 1/2 on the axis: the start vector is lost
 _LOST_VECTOR = ModelParams(r=2.0, beta=3.0, a=1.0, K=0.5), (0.5, 0.0)
+# S = 1/2 sits bit-fixed at r = 2 while I decays to the axis
+_AXIS_APPROACH = ModelParams(r=2.0, beta=0.5, a=1.0, K=0.5), (0.5, 1.0e-20)
 
 
 class TestTangentCycleReplay:
@@ -337,6 +339,48 @@ class TestTangentCycleReplay:
         assert s1 == plain_tangent(p, x0, dynamics._START, 10_001)[3]
         assert s1 < -690.0 * 10_000  # log(1e-300) every step
         assert abs(s2 / 10_001 - math.log(1.5)) < 1.0e-3
+
+    def test_subnormal_stretch_is_clamped_not_lost(self):
+        # at S = 1/2, r = 2 the entries j11 = -j21 are subnormal with I: the
+        # start vector's stretch is below the clamp but not zero
+        p, _ = _LOST_VECTOR
+        x0 = (0.5, 1.0e-310)
+        _, _, q1, q2, s1, _, _ = _same_tangent(p, x0, dynamics._START, 1)
+        assert float.fromhex(s1) == math.log(1.0e-300)
+        assert float.fromhex(q1) == -float.fromhex(q2) != 0.0  # not restarted on (0, 1)
+        for n in (2, 10, 100, 1000, 5000):
+            _same_tangent(p, x0, dynamics._START, n, rows=3)
+
+    @pytest.mark.parametrize("frame", [(0.0, 0.0), (-0.0, 0.0), (5.0e-324, 0.0)])
+    @pytest.mark.parametrize(
+        "case", [_AXIS_TWO_CYCLE, _ENDEMIC_NODE, _LOST_VECTOR],
+        ids=["axis-two-cycle", "endemic-node", "lost-vector"],
+    )
+    def test_zero_or_subnormal_stretch_after_the_loss(self, case, frame):
+        # a zero frame is lost at step 1 and maps to zero every step after;
+        # a subnormal one at the lost-vector point restarts subnormal
+        p, x0 = case
+        for n in (1, 2, 3, 50, 1001, 5000):
+            for rows in (0, 3):
+                _same_tangent(p, x0, frame, n, rows)
+
+    def test_axis_approach_packs_only_at_kept_states(self, monkeypatch):
+        # S and the vector settle long before I reaches its last value
+        p, x0 = _AXIS_APPROACH
+        for n in (1, 100, 1000, 1800, 2100, 5000):
+            for rows in (0, 3):
+                _same_tangent(p, x0, dynamics._START, n, rows)
+        packs = []
+        pack = dynamics._tangent_bits
+
+        def counting_pack(*state):
+            packs.append(None)
+            return pack(*state)
+
+        monkeypatch.setattr(dynamics, "_tangent_bits", counting_pack)
+        want = _tangent_bits(plain_tangent(p, x0, dynamics._START, 10**5))
+        assert _tangent_bits(dynamics._tangent(p, x0, dynamics._START, 10**5)) == want
+        assert len(packs) < 40  # one per kept state and one at the repeat, not one per step
 
     def test_endemic_focus_never_repeats(self):
         # the vector turns by the eigenvalues' angle: no state comes round

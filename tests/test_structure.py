@@ -33,7 +33,9 @@ touches is the ``_negative_number_matcher`` that ``cli._Parser`` sets.  The
 strong-resonance tags ``RESONANCE_12/13/14`` are named only in the tables
 ``equilibria._NS_CURVE_TAGS`` and ``equilibria._RESONANCES``, the one
 pairing of each resonance with its growth value, and ``normal_forms``
-does not reach for ``thresholds`` to pair them again.
+does not reach for ``thresholds`` to pair them again.  The 17-digit float
+format spec is written once, in ``cli._fmt``, the one float-to-text site of
+the CSV output.
 """
 import ast
 import inspect
@@ -378,3 +380,13 @@ def test_normal_forms_does_not_reference_thresholds():
         or (isinstance(node, ast.alias) and node.name == "thresholds")
     ]
     assert refs == [], refs
+
+
+def _is_full_precision_spec(node) -> bool:
+    """A string constant holding ``.17g``: an f-string spec, a ``format`` or ``%`` template."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+
+
+def test_full_precision_format_only_in_cli_fmt():
+    sites = _occurrences(_is_full_precision_spec)
+    assert [(path, func) for path, func, _ in sites] == [("cli.py", "_fmt")], sites
