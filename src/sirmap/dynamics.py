@@ -344,8 +344,7 @@ def _superstable(word: str) -> float | None:
     Metropolis-Stein-Stein inverse iteration from r = 4: pull 1/2 back
     along the word to the critical value r/4 and take 4 times it as the
     next r, until the change stops shrinking.  A word that is not
-    admissible meets a negative square root, or its orbit does not
-    follow it; either gives None.
+    admissible meets a negative square root, which gives None.
     """
     r, last = 4.0, math.inf
     while True:
@@ -358,14 +357,8 @@ def _superstable(word: str) -> float | None:
         change = abs(4.0 * x - r)
         r = 4.0 * x
         if change >= last:
-            break
+            return r
         last = change
-    x = 0.5
-    for side in word:
-        x = r * x * (1.0 - x)
-        if not (x > 0.5 if side == "R" else x < 0.5):
-            return None
-    return r
 
 
 def _superstable_words(m: int) -> list[tuple[str, float]]:

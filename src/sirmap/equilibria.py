@@ -314,8 +314,12 @@ def thresholds(r: float, a: float, K: float) -> Thresholds:
     """Evaluate all threshold data at a growth value ``r > 1``."""
     if not r > 1.0:
         raise ValueError(f"thresholds require r > 1, got r={r}")
+    if r == math.inf:
+        raise ValueError(f"require finite r, got r={r}")
     if a < 0:
         raise ValueError(f"require a >= 0, got a={a}")
+    if not a < math.inf:
+        raise ValueError(f"require finite a, got a={a}")
     if not 0 < K < 1:
         raise ValueError(f"require 0 < K < 1, got K={K}")
     r_max = resonance_growth(4.0, a, K)

@@ -17,6 +17,9 @@ yields three candidate trapping regions:
 * case 3 (a = 1 only): as case 2 but with both crossings of the line
   and the parabola interior to (0, 1).
 
+Both take the crossings from one cancellation-free solve, ``_crossings``:
+case 2 keeps the larger root, case 3 both.
+
 ``applicable_region`` hands out the region whose sufficient parameter
 conditions hold; ``invariance_probe`` bombards a region with uniform
 starts and reports any escape (these are findings about the region, not
@@ -125,35 +128,30 @@ def applicable_region(p: ModelParams) -> RegionSpec | None:
     if a == 1.0 and 1.0 < r <= 4.0 and u > 1.25:
         v_plus = (u + math.sqrt(u * u - 1.0)) / 2.0
         if r / u < beta < r / v_plus:
-            disc = 4.0 * v * v - 4.0 * u * v + 1.0
-            root = math.sqrt(disc)
-            x1 = (1.0 - root) / (2.0 * v)
-            x2 = (1.0 + root) / (2.0 * v)
-            return RegionSpec(case=3, params=p, u_star=u, v=v, crossings=(x1, x2))
+            return RegionSpec(case=3, params=p, u_star=u, v=v, crossings=_crossings(u, v, a))
 
     if (sq + 1.0) ** 2 < r <= 4.0 and u > 1.0 and beta < r / (2.0 * u - 1.0):
-        if a == 0.0:
-            xbar = (v - u) / (v - 1.0)
-        else:
-            # line u - x meets v*(1-x)*(1+a*x): va*x^2 - (va - v + 1)*x + (u - v) = 0
-            A = v * a
-            Bq = -(v * a - v + 1.0)
-            Cq = u - v
-            disc = Bq * Bq - 4.0 * A * Cq
-            if math.isfinite(disc):
-                xbar = (-Bq + math.sqrt(disc)) / (2.0 * A)
-            else:
-                # v past ~1e154 overflows the products; divided by v the
-                # quadratic is a*x^2 - b*x - c = 0 with c = 1 - u/v > 0, whose
-                # positive root (taken without cancellation) tends to 1
-                w = 1.0 / v
-                b = a - 1.0 + w
-                c = 1.0 - u * w
-                root = math.sqrt(b * b + 4.0 * a * c)
-                xbar = (b + root) / (2.0 * a) if b >= 0.0 else 2.0 * c / (root - b)
-        return RegionSpec(case=2, params=p, u_star=u, v=v, crossings=(xbar,))
+        return RegionSpec(case=2, params=p, u_star=u, v=v, crossings=_crossings(u, v, a)[1:])
 
     return None
+
+
+def _crossings(u: float, v: float, a: float) -> tuple[float, float]:
+    """Both x where the ceiling line meets the nullcline, smaller first.
+
+    ``v*a*x^2 - (v*a - v + 1)*x + (u - v) = 0`` divided by v is
+    ``a*x^2 - b*x - c = 0``: b = a - 1 + w summed exactly and c = (v - u)*w,
+    with w = 1/v (c = 1 - u*w past v = 2u, where v - u is no longer exact).
+    Its roots ``q/(2a)`` and ``-2c/q``, q = b + copysign(sqrt(b^2 + 4ac), b),
+    cancel nowhere and overflow for no v; at a = 0 the first is infinite.
+    """
+    w = 1.0 / v
+    b = math.fsum((a, w, -1.0))
+    c = (v - u) * w if v <= 2.0 * u else 1.0 - u * w
+    # at the case-3 window's v_plus edge the discriminant may round below 0
+    q = b + math.copysign(math.sqrt(max(b * b + 4.0 * a * c, 0.0)), b)
+    far = q / (2.0 * a) if a else math.copysign(math.inf, q)
+    return tuple(sorted((-2.0 * c / q, far)))
 
 
 def contains(region: RegionSpec, x) -> bool:

@@ -99,6 +99,12 @@ class TestScaling:
         with pytest.raises(ValueError):
             UnscaledParams(rho=1, c=1, beta=1, a=0, mu=0.6, gamma=0.5, lam=0.5)
 
+    @pytest.mark.parametrize("mu,gamma", [(-0.1, 0.5), (0.5, -0.1)])
+    def test_rejects_negative_rate(self, mu, gamma):
+        # the sum mu + gamma = 0.4 is in range: the sign check refuses it
+        with pytest.raises(ValueError, match=r"^require mu >= 0 and gamma >= 0$"):
+            UnscaledParams(rho=1, c=1, beta=1, a=0, mu=mu, gamma=gamma, lam=0.5)
+
     @pytest.mark.parametrize("field", ["rho", "c", "beta", "a", "mu", "gamma", "lam"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
@@ -182,6 +188,18 @@ class TestIterate:
         assert len(orb) == 50
         assert orb.states.shape == (50, 2)
         assert not orb.escaped
+
+    def test_orbit_slices_and_columns(self):
+        # an index gives a State, a slice the rows as an array; S and I are
+        # the columns
+        p = ModelParams(r=2, beta=3, a=1, K=0.5)
+        orb = iterate(p, (0.5, 0.1), n_transient=10, n_keep=5)
+        part = orb[1:3]
+        assert isinstance(part, np.ndarray)
+        assert np.array_equal(part, orb.states[1:3])
+        assert orb[1] == State(*orb.states[1])
+        assert np.array_equal(orb.S, orb.states[:, 0])
+        assert np.array_equal(orb.I, orb.states[:, 1])
 
     def test_settles_on_endemic_point(self):
         p = ModelParams(r=1.8, beta=3, a=1, K=0.5)

@@ -24,7 +24,7 @@ from sirmap import (
     step,
     thresholds,
 )
-from sirmap.core import _jacobian_entries
+from sirmap.core import TOL_BOUNDARY, _jacobian_entries
 from sirmap.equilibria import _eigen_quadratic
 
 from oracles import numpy_jacobian
@@ -129,6 +129,22 @@ class TestThresholds:
     def test_beta1_only_inside_its_band(self):
         assert thresholds(2.0, 1.0, 0.5).beta1 is None
         assert thresholds(3.6, 1.0, 0.5).beta1 is not None
+
+    @pytest.mark.parametrize("r,a,K,message", [
+        (1.0, 1.0, 0.5, "thresholds require r > 1, got r=1.0"),
+        (math.nan, 1.0, 0.5, "thresholds require r > 1, got r=nan"),
+        (3.0, -0.5, 0.5, "require a >= 0, got a=-0.5"),
+        (3.0, 1.0, 0.0, "require 0 < K < 1, got K=0.0"),
+        (3.0, 1.0, math.nan, "require 0 < K < 1, got K=nan"),
+        # non-finite values that used to come back as nan or inf thresholds
+        (math.inf, 1.0, 0.5, "require finite r, got r=inf"),
+        (3.0, math.inf, 0.5, "require finite a, got a=inf"),
+        (3.0, math.nan, 0.5, "require finite a, got a=nan"),
+    ])
+    def test_refuses_out_of_domain_input(self, r, a, K, message):
+        with pytest.raises(ValueError) as err:
+            thresholds(r, a, K)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("a,K", A_K_GRID)
     def test_junctions(self, a, K):
@@ -278,6 +294,13 @@ class TestClassifyBoundary:
             r = resonance_growth(x, 1.0, 0.5)
             p = ModelParams(r=r, beta=beta2_threshold(r, 1.0, 0.5), a=1, K=0.5)
             assert classify_boundary(p, "E1") is tag
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.0 + 1.0e-9])
+    def test_E1_unlabeled_up_to_the_fold_band(self, r):
+        # E1 meets E0 at r = 1: its boundaries start past 1 + TOL_BOUNDARY
+        assert r <= 1.0 + TOL_BOUNDARY
+        p = ModelParams(r=r, beta=beta0_threshold(2.0, 1.0, 0.5), a=1, K=0.5)
+        assert classify_boundary(p, "E1") is None
 
     def test_rejects_unknown_point(self):
         p = ModelParams(r=2.0, beta=1.0, a=1, K=0.5)

@@ -228,6 +228,14 @@ class TestNSCoefficient:
             assume(False)
         assert rho == report_modulus_slope(p)
 
+    @pytest.mark.parametrize("beta,message", [
+        (1.2, "endemic point absent"),  # below the fold beta0 = 1.5
+        (1.6, "eigenvalues are real here"),  # E1 a node just past the fold
+    ])
+    def test_modulus_derivative_refuses_without_a_complex_pair(self, beta, message):
+        with pytest.raises(ValueError, match=message):
+            rho_prime_at_ns(ModelParams(r=2.0, beta=beta, a=1.0, K=0.5))
+
     def test_modulus_derivative_builds_no_report(self, monkeypatch):
         # the point and both finite-difference probes need only det J(E1),
         # and the coefficient reads E1's eigenvalues from its own forms

@@ -48,6 +48,64 @@ ALL_SETS = [(s, 1) for s in CASE1_SETS] + [(s, 2) for s in CASE2_SETS] + [
 ]
 
 
+def _u_star(r, K):
+    return (r - 1.0 + K) ** 2 / (4.0 * K * r)
+
+
+def _v_plus(u):
+    return (u + math.sqrt(u * u - 1.0)) / 2.0
+
+
+# crossing grids: case 2 over (r, K) x a x beta, down to beta = 1e-320 where
+# v = r/beta is inf; case 3 along the window r/u* < beta < r/v_plus at the
+# fractions t (t -> 1, the double root, is ill-conditioned)
+GRID_R_K = [
+    (r, K)
+    for r in (2.3, 3.3, 3.9, 4.0)
+    for K in (0.01, 0.1, 0.5, 0.9)
+    if (math.sqrt(K) + 1.0) ** 2 < r  # case 2 needs it
+]
+GRID_A = [0.0, 1e-300, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 1e6]
+GRID_BETA = [1e-320, 1e-300, 1e-200, 1e-100, 1e-16, 1e-8, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.8]
+WINDOW_T = [1e-9, 1e-3, 0.1, 0.5, 0.9]
+WINDOW_R_K = [
+    (r, K)
+    for r in (3.0, 3.6, 3.98, 4.0)
+    for K in (0.5, 0.3, 0.1, 1e-3)
+    if _u_star(r, K) > 1.25  # case 3 needs u* > 5/4
+]
+
+
+def _in_case2(r, beta, a, K):
+    """The documented case-2 conditions, case 3's window taking precedence."""
+    u = _u_star(r, K)
+    if not ((math.sqrt(K) + 1.0) ** 2 < r <= 4.0 and u > 1.0 and beta < r / (2.0 * u - 1.0)):
+        return False
+    return not (a == 1.0 and u > 1.25 and r / u < beta < r / _v_plus(u))
+
+
+def _crossing_roots(u, v, a):
+    """Both 50-digit roots of ``v*a*x^2 - (v*a - v + 1)*x + (u - v) = 0``.
+
+    Taken without cancellation from the float (u, v, a): divided by v the
+    quadratic is ``a*x^2 - b*x - c = 0``, and the textbook form of its
+    larger root loses every digit at a = 1e-300, even at 50 digits.  At
+    a = 0 the only root is returned.
+    """
+    with mpmath.workdps(50):
+        u, v, a = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(a)
+        b = a - 1 + 1 / v
+        c = 1 - u / v
+        root = mpmath.sqrt(b * b + 4 * a * c)
+        q = b + root if b >= 0 else b - root
+        return sorted([-2 * c / q] + ([q / (2 * a)] if a else []))
+
+
+def _ulps_off(x, want) -> float:
+    """|x - want| in units of the last place of the float nearest ``want``."""
+    return float(abs(x - want) / math.ulp(float(want)))
+
+
 def test_u_star_golden():
     p = ModelParams(r=2, beta=1.5, a=1, K=0.25)
     assert u_star(p) == 0.78125
@@ -89,11 +147,28 @@ class TestApplicableRegion:
         reg = applicable_region(ModelParams(r=3.9, beta=beta, a=a, K=0.5))
         assert reg.case == 2
         (xbar,) = reg.crossings
-        with mpmath.workdps(50):
-            v, u = mpmath.mpf(reg.v), mpmath.mpf(reg.u_star)
-            A, B, C = v * a, -(v * a - v + 1), u - v
-            want = (-B + mpmath.sqrt(B * B - 4 * A * C)) / (2 * A)
-            assert abs(xbar - want) <= 2.0 * 2.0**-53
+        assert 0.0 < xbar <= 1.0
+        assert abs(xbar - _crossing_roots(reg.u_star, reg.v, a)[-1]) <= 2.0 * 2.0**-53
+
+    @pytest.mark.parametrize("r,K", GRID_R_K)
+    def test_case2_crossing_within_2_ulp_on_grid(self, r, K):
+        # the larger root, in (0, 1], for a from 0 to 1e6 and beta down to
+        # 1e-320 (v = inf); the textbook root put 204 of these points
+        # outside (0, 1]
+        off, checked = [], 0
+        for a in GRID_A:
+            for beta in GRID_BETA:
+                if not _in_case2(r, beta, a, K):
+                    continue
+                reg = applicable_region(ModelParams(r=r, beta=beta, a=a, K=K))
+                assert reg.case == 2, (a, beta)
+                (x,) = reg.crossings
+                ulps = _ulps_off(x, _crossing_roots(reg.u_star, reg.v, a)[-1])
+                if not (0.0 < x <= 1.0 and ulps <= 2.0):
+                    off.append((a, beta, x, ulps))
+                checked += 1
+        assert checked > 0
+        assert off == []
 
     @pytest.mark.parametrize("params", CASE3_SETS)
     def test_case3_crossings_interior_and_ordered(self, params):
@@ -101,6 +176,36 @@ class TestApplicableRegion:
         reg = applicable_region(ModelParams(r=r, beta=beta, a=a, K=K))
         x1, x2 = reg.crossings
         assert 0.0 < x1 < 0.5 < x2 < 1.0
+        for x in (x1, x2):
+            assert abs((reg.u_star - x) - float(reg.nullcline(x))) < 1e-12
+
+    @pytest.mark.parametrize("r,K", WINDOW_R_K)
+    def test_case3_crossings_within_2_ulp_along_window(self, r, K):
+        # beta = r/u* + t*(r/v_plus - r/u*): near t = 0 the smaller root
+        # tends to 0 and the textbook form lost its digits
+        u = _u_star(r, K)
+        off = []
+        for t in WINDOW_T:
+            beta = r / u + t * (r / _v_plus(u) - r / u)
+            reg = applicable_region(ModelParams(r=r, beta=beta, a=1.0, K=K))
+            assert reg.case == 3, t
+            for x, want in zip(reg.crossings, _crossing_roots(reg.u_star, reg.v, 1.0)):
+                ulps = _ulps_off(x, want)
+                if not (0.0 < x <= 1.0 and ulps <= 2.0):
+                    off.append((t, x, ulps))
+        assert off == []
+
+    @pytest.mark.parametrize("r,K", [(3.9, 0.53), (3.27, 0.05), (3.94, 0.62)])
+    def test_case3_window_edge_gives_the_double_root(self, r, K):
+        # one float below r/v_plus the discriminant rounds below zero; the
+        # crossings are then the double root, not a math domain error
+        u = _u_star(r, K)
+        beta = math.nextafter(r / _v_plus(u), 0.0)
+        reg = applicable_region(ModelParams(r=r, beta=beta, a=1.0, K=K))
+        assert reg.case == 3
+        x1, x2 = reg.crossings
+        assert 0.0 < x1 <= x2 < 1.0
+        assert x2 - x1 < 1e-7
         for x in (x1, x2):
             assert abs((reg.u_star - x) - float(reg.nullcline(x))) < 1e-12
 

@@ -35,7 +35,9 @@ strong-resonance tags ``RESONANCE_12/13/14`` are named only in the tables
 pairing of each resonance with its growth value, and ``normal_forms``
 does not reach for ``thresholds`` to pair them again.  The 17-digit float
 format spec is written once, in ``cli._fmt``, the one float-to-text site of
-the CSV output.
+the CSV output.  Every ``crossings=`` value of a positivity region is a call
+of ``positivity._crossings``, or a slice of one: the one solve of the
+ceiling line meeting the nullcline.
 """
 import ast
 import inspect
@@ -390,3 +392,23 @@ def _is_full_precision_spec(node) -> bool:
 def test_full_precision_format_only_in_cli_fmt():
     sites = _occurrences(_is_full_precision_spec)
     assert [(path, func) for path, func, _ in sites] == [("cli.py", "_fmt")], sites
+
+
+
+def _is_crossings_keyword(node) -> bool:
+    return isinstance(node, ast.keyword) and node.arg == "crossings"
+
+
+def _is_crossings_from_the_solve(node) -> bool:
+    """``crossings=_crossings(...)``, or a slice of that call."""
+    if not _is_crossings_keyword(node):
+        return False
+    call = node.value.value if isinstance(node.value, ast.Subscript) else node.value
+    return isinstance(call, ast.Call) and ast.unparse(call.func) == "_crossings"
+
+
+def test_crossings_come_from_the_one_solve():
+    sites = _occurrences(_is_crossings_keyword)
+    # the regions of cases 2 and 3
+    assert [(path, func) for path, func, _ in sites] == [("positivity.py", "applicable_region")] * 2
+    assert _occurrences(_is_crossings_from_the_solve) == sites
