@@ -20,8 +20,8 @@ as a configuration error.  Inputs that would make a subcommand store more
 than ``MAX_STORED_FLOATS`` numbers are refused before any allocation.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite
-initial state or scan range, and arithmetic overflow on out-of-range
-input), 3 divergence.
+initial state or scan range, and arithmetic overflow or a zero divisor on
+out-of-range input), 3 divergence.
 """
 from __future__ import annotations
 
@@ -485,6 +485,11 @@ def main(argv=None) -> int:
         return 2
     except OverflowError:
         print("error: arithmetic overflow; an input is out of range", file=sys.stderr)
+        return 2
+    except ZeroDivisionError:
+        # not ArithmeticError: a Newton failure in dynamics raises that
+        print("error: arithmetic out of range (division by zero); an input is out of range",
+              file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Planar SIR map with saturated incidence, and its three-compartment parent.
+"""Planar SIR map with saturated incidence.
 
 The working object is the two-dimensional map
 
@@ -8,9 +8,7 @@ The working object is the two-dimensional map
 acting on scaled susceptible/infected pairs ``(S, I)``.  Logistic growth
 drives the susceptible pool, a saturating incidence term moves mass from
 S to I, and a fixed fraction ``K`` of the infected pool is removed each
-step.  The three-compartment parent model (with carrying capacity and an
-explicit removed class) lives in :func:`step_full`; :func:`scale_params`
-collapses it onto the planar map.
+step.
 
 All arithmetic is double precision.  Orbits are guarded against
 divergence: once ``|S| + |I|`` exceeds :data:`DIVERGENCE_BOUND` the
@@ -43,7 +41,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,14 +55,9 @@ __all__ = [
     "DEFAULT_MAX_PERIOD",
     "DivergenceError",
     "ModelParams",
-    "UnscaledParams",
     "State",
-    "FullState",
     "Orbit",
-    "scale_params",
     "step",
-    "step_full",
-    "incidence",
     "jacobian",
     "iterate",
 ]
@@ -107,14 +100,6 @@ class State(NamedTuple):
     I: float
 
 
-class FullState(NamedTuple):
-    """A point of the three-compartment model."""
-
-    S: float
-    I: float
-    R: float
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the planar map.
@@ -146,69 +131,6 @@ class ModelParams:
             raise ValueError(f"require finite a >= 0, got a={self.a}")
         if not 0 < self.K < 1:
             raise ValueError(f"require 0 < K < 1, got K={self.K}")
-
-
-@dataclass(frozen=True)
-class UnscaledParams:
-    """Parameters of the three-compartment model.
-
-    ``rho`` is the intrinsic growth rate, ``c`` the carrying capacity,
-    ``beta``/``a`` the transmission and saturation coefficients in
-    original units, ``mu`` and ``gamma`` the death and recovery rates of
-    the infected class, and ``lam`` the removal rate of the recovered
-    class.  ``mu + gamma`` must lie in (0, 1); it becomes ``K`` after
-    scaling.
-    """
-
-    rho: float
-    c: float
-    beta: float
-    a: float
-    mu: float
-    gamma: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rho < math.inf:
-            raise ValueError(f"require finite rho > 0, got rho={self.rho}")
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"require finite c > 0, got c={self.c}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"require finite beta > 0, got beta={self.beta}")
-        if not 0 <= self.a < math.inf:
-            raise ValueError(f"require finite a >= 0, got a={self.a}")
-        if self.mu < 0 or self.gamma < 0:
-            raise ValueError("require mu >= 0 and gamma >= 0")
-        if not 0 < self.mu + self.gamma < 1:
-            raise ValueError(
-                f"require 0 < mu + gamma < 1, got mu + gamma = {self.mu + self.gamma}"
-            )
-        if not 0 < self.lam < 1:
-            raise ValueError(f"require 0 < lam < 1, got lam={self.lam}")
-
-
-def scale_params(u: UnscaledParams) -> tuple[ModelParams, float]:
-    """Collapse the three-compartment parameters onto the planar map.
-
-    Returns ``(params, alpha)`` where ``alpha`` is the common scale
-    factor for S and I: a trajectory of :func:`step_full` divided by
-    ``alpha`` coincides with the trajectory of :func:`step` under
-    ``params``.  The growth factor becomes ``r = 1 + rho`` and the
-    removed fraction ``K = mu + gamma``.
-    """
-    alpha = u.c * (1.0 + u.rho) / u.rho
-    p = ModelParams(
-        r=1.0 + u.rho,
-        beta=alpha * u.beta,
-        a=alpha * u.a,
-        K=u.mu + u.gamma,
-    )
-    return p, alpha
-
-
-def incidence(p: ModelParams, S: float) -> float:
-    """Saturating incidence factor ``beta*S/(1 + a*S)``."""
-    return p.beta * S / (1.0 + p.a * S)
 
 
 def step(p: ModelParams, x: tuple[float, float]) -> State:
@@ -247,26 +169,6 @@ def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -
     # the second operand's NaN, where step's fresh output keeps the first's;
     # a sum into a third row would keep it too, but slowed the probe by ~10%
     np.add(t, I, out=I)
-
-
-def step_full(u: UnscaledParams, x: tuple[float, float, float]) -> FullState:
-    """One iteration of the three-compartment model.
-
-    The susceptible update composes retention with net logistic growth,
-    ``S' = S + rho*S*(1 - S/c) - incidence``, which is the form whose
-    rescaling (see :func:`scale_params`) reproduces the planar map with
-    ``r = 1 + rho``.  Infected mass decays by the combined removal rate
-    ``mu + gamma`` and gains the incidence; the removed class collects
-    ``gamma*I`` and loses a fraction ``lam`` per step.
-    """
-    S, I, R = x
-    force = u.beta * S * I / (1.0 + u.a * S)
-    K = u.mu + u.gamma
-    return FullState(
-        S=S + u.rho * S * (1.0 - S / u.c) - force,
-        I=(1.0 - K) * I + force,
-        R=u.gamma * I + (1.0 - u.lam) * R,
-    )
 
 
 def _jacobian_entries(p: ModelParams, S: float, I: float) -> tuple[float, float, float, float]:
@@ -312,27 +214,6 @@ class Orbit:
 
     states: np.ndarray
     escaped_at: int | None = None
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def __getitem__(self, i) -> State:
-        row = self.states[i]
-        if row.ndim == 1:
-            return State(float(row[0]), float(row[1]))
-        return row
-
-    def __iter__(self) -> Iterator[State]:
-        for row in self.states:
-            yield State(float(row[0]), float(row[1]))
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def I(self) -> np.ndarray:
-        return self.states[:, 1]
 
     @property
     def escaped(self) -> bool:

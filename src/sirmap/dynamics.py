@@ -33,7 +33,6 @@ from .core import (
     Orbit,
     TOL_CYCLE,
     _advance,
-    iterate,
 )
 from .equilibria import beta0_threshold
 
@@ -46,7 +45,6 @@ __all__ = [
     "find_cycle_births",
     "sharkovskii_precedes",
     "reproduction_candidates",
-    "decay_envelope_check",
 ]
 
 
@@ -417,8 +415,10 @@ def find_cycle_births(
     a solve that does not converge raises.
 
     ``n`` must lie in 3..12 and the window inside (3, 4].  ``n_r_seeds``,
-    ``n_x_seeds`` and ``newton_iters`` are ignored; they remain for
-    callers that pass them by name.
+    ``n_x_seeds`` and ``newton_iters`` are ignored.  They stay because the
+    benchmark tracer (``bench/tracer.py``) reads them from each call's
+    bound arguments to count a traced run's work; without them every
+    traced ``births`` run would raise ``KeyError``.
     """
     if not isinstance(n, int) or not 3 <= n <= 12:
         raise ValueError(f"n must be an integer in 3..12, got {n}")
@@ -483,51 +483,3 @@ def reproduction_candidates(p: ModelParams) -> tuple[float, float]:
     rb = p.beta / ((p.a + 1.0) * p.K)
     return float(ra), float(rb)
 
-
-def decay_envelope_check(p: ModelParams, x0, n: int = 200) -> bool:
-    """Verify geometric decay of the infected mass along an orbit.
-
-    Preconditions: ``beta < (1+a)*K``, ``0 < S0 < 1``, ``I0 >= 0`` and
-    ``n >= 0`` (violations raise ``ValueError``).  For ``I0 = 0`` the
-    claim is trivially true.  Otherwise the orbit is iterated ``n`` steps
-    and the checks are strict monotone decay, positivity, and the envelope
-
-        (1-K)^k * I0  <=  I_k  <=  (beta/(1+a) + 1 - K)^k * I0.
-
-    Returns False if any of the ``n + 1`` states leaves the divergence
-    guard or as soon as any inequality fails (a tiny relative slack of
-    1e-12 absorbs rounding).
-    """
-    if not p.beta < (1.0 + p.a) * p.K:
-        raise ValueError(
-            f"decay regime requires beta < (1+a)*K = {(1.0 + p.a) * p.K:.6g}, "
-            f"got beta={p.beta}"
-        )
-    S0, I0 = float(x0[0]), float(x0[1])
-    if not 0.0 < S0 < 1.0:
-        raise ValueError(f"require 0 < S0 < 1, got S0={S0}")
-    if I0 < 0.0:
-        raise ValueError(f"require I0 >= 0, got I0={I0}")
-    if n < 0:
-        raise ValueError(f"require n >= 0, got n={n}")
-    if I0 == 0.0:
-        return True
-
-    orbit = iterate(p, (S0, I0), 0, n + 1)
-    if orbit.escaped:
-        return False
-    g1 = 1.0 - p.K
-    g2 = p.beta / (1.0 + p.a) + 1.0 - p.K
-    env_lo = 1.0
-    env_hi = 1.0
-    I = I0
-    slack = 1.0 + 1.0e-12
-    for I_next in orbit.I[1:].tolist():
-        env_lo *= g1
-        env_hi *= g2
-        if not (0.0 < I_next < I):
-            return False
-        if I_next * slack < env_lo * I0 or I_next > env_hi * I0 * slack:
-            return False
-        I = I_next
-    return True

@@ -16,8 +16,7 @@ resonances at three special growth values ``r_bar < r_tilde < r_max``
 Everything here is closed-form 2x2 work in plain floats: the four
 Jacobian entries come from ``core._jacobian_entries`` and the eigenvalues
 from the trace/determinant quadratic :func:`_eigen_quadratic`, never from
-a general eigensolver or a numpy array.  Only the period-2 product and the
-public :func:`eigen_from_matrix` take (2, 2) arrays.
+a general eigensolver or a numpy array.
 """
 from __future__ import annotations
 
@@ -26,9 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
-import numpy as np
-
-from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, _jacobian_entries, jacobian, step
+from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, _jacobian_entries, step
 
 __all__ = [
     "StabilityClass",
@@ -36,7 +33,6 @@ __all__ = [
     "EigenData",
     "FixedPointReport",
     "Thresholds",
-    "eigen_from_matrix",
     "disease_free",
     "endemic",
     "beta0_threshold",
@@ -117,12 +113,6 @@ def _eigen_quadratic(a11: float, a12: float, a21: float, a22: float) -> EigenDat
         mu1 = complex(sigma, omega)
         mu2 = complex(sigma, -omega)
     return EigenData(trace=T, det=D, mu1=mu1, mu2=mu2, sigma=sigma, omega=omega)
-
-
-def eigen_from_matrix(A: np.ndarray) -> EigenData:
-    """Eigen data for a real 2x2 matrix from its characteristic quadratic."""
-    (a11, a12), (a21, a22) = np.asarray(A, dtype=np.float64).tolist()
-    return _eigen_quadratic(a11, a12, a21, a22)
 
 
 def _classify(e: EigenData) -> StabilityClass:
@@ -410,6 +400,12 @@ def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:
     s_plus = (1.0 + r + root) / (2.0 * r)
     x_minus = State(s_minus, 0.0)
     x_plus = State(s_plus, 0.0)
-
-    e = eigen_from_matrix(jacobian(p, x_plus) @ jacobian(p, x_minus))
+    a11, a12, a21, a22 = _jacobian_entries(p, s_plus, 0.0)
+    b11, b12, b21, b22 = _jacobian_entries(p, s_minus, 0.0)
+    e = _eigen_quadratic(
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
     return _report(p, "period2", x_minus, e, 2), _report(p, "period2", x_plus, e, 2)

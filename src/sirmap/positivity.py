@@ -25,10 +25,10 @@ conditions hold; ``invariance_probe`` bombards a region with uniform
 starts and reports any escape (these are findings about the region, not
 errors).  The probe allocates its buffers once per call: it steps the
 ensemble in place with ``core._step_into`` and writes every inequality
-into one membership table (``_holds``, also behind ``contains`` and the
-sampler), one row per constraint; a column's first False names an
-orbit's exit.  Exited orbits are dropped by moving the survivors, with
-their original indices, to the front of each buffer.
+into one membership table (``_holds``, also behind the sampler), one
+row per constraint; a column's first False names an orbit's exit.
+Exited orbits are dropped by moving the survivors, with their original
+indices, to the front of each buffer.
 
 Orbits that settle are dropped the same way.  Every ``_SETTLE_EVERY``-th
 step the probe keeps the states before the step and drops each orbit
@@ -55,7 +55,6 @@ __all__ = [
     "ProbeReport",
     "u_star",
     "applicable_region",
-    "contains",
     "invariance_probe",
 ]
 
@@ -152,14 +151,6 @@ def _crossings(u: float, v: float, a: float) -> tuple[float, float]:
     q = b + math.copysign(math.sqrt(max(b * b + 4.0 * a * c, 0.0)), b)
     far = q / (2.0 * a) if a else math.copysign(math.inf, q)
     return tuple(sorted((-2.0 * c / q, far)))
-
-
-def contains(region: RegionSpec, x) -> bool:
-    """Point membership with outward slack ``MEMBERSHIP_TOL`` on each inequality.
-
-    A point with a NaN coordinate lies outside every region.
-    """
-    return bool(_holds(region, np.float64(x[0]), np.float64(x[1]), MEMBERSHIP_TOL).all())
 
 
 class EscapeRecord(NamedTuple):

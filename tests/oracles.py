@@ -21,15 +21,24 @@ entries became plain floats, and ``mpmath_normal_form`` recomputes a fixed
 point, its derivative tensors and its flip or Neimark-Sacker coefficient
 at 40 digits.  ``report_modulus_slope`` is ``sirmap.rho_prime_at_ns``'s value
 read from a full ``sirmap.endemic`` report, as it was before the E1
-determinant came straight from the Jacobian entries.  Tests compare the
-library against all of them.
+determinant came straight from the Jacobian entries.
+``numpy_period2_eigen`` is ``sirmap.period2_branch``'s eigen data from the
+numpy product of its two Jacobian arrays, as they were before the product
+became plain floats.  ``UnscaledParams``, ``scale_params`` and
+``step_full`` are the three-compartment model the planar map is scaled
+from: a step of it, divided by the scale factor, is a step of
+``sirmap.step``.  ``decay_envelope_holds`` checks the geometric decay of
+the infected mass along a ``sirmap.iterate`` orbit below
+``beta = (1 + a)*K``.  Tests compare the library against all of them.
 """
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from sirmap import DIVERGENCE_BOUND, ModelParams, endemic, jacobian, step
+from sirmap import DIVERGENCE_BOUND, EigenData, ModelParams, endemic, iterate, jacobian, step
+from sirmap.equilibria import _eigen_quadratic
 from sirmap.normal_forms import MultilinearForms, _point_tensors
 
 
@@ -551,3 +560,85 @@ def report_modulus_slope(p: ModelParams) -> float:
     da11 = 2.0 * K * r / (a * K - beta) ** 2 - K * (a * (r - 1.0) + r) / beta**2
     da21 = -K * (a - (a + 1.0) * r) / beta**2
     return (da11 + K * da21) / (2.0 * math.sqrt(endemic(p).eigen.det))
+
+
+def numpy_period2_eigen(p: ModelParams) -> EigenData:
+    """Eigen data of the axis 2-cycle from the numpy product of its two Jacobians (r >= 3)."""
+    r = p.r
+    root = math.sqrt(max((r - 3.0) * (r + 1.0), 0.0))
+    x_minus = ((1.0 + r - root) / (2.0 * r), 0.0)
+    x_plus = ((1.0 + r + root) / (2.0 * r), 0.0)
+    M = jacobian(p, x_plus) @ jacobian(p, x_minus)
+    return _eigen_quadratic(*M.ravel().tolist())
+
+
+@dataclass(frozen=True)
+class UnscaledParams:
+    """Parameters of the three-compartment model, in original units; nothing is validated.
+
+    ``rho`` is the intrinsic growth rate, ``c`` the carrying capacity,
+    ``beta``/``a`` the transmission and saturation coefficients, ``mu`` and
+    ``gamma`` the death and recovery rates of the infected class.  The
+    removed class feeds back into neither S nor I, so it is left out.
+    """
+
+    rho: float
+    c: float
+    beta: float
+    a: float
+    mu: float
+    gamma: float
+
+
+def scale_params(u: UnscaledParams) -> tuple[ModelParams, float]:
+    """The planar map's parameters and the common scale factor ``alpha`` of S and I.
+
+    ``r = 1 + rho``, ``K = mu + gamma``, and beta and a are multiplied by
+    ``alpha = c*(1 + rho)/rho``.
+    """
+    alpha = u.c * (1.0 + u.rho) / u.rho
+    p = ModelParams(r=1.0 + u.rho, beta=alpha * u.beta, a=alpha * u.a, K=u.mu + u.gamma)
+    return p, alpha
+
+
+def step_full(u: UnscaledParams, x) -> tuple[float, float]:
+    """One step of S and I in the three-compartment model.
+
+    ``S' = S + rho*S*(1 - S/c) - incidence``: retention plus net logistic
+    growth, the form whose rescaling gives the planar map with r = 1 + rho.
+    The infected mass decays by ``mu + gamma`` and gains the incidence.
+    """
+    S, I = x
+    force = u.beta * S * I / (1.0 + u.a * S)
+    return S + u.rho * S * (1.0 - S / u.c) - force, (1.0 - (u.mu + u.gamma)) * I + force
+
+
+def decay_envelope_holds(p: ModelParams, x0, n: int) -> bool:
+    """Whether I decays inside its geometric envelope for ``n`` steps from ``x0``.
+
+    The claim, for ``beta < (1 + a)*K``, ``0 < S0 < 1`` and ``I0 > 0``: I
+    decreases strictly, stays positive, and
+
+        (1-K)^k * I0  <=  I_k  <=  (beta/(1+a) + 1 - K)^k * I0,
+
+    with a relative slack of 1e-12 for rounding.  False if any of the
+    ``n + 1`` states leaves the divergence guard.
+    """
+    I0 = float(x0[1])
+    orbit = iterate(p, x0, 0, n + 1)
+    if orbit.escaped:
+        return False
+    g1 = 1.0 - p.K
+    g2 = p.beta / (1.0 + p.a) + 1.0 - p.K
+    env_lo = env_hi = 1.0
+    I = I0
+    slack = 1.0 + 1.0e-12
+    for I_next in orbit.states[1:, 1].tolist():
+        env_lo *= g1
+        env_hi *= g2
+        if not (0.0 < I_next < I):
+            return False
+        if I_next * slack < env_lo * I0 or I_next > env_hi * I0 * slack:
+            return False
+        I = I_next
+    return True

@@ -147,6 +147,15 @@ class TestDispatchAndErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_zero_divisor_is_config_error(self, capsys):
+        # K*K underflows to 0 in the resonance growth values
+        code, out, err = run_cli(capsys, "analyze", "--r", "3", "--beta", "1", "--a", "1",
+                                 "--K", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: arithmetic out of range")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,4 +1,4 @@
-"""Map evaluation, scaling, parameter validation, orbit iteration."""
+"""Map evaluation, scaling from the three-compartment model, parameter validation, orbit iteration."""
 import math
 import time
 
@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 
 from sirmap import (
     DivergenceError,
-    FullState,
     ModelParams,
     Orbit,
     State,
-    UnscaledParams,
-    incidence,
     iterate,
     jacobian,
-    scale_params,
     step,
-    step_full,
 )
 from sirmap import core
 from sirmap.cli import PRESETS
 from sirmap.core import _advance, _step_into
 
-from oracles import exact_cycle, plain_advance
+from oracles import UnscaledParams, exact_cycle, plain_advance, scale_params, step_full
 
 
 def test_step_golden():
@@ -40,15 +35,6 @@ def test_step_returns_state():
     p = ModelParams(r=2, beta=1, a=1, K=0.5)
     out = step(p, (0.5, 0.5))
     assert isinstance(out, State)
-
-
-def test_incidence_saturates():
-    p = ModelParams(r=2, beta=3, a=1, K=0.5)
-    assert incidence(p, 0.0) == 0.0
-    # phi is increasing and bounded by beta/a
-    vals = [incidence(p, s) for s in (0.1, 0.5, 1.0, 10.0, 1e6)]
-    assert all(x < y for x, y in zip(vals, vals[1:]))
-    assert vals[-1] < p.beta / p.a
 
 
 class TestModelParams:
@@ -83,34 +69,19 @@ class TestModelParams:
 
 
 class TestScaling:
+    """The planar map against the three-compartment model it is scaled from."""
+
     def test_golden_one(self):
-        u = UnscaledParams(rho=1, c=1, beta=1, a=0.5, mu=0.2, gamma=0.3, lam=0.5)
+        u = UnscaledParams(rho=1, c=1, beta=1, a=0.5, mu=0.2, gamma=0.3)
         p, alpha = scale_params(u)
         assert alpha == 2.0
         assert p == ModelParams(r=2.0, beta=2.0, a=1.0, K=0.5)
 
     def test_golden_two(self):
-        u = UnscaledParams(rho=2, c=3, beta=1, a=0, mu=0.1, gamma=0.1, lam=0.5)
+        u = UnscaledParams(rho=2, c=3, beta=1, a=0, mu=0.1, gamma=0.1)
         p, alpha = scale_params(u)
         assert alpha == 4.5
         assert p == ModelParams(r=3.0, beta=4.5, a=0.0, K=0.2)
-
-    def test_rejects_bad_removal(self):
-        with pytest.raises(ValueError):
-            UnscaledParams(rho=1, c=1, beta=1, a=0, mu=0.6, gamma=0.5, lam=0.5)
-
-    @pytest.mark.parametrize("mu,gamma", [(-0.1, 0.5), (0.5, -0.1)])
-    def test_rejects_negative_rate(self, mu, gamma):
-        # the sum mu + gamma = 0.4 is in range: the sign check refuses it
-        with pytest.raises(ValueError, match=r"^require mu >= 0 and gamma >= 0$"):
-            UnscaledParams(rho=1, c=1, beta=1, a=0, mu=mu, gamma=gamma, lam=0.5)
-
-    @pytest.mark.parametrize("field", ["rho", "c", "beta", "a", "mu", "gamma", "lam"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite(self, field, value):
-        good = dict(rho=1, c=1, beta=1, a=0.5, mu=0.2, gamma=0.3, lam=0.5)
-        with pytest.raises(ValueError, match=field):
-            UnscaledParams(**{**good, field: value})
 
     @given(
         rho=st.floats(0.2, 3.0),
@@ -126,20 +97,12 @@ class TestScaling:
     def test_one_step_commutes_with_scaling(self, rho, c, bt, at, mu, gamma, S, I):
         # stepping the three-compartment system then scaling equals
         # scaling then stepping the planar map
-        u = UnscaledParams(rho=rho, c=c, beta=bt, a=at, mu=mu, gamma=gamma, lam=0.3)
+        u = UnscaledParams(rho=rho, c=c, beta=bt, a=at, mu=mu, gamma=gamma)
         p, alpha = scale_params(u)
-        full = step_full(u, (S * c, I * c, 0.2))
+        full_S, full_I = step_full(u, (S * c, I * c))
         reduced = step(p, (S * c / alpha, I * c / alpha))
-        assert math.isclose(full.S / alpha, reduced.S, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(full.I / alpha, reduced.I, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_step_full_recovered_compartment():
-    u = UnscaledParams(rho=1, c=1, beta=1, a=0.5, mu=0.2, gamma=0.3, lam=0.4)
-    out = step_full(u, (0.5, 0.3, 0.2))
-    assert isinstance(out, FullState)
-    # R' = gamma*I + (1-lam)*R
-    assert math.isclose(out.R, 0.3 * 0.3 + 0.6 * 0.2, rel_tol=1e-15)
+        assert math.isclose(full_S / alpha, reduced.S, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(full_I / alpha, reduced.I, rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestJacobian:
@@ -185,32 +148,29 @@ class TestIterate:
         p = ModelParams(r=2, beta=3, a=1, K=0.5)
         orb = iterate(p, (0.5, 0.1), n_transient=100, n_keep=50)
         assert isinstance(orb, Orbit)
-        assert len(orb) == 50
+        assert len(orb.states) == 50
         assert orb.states.shape == (50, 2)
         assert not orb.escaped
 
-    def test_orbit_slices_and_columns(self):
-        # an index gives a State, a slice the rows as an array; S and I are
-        # the columns
+    def test_rows_are_consecutive_states(self):
+        # row k + 1 is the step of row k; the columns are S and I
         p = ModelParams(r=2, beta=3, a=1, K=0.5)
         orb = iterate(p, (0.5, 0.1), n_transient=10, n_keep=5)
-        part = orb[1:3]
-        assert isinstance(part, np.ndarray)
-        assert np.array_equal(part, orb.states[1:3])
-        assert orb[1] == State(*orb.states[1])
-        assert np.array_equal(orb.S, orb.states[:, 0])
-        assert np.array_equal(orb.I, orb.states[:, 1])
+        assert orb.states.dtype == np.float64
+        rows = orb.states.tolist()
+        for row, following in zip(rows, rows[1:]):
+            assert step(p, row) == State(*following)
 
     def test_settles_on_endemic_point(self):
         p = ModelParams(r=1.8, beta=3, a=1, K=0.5)
         orb = iterate(p, (0.6, 0.2))
-        assert abs(orb[-1].S - 0.2) < 1e-9
-        assert abs(orb[-1].I - 0.176) < 1e-9
+        assert abs(orb.states[-1, 0] - 0.2) < 1e-9
+        assert abs(orb.states[-1, 1] - 0.176) < 1e-9
 
     def test_axis_is_invariant(self):
         p = ModelParams(r=3.7, beta=1.1, a=1, K=0.5)
         orb = iterate(p, (0.4, 0.0), n_transient=500, n_keep=200)
-        assert np.all(orb.I == 0.0)
+        assert np.all(orb.states[:, 1] == 0.0)
 
     def test_escape_is_recorded_not_raised(self):
         # r far above 4 throws the logistic branch out of [0,1] immediately
@@ -218,7 +178,7 @@ class TestIterate:
         orb = iterate(p, (0.9, 0.0), n_transient=0, n_keep=50)
         assert orb.escaped
         assert orb.escaped_at is not None
-        assert len(orb) <= 50
+        assert len(orb.states) <= 50
 
     @pytest.mark.parametrize(
         "p, x0, n_transient, n_keep",
@@ -255,11 +215,14 @@ class TestIterate:
         assert iterate(p, (-1.0, 0.1), n_transient=0, n_keep=5).escaped_at == 0
         assert _advance(p, (2.0, 0.0), 4) == (-1.0, 0.0, 1)
 
-    def test_indexing_and_iteration(self):
+    def test_first_row_follows_the_transient(self):
         p = ModelParams(r=2, beta=3, a=1, K=0.5)
         orb = iterate(p, (0.5, 0.1), n_transient=10, n_keep=5)
-        assert isinstance(orb[0], State)
-        assert len(list(orb)) == 5
+        x = (0.5, 0.1)
+        for _ in range(10):
+            x = step(p, x)
+        assert State(*orb.states[0].tolist()) == x
+        assert len(orb.states.tolist()) == 5
 
 
 def _bits(result):

@@ -16,7 +16,6 @@ from sirmap import (
     beta2_threshold,
     classify_boundary,
     disease_free,
-    eigen_from_matrix,
     endemic,
     jacobian,
     period2_branch,
@@ -27,7 +26,7 @@ from sirmap import (
 from sirmap.core import TOL_BOUNDARY, _jacobian_entries
 from sirmap.equilibria import _eigen_quadratic
 
-from oracles import numpy_jacobian
+from oracles import numpy_jacobian, numpy_period2_eigen
 
 A_K_GRID = [(0.0, 0.3), (0.5, 0.2), (1.0, 0.5), (2.0, 0.7), (5.0, 0.9)]
 
@@ -181,14 +180,18 @@ class TestThresholds:
         assert math.isclose(rep.eigen.det, 1.0, abs_tol=1e-9)
 
 
-class TestEigenFromMatrix:
-    def test_complex_pair(self):
-        e = eigen_from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert e.omega == 1.0
-        assert e.sigma == 0.0
-
-    def test_real_pair_sorted_by_modulus(self):
-        e = eigen_from_matrix(np.array([[3.0, 0.0], [0.0, -0.5]]))
+class TestEigenQuadratic:
+    @pytest.mark.parametrize(
+        "entries, mu1, mu2, sigma, omega",
+        [
+            ((0.0, -1.0, 1.0, 0.0), 1j, -1j, 0.0, 1.0),  # rotation by pi/2: a complex pair
+            ((3.0, 0.0, 0.0, -0.5), 3.0, -0.5, 1.25, 0.0),  # diagonal: a real pair
+        ],
+        ids=["rotation", "diagonal"],
+    )
+    def test_roots(self, entries, mu1, mu2, sigma, omega):
+        e = _eigen_quadratic(*entries)
+        assert (e.mu1, e.mu2, e.sigma, e.omega) == (mu1, mu2, sigma, omega)
         assert abs(e.mu1) >= abs(e.mu2)
 
 
@@ -223,7 +226,7 @@ class TestFloatJacobianPath:
         assert J.tobytes() == want.tobytes()
         entries = _jacobian_entries(p, S, I)
         assert struct.pack("<4d", *entries) == J.tobytes()
-        assert _bits(_eigen_quadratic(*entries)) == _bits(eigen_from_matrix(J))
+        assert _bits(_eigen_quadratic(*entries)) == _bits(_eigen_quadratic(*J.ravel().tolist()))
 
     @given(
         r=st.floats(1.05, 6.0),
@@ -235,7 +238,7 @@ class TestFloatJacobianPath:
     def test_endemic_eigen_data_is_that_of_its_jacobian(self, r, a, K, excess):
         p = ModelParams(r=r, beta=beta0_threshold(r, a, K) * (1.0 + excess), a=a, K=K)
         rep = endemic(p)
-        assert _bits(rep.eigen) == _bits(eigen_from_matrix(jacobian(p, rep.location)))
+        assert _bits(rep.eigen) == _bits(_eigen_quadratic(*jacobian(p, rep.location).ravel().tolist()))
 
     @pytest.mark.parametrize(
         "x",
@@ -418,3 +421,27 @@ class TestPeriod2Branch:
         lo, _ = period2_branch(p)
         mus = sorted([lo.eigen.mu1.real, lo.eigen.mu2.real])
         assert math.isclose(mus[0], -1.0, abs_tol=1e-12)
+
+    # the flip at r = 3 and just past it, the second flip at 1 + sqrt(6), r = 4
+    @pytest.mark.parametrize(
+        "r", [3.0, math.nextafter(3.0, 4.0), 3.0 + 1.0e-9, 3.2, 1.0 + math.sqrt(6.0), 3.7, 4.0, 4.5]
+    )
+    @pytest.mark.parametrize(
+        "beta, a, K", [(0.01, 0.0, 0.5), (1.0, 1.0, 0.5), (3.0, 0.0, 0.01), (8.0, 5.0, 0.99)]
+    )
+    def test_eigen_data_are_those_of_the_numpy_product(self, r, beta, a, K):
+        p = ModelParams(r=r, beta=beta, a=a, K=K)
+        want = _bits(numpy_period2_eigen(p))
+        assert [_bits(rep.eigen) for rep in period2_branch(p)] == [want, want]
+
+    @given(
+        r=st.one_of(st.just(3.0), st.floats(3.0, 4.5)),
+        beta=st.floats(0.01, 8.0),
+        a=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        K=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eigen_data_match_the_numpy_product_at_random(self, r, beta, a, K):
+        p = ModelParams(r=r, beta=beta, a=a, K=K)
+        want = _bits(numpy_period2_eigen(p))
+        assert [_bits(rep.eigen) for rep in period2_branch(p)] == [want, want]

@@ -13,13 +13,18 @@ from sirmap import (
     RegionSpec,
     State,
     applicable_region,
-    contains,
     invariance_probe,
     step,
     u_star,
 )
 from sirmap import positivity
 from sirmap.positivity import _CONSTRAINTS, MEMBERSHIP_TOL, _holds, _sample_region
+
+
+def contains(region, x) -> bool:
+    """Whether the point meets every region inequality, through the probe's membership table."""
+    return bool(_holds(region, np.float64(x[0]), np.float64(x[1]), MEMBERSHIP_TOL).all())
+
 
 # five sets per region case, each verified escape-free at depth
 CASE1_SETS = [

@@ -38,15 +38,24 @@ format spec is written once, in ``cli._fmt``, the one float-to-text site of
 the CSV output.  Every ``crossings=`` value of a positivity region is a call
 of ``positivity._crossings``, or a slice of one: the one solve of the
 ceiling line meeting the nullcline.
+
+The public API is pinned: ``sirmap.__all__`` holds exactly the names in
+``PUBLIC_NAMES``, and ``Orbit`` has exactly the members ``states``,
+``escaped_at`` and ``escaped``.  A new public name or member needs a
+reader outside its own unit test (the CLI, a demo, the benchmark, the
+README or an acceptance test); a reference that only a test reads lives
+in ``tests/oracles.py``.  ``equilibria`` imports no numpy: its 2x2 work,
+the period-2 Jacobian product included, is plain floats.
 """
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import sirmap
 
 SOURCES = sorted(Path(sirmap.__file__).parent.glob("*.py"))
-STEP_KERNELS = {"step", "_step_into", "step_full", "_advance", "_tangent"}
+STEP_KERNELS = {"step", "_step_into", "_advance", "_tangent"}
 TANGENT_KERNELS = {"_tangent"}
 
 
@@ -412,3 +421,49 @@ def test_crossings_come_from_the_one_solve():
     # the regions of cases 2 and 3
     assert [(path, func) for path, func, _ in sites] == [("positivity.py", "applicable_region")] * 2
     assert _occurrences(_is_crossings_from_the_solve) == sites
+
+
+PUBLIC_NAMES = [
+    "BoundaryTag", "CycleBirth", "DEFAULT_MAX_PERIOD", "DEFAULT_TRANSIENT", "DEFAULT_WINDOW",
+    "DIVERGENCE_BOUND", "DivergenceError", "EigenData", "EscapeRecord", "FixedPointReport",
+    "ModelParams", "MultilinearForms", "NormalFormData", "Orbit", "ProbeReport",
+    "RESONANCE_EXCLUSION", "RegionSpec", "ResonanceError", "ScanResult", "StabilityClass",
+    "State", "TOL_BOUNDARY", "TOL_CYCLE", "TOL_HYP", "Thresholds", "__version__",
+    "applicable_region", "beta0_threshold", "beta1_formula", "beta2_threshold",
+    "classify_boundary", "detect_period", "disease_free", "endemic", "find_cycle_births",
+    "flip_coefficient", "invariance_probe", "iterate", "iterate_forms", "jacobian", "lyapunov",
+    "ns_coefficient", "period2_branch", "reproduction_candidates", "resonance_growth",
+    "rho_prime_at_ns", "scan", "sharkovskii_precedes", "shifted_forms", "step", "thresholds",
+    "u_star",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 52
+    assert sorted(sirmap.__all__) == PUBLIC_NAMES
+
+
+def test_orbit_members_are_pinned():
+    members = {f.name for f in dataclasses.fields(sirmap.Orbit)}
+    members |= {name for name in vars(sirmap.Orbit) if not name.startswith("_")}
+    assert members == {"states", "escaped_at", "escaped"}
+    # no sequence protocol: the samples are read through states
+    assert not {"__len__", "__getitem__", "__iter__"} & set(vars(sirmap.Orbit))
+
+
+def _imported_modules(tree) -> set:
+    """The top-level package of every import in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_equilibria_imports_no_numpy():
+    tree = ast.parse((Path(sirmap.__file__).parent / "equilibria.py").read_text(encoding="utf-8"))
+    modules = _imported_modules(tree)
+    assert "math" in modules
+    assert "numpy" not in modules, modules
