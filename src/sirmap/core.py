@@ -137,10 +137,7 @@ def step(p: ModelParams, x: tuple[float, float]) -> State:
     """One iteration of the planar map."""
     S, I = x
     force = p.beta * S * I / (1.0 + p.a * S)
-    return State(
-        S=p.r * S * (1.0 - S) - force,
-        I=(1.0 - p.K) * I + force,
-    )
+    return State(p.r * S * (1.0 - S) - force, (1.0 - p.K) * I + force)
 
 
 def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -> None:

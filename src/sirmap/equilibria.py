@@ -16,14 +16,16 @@ resonances at three special growth values ``r_bar < r_tilde < r_max``
 Everything here is closed-form 2x2 work in plain floats: the four
 Jacobian entries come from ``core._jacobian_entries`` and the eigenvalues
 from the trace/determinant quadratic :func:`_eigen_quadratic`, never from
-a general eigensolver or a numpy array.
+a general eigensolver or a numpy array.  The records handed out
+(:class:`EigenData`, :class:`FixedPointReport`, :class:`Thresholds`) are
+NamedTuples, like ``core.State``: immutable, cheap to build on
+every analysed point, and equal to plain tuples holding the same values.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .core import ModelParams, State, TOL_BOUNDARY, TOL_HYP, _jacobian_entries, step
 
@@ -81,8 +83,7 @@ _RESONANCES = (
 )
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     """Eigenvalues of a real 2x2 matrix via its trace and determinant.
 
     ``sigma`` is half the trace; ``omega`` the non-negative imaginary
@@ -112,7 +113,7 @@ def _eigen_quadratic(a11: float, a12: float, a21: float, a22: float) -> EigenDat
         omega = math.sqrt(-disc)
         mu1 = complex(sigma, omega)
         mu2 = complex(sigma, -omega)
-    return EigenData(trace=T, det=D, mu1=mu1, mu2=mu2, sigma=sigma, omega=omega)
+    return EigenData(T, D, mu1, mu2, sigma, omega)
 
 
 def _classify(e: EigenData) -> StabilityClass:
@@ -131,8 +132,7 @@ def _classify(e: EigenData) -> StabilityClass:
 FixedPointKind = Literal["disease_free", "endemic", "period2"]
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     """A located fixed (or periodic) point with its local linearisation.
 
     ``boundary`` is the :func:`classify_boundary` tag of E0 or E1 (None for
@@ -165,14 +165,8 @@ def _report(
     tag: BoundaryTag | None = None,
 ) -> FixedPointReport:
     """Report on a point fixed by the k-th iterate, classified from ``e`` and ``tag``."""
-    return FixedPointReport(
-        kind=kind,
-        location=x,
-        eigen=e,
-        stability=StabilityClass.NON_HYPERBOLIC if tag is not None else _classify(e),
-        residual=_residual(p, x, k),
-        boundary=tag,
-    )
+    stability = StabilityClass.NON_HYPERBOLIC if tag is not None else _classify(e)
+    return FixedPointReport(kind, x, e, stability, _residual(p, x, k), tag)
 
 
 def disease_free(p: ModelParams) -> FixedPointReport:
@@ -191,12 +185,7 @@ def disease_free(p: ModelParams) -> FixedPointReport:
     try:
         lam2 = 1.0 - p.K + p.beta * (r - 1.0) / (r + p.a * (r - 1.0))
         e = EigenData(
-            trace=lam1 + lam2,
-            det=lam1 * lam2,
-            mu1=complex(lam1),
-            mu2=complex(lam2),
-            sigma=(lam1 + lam2) / 2.0,
-            omega=0.0,
+            lam1 + lam2, lam1 * lam2, complex(lam1), complex(lam2), (lam1 + lam2) / 2.0, 0.0
         )
         # the residual steps E0 through the incidence term too
         return _report(p, "disease_free", loc, e, tag=classify_boundary(p, "E0"))
@@ -284,8 +273,7 @@ def resonance_growth(x: float, a: float, K: float) -> float:
     return lin + 0.5 * math.sqrt(inner / (K * K))
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Threshold curves of E1 at fixed (r, a, K).
 
     ``beta1`` is populated only on the flip branch 3 < r < r_max; the
@@ -315,12 +303,12 @@ def thresholds(r: float, a: float, K: float) -> Thresholds:
     r_max = resonance_growth(4.0, a, K)
     b1 = beta1_formula(r, a, K) if 3.0 < r < r_max else None
     return Thresholds(
-        beta0=beta0_threshold(r, a, K),
-        beta1=b1,
-        beta2=beta2_threshold(r, a, K),
-        r_bar=resonance_growth(2.0, a, K),
-        r_tilde=resonance_growth(3.0, a, K),
-        r_max=r_max,
+        beta0_threshold(r, a, K),
+        b1,
+        beta2_threshold(r, a, K),
+        resonance_growth(2.0, a, K),  # r_bar
+        resonance_growth(3.0, a, K),  # r_tilde
+        r_max,
     )
 
 
@@ -360,26 +348,40 @@ def classify_boundary(p: ModelParams, which: Literal["E0", "E1"]) -> BoundaryTag
             return BoundaryTag.FOLD
         return None
     if which == "E1":
-        if r <= 1.0 + tol:
-            return None
-        # the curves of ``thresholds``, each evaluated only where the
-        # decision reaches it: every endemic() report runs this
-        b0 = beta0_threshold(r, a, K)
-        if abs(r - 3.0) <= tol and abs(beta - b0) <= tol:
-            return BoundaryTag.FOLD_FLIP
-        r_max = resonance_growth(4.0, a, K)
-        if abs(beta - beta2_threshold(r, a, K)) <= tol:
-            for x, tag in _RESONANCES:
-                if abs(r - resonance_growth(x, a, K)) <= tol:
-                    return tag
-            if 1.0 < r < r_max:
-                return BoundaryTag.NEIMARK_SACKER
-        if abs(beta - b0) <= tol and 1.0 < r < 3.0:
-            return BoundaryTag.FOLD
-        if 3.0 < r < r_max and abs(beta - beta1_formula(r, a, K)) <= tol:
-            return BoundaryTag.FLIP
-        return None
+        return _endemic_boundary(p)[0]
     raise ValueError(f"which must be 'E0' or 'E1', got {which!r}")
+
+
+def _endemic_boundary(p: ModelParams) -> tuple[BoundaryTag | None, tuple[float, ...]]:
+    """The E1 tag of :func:`classify_boundary`, and the resonance growths it evaluated.
+
+    The growths follow :data:`_RESONANCES` up to the first that matched r,
+    so on the NS curve they run to the tag's own resonance or through all
+    three; off it they are empty.  Each is evaluated once.
+    """
+    r, beta, a, K, tol = p.r, p.beta, p.a, p.K, TOL_BOUNDARY
+    if r <= 1.0 + tol:
+        return None, ()
+    # the curves of ``thresholds``, each evaluated only where the decision
+    # reaches it: every endemic() report runs this
+    b0 = beta0_threshold(r, a, K)
+    if abs(r - 3.0) <= tol and abs(beta - b0) <= tol:
+        return BoundaryTag.FOLD_FLIP, ()
+    r_max = resonance_growth(4.0, a, K)
+    if abs(beta - beta2_threshold(r, a, K)) <= tol:
+        r_stars = ()
+        for x, tag in _RESONANCES:
+            # the 1:2 point is the r_max just evaluated
+            r_stars += (r_max if x == 4.0 else resonance_growth(x, a, K),)
+            if abs(r - r_stars[-1]) <= tol:
+                return tag, r_stars
+        if 1.0 < r < r_max:
+            return BoundaryTag.NEIMARK_SACKER, r_stars
+    if abs(beta - b0) <= tol and 1.0 < r < 3.0:
+        return BoundaryTag.FOLD, ()
+    if 3.0 < r < r_max and abs(beta - beta1_formula(r, a, K)) <= tol:
+        return BoundaryTag.FLIP, ()
+    return None, ()
 
 
 def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:

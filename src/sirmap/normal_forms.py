@@ -18,11 +18,14 @@ rule applied exactly to the composed derivative tensors.
 
 The per-point work is plain-float 2x2 algebra: the tensors are nested
 tuples of floats (:func:`_point_entries`), contracted by the sums of
-:func:`_apply_B` and :func:`_apply_C`, and the one linear solve is
-Cramer's rule in :func:`_solve2`.  numpy arrays remain only in the
-public return types (:class:`MultilinearForms`, ``NormalFormData.q``
-and ``.p``) and in :func:`iterate_forms`' chain-rule composition for
-k >= 2, where they pay off.
+:func:`_apply_B` and :func:`_apply_C`, the one linear solve is Cramer's
+rule in :func:`_solve2`, and :func:`_eigenpair` returns its eigenvectors
+as pairs of scalars.  numpy arrays remain only in the public return
+types, the three tensors of :class:`MultilinearForms` and
+``NormalFormData.q`` and ``.p`` (each built once, as the record is), and
+in :func:`iterate_forms`' chain-rule composition for k >= 2, where they
+pay off.  Both records are NamedTuples, like those of
+:mod:`sirmap.equilibria`.
 
 Conventions, the same on the float and the array path: for real (flip)
 data the pairing <p, x> is the plain dot product; for complex (NS) data it
@@ -33,8 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -45,10 +47,9 @@ from .equilibria import (
     BoundaryTag,
     FixedPointReport,
     _eigen_quadratic,
+    _endemic_boundary,
     _endemic_location,
     _residual,
-    classify_boundary,
-    resonance_growth,
 )
 
 __all__ = [
@@ -81,8 +82,7 @@ class ResonanceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class MultilinearForms:
+class MultilinearForms(NamedTuple):
     """Derivative tensors of a map at a point.
 
     ``A`` is the Jacobian, ``B`` the array of second partials indexed
@@ -213,8 +213,7 @@ def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
     return MultilinearForms(A=A, B=B, C=C)
 
 
-@dataclass(frozen=True)
-class NormalFormData:
+class NormalFormData(NamedTuple):
     """Critical eigendata and normal-form coefficient at a boundary.
 
     ``coefficient`` is the flip cubic coefficient ``c`` or the NS
@@ -254,13 +253,12 @@ def _null_vector(M) -> tuple:
     return v0 / n, v1 / n
 
 
-def _eigenpair(A, mu) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpair(A, mu) -> tuple[tuple, tuple]:
     """Eigenvector ``q`` of a 2x2 ``A`` at ``mu`` and adjoint ``p``, <p, q> = 1.
 
     ``q`` has first component 1 (the second when the first vanishes), which
     fixes ``c`` and ``d``: both scale with |q|^2.  A^T p = conj(mu) p.  ``A``
-    is nested or an array; ``q`` and ``p`` come back as the arrays that
-    :class:`NormalFormData` carries.
+    is nested or an array; ``q`` and ``p`` come back as pairs of scalars.
     """
     (a11, a12), (a21, a22) = A
     q0, q1 = _null_vector(((a11 - mu, a12), (a21, a22 - mu)))
@@ -272,7 +270,7 @@ def _eigenpair(A, mu) -> tuple[np.ndarray, np.ndarray]:
     if abs(s) < 1.0e-12:
         raise ValueError("eigenvector pairing degenerate; normal-form coefficient undefined")
     s = s.conjugate()
-    return np.array(q), np.array((pv[0] / s, pv[1] / s))
+    return q, (pv[0] / s, pv[1] / s)
 
 
 def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
@@ -308,15 +306,14 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
         raise ValueError("A - I is singular (fold degeneracy); flip coefficient undefined")
 
     q, pv = _eigenpair(A, -1.0)
-    qf, pf = q.tolist(), pv.tolist()
-    w = _solve2(((a11 - 1.0, a12), (a21, a22 - 1.0)), _apply_B(B, qf, qf))
-    c = _pair(pf, _apply_C(C, qf, qf, qf)) / 6.0 - _pair(pf, _apply_B(B, qf, w)) / 2.0
+    w = _solve2(((a11 - 1.0, a12), (a21, a22 - 1.0)), _apply_B(B, q, q))
+    c = _pair(pv, _apply_C(C, q, q, q)) / 6.0 - _pair(pv, _apply_B(B, q, w)) / 2.0
     return NormalFormData(
         kind="flip",
         coefficient=c,
         eigenvalue=mu,
-        q=q,
-        p=pv,
+        q=np.array(q),
+        p=np.array(pv),
         theta0=None,
     )
 
@@ -335,12 +332,13 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     the forms, so no fixed-point report is built; the eigenvectors are
     :func:`_eigenpair`'s.
     """
-    tag1 = classify_boundary(p, "E1")
+    tag1, r_stars = _endemic_boundary(p)
     if tag1 not in _NS_CURVE_TAGS:
         found = f"tagged {tag1.value}" if tag1 else "untagged"
         raise ValueError(f"ns_coefficient requires E1 on the NS curve; it is {found} at {p}")
-    for x, tag in _RESONANCES:
-        r_star = resonance_growth(x, p.a, p.K)
+    # a resonance tag ends r_stars at its own growth, which lies within
+    # TOL_BOUNDARY < RESONANCE_EXCLUSION of r: the screen stops there anyway
+    for (_, tag), r_star in zip(_RESONANCES, r_stars):
         if abs(p.r - r_star) < RESONANCE_EXCLUSION:
             raise ResonanceError(tag, p.r, r_star)
 
@@ -356,27 +354,26 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     mu = complex(e.sigma, e.omega)
 
     q, pv = _eigenpair(A, mu)
-    qf, pf = q.tolist(), pv.tolist()
-    qbar = (qf[0].conjugate(), qf[1].conjugate())
-    t1 = _pair(pf, _apply_C(C, qf, qf, qbar))
+    qbar = (q[0].conjugate(), q[1].conjugate())
+    t1 = _pair(pv, _apply_C(C, q, q, qbar))
     # The middle resolvent must be (I - A), not (A - I): only that branch
     # agrees with the scalar Poincare normal-form coefficient
     #   Re(e^{-i theta} g21/2) - Re((1-2L)e^{-2i theta}/(2(1-L)) g20 g11)
     #   - |g11|^2/2 - |g02|^2/4,  L = e^{i theta},
     # and with simulated orbits near the boundary (attracting closed
     # curve on the unstable side exactly when d < 0).
-    w1 = _solve2(((1.0 - a11, -a12), (-a21, 1.0 - a22)), _apply_B(B, qf, qbar))
-    t2 = 2.0 * _pair(pf, _apply_B(B, qf, w1))
+    w1 = _solve2(((1.0 - a11, -a12), (-a21, 1.0 - a22)), _apply_B(B, q, qbar))
+    t2 = 2.0 * _pair(pv, _apply_B(B, q, w1))
     z = cmath.exp(2.0j * theta0)
-    w2 = _solve2(((z - a11, -a12), (-a21, z - a22)), _apply_B(B, qf, qf))
-    t3 = _pair(pf, _apply_B(B, qbar, w2))
+    w2 = _solve2(((z - a11, -a12), (-a21, z - a22)), _apply_B(B, q, q))
+    t3 = _pair(pv, _apply_B(B, qbar, w2))
     d = 0.5 * (cmath.exp(-1.0j * theta0) * (t1 + t2 + t3)).real
     return NormalFormData(
         kind="ns",
         coefficient=d,
         eigenvalue=mu,
-        q=q,
-        p=pv,
+        q=np.array(q),
+        p=np.array(pv),
         theta0=theta0,
     )
 

@@ -42,7 +42,6 @@ capped-region presets) stop within a few hundred steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,8 +70,7 @@ def u_star(p: ModelParams) -> float:
     return (p.r - 1.0 + p.K) ** 2 / (4.0 * p.K * p.r)
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(NamedTuple):
     """A candidate forward-invariant region.
 
     ``case`` is 1 (triangle under the ceiling line), 2 (ceiling capped
@@ -141,16 +139,24 @@ def _crossings(u: float, v: float, a: float) -> tuple[float, float]:
     ``v*a*x^2 - (v*a - v + 1)*x + (u - v) = 0`` divided by v is
     ``a*x^2 - b*x - c = 0``: b = a - 1 + w summed exactly and c = (v - u)*w,
     with w = 1/v (c = 1 - u*w past v = 2u, where v - u is no longer exact).
-    Its roots ``q/(2a)`` and ``-2c/q``, q = b + copysign(sqrt(b^2 + 4ac), b),
-    cancel nowhere and overflow for no v; at a = 0 the first is infinite.
+    Its roots ``h/a`` and ``-c/h``, h = (b + copysign(sqrt(b^2 + 4ac), b))/2,
+    cancel nowhere and overflow for no v and no finite a; at a = 0 the first
+    is infinite.  Past a ~ 1e154, where b^2 overflows, the root is taken as
+    ``|b|*sqrt(1 + 4c(a/b)/b)``, and h is summed from halves.
     """
     w = 1.0 / v
     b = math.fsum((a, w, -1.0))
     c = (v - u) * w if v <= 2.0 * u else 1.0 - u * w
-    # at the case-3 window's v_plus edge the discriminant may round below 0
-    q = b + math.copysign(math.sqrt(max(b * b + 4.0 * a * c, 0.0)), b)
-    far = q / (2.0 * a) if a else math.copysign(math.inf, q)
-    return tuple(sorted((-2.0 * c / q, far)))
+    disc = b * b + 4.0 * a * c
+    if math.isfinite(disc):
+        # at the case-3 window's v_plus edge it may round below 0
+        root = math.sqrt(max(disc, 0.0))
+    else:
+        root = abs(b) * math.sqrt(1.0 + 4.0 * c * (a / b) / b)
+    # halving is exact: h/a and -c/h have the bits of q/(2a) and -2c/q
+    h = 0.5 * b + math.copysign(0.5 * root, b)
+    far = h / a if a else math.copysign(math.inf, h)
+    return tuple(sorted((-c / h, far)))
 
 
 class EscapeRecord(NamedTuple):
@@ -162,8 +168,7 @@ class EscapeRecord(NamedTuple):
     constraint: str
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     region: RegionSpec
     samples: int
     steps: int

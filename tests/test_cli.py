@@ -488,6 +488,38 @@ class TestAnalyze:
         assert doc["region"]["case"] == 2
         assert doc["region"]["crossings"] == [1.0]
 
+    @pytest.mark.parametrize(
+        "argv, nbytes, sha256",
+        [
+            # the disease-free flip
+            (["--r", "3", "--beta", "0.5"], 877,
+             "bba02bdf85cce199e80e22c1c31f92dcfa10c51d50c7eff1dc71a10dc4571921"),
+            # an endemic flip, beta1(r) + 9e-10
+            (["--r", "4.075581455820886", "--beta", "3.8747108775713635",
+              "--a", "2.868102815667748", "--K", "0.8582619896474796"], 1247,
+             "06d080bd678f5ad70fa45c5c52ce1e4a72e57f45e927cb6c5a77c621a6a3144f"),
+            # the Neimark-Sacker point r = 35/16
+            (["--r", "2.1875", "--beta", "3"], 1344,
+             "aee4a9c45db58d919471f65fec3a0cef34d065f5fb08405b31b092ee8b8eb8c7"),
+            # the 1:2 resonance at r_max(a = 1, K = 0.5), refused
+            (["--r", "18.881527307120106", "--beta", "1.8601909133900127"], 1313,
+             "c70c6f93860a9eafc91a93020419d71f4f9dfe2800c87aef5bf166b48ec5db13"),
+            (["--preset", "endemic-focus"], 1077,
+             "cc93107f9ffe81d4c54a57214defaca74d3c21cf6321546875f3765a361b2caa"),
+            (["--preset", "capped-region"], 1165,
+             "039501dd6af436320a0d47129effcafcb97f0deaa4b122e243e3ac3b4a3500ce"),
+            (["--preset", "curved-region"], 1236,
+             "4a2bc08281524f1545da50b51ff4713c27d248fdd5062b3de4eda3004f072e4b"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, capsys, argv, nbytes, sha256):
+        # every record behind the report (fixed points, thresholds, normal
+        # form, region) reaches these bytes; any change to one shows here
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 0, err
+        data = out.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (nbytes, sha256)
+
     def test_subcritical_growth_has_no_thresholds(self, capsys):
         doc = run_json(capsys, "analyze", "--r", "0.8")
         assert doc["thresholds"] is None

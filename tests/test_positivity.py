@@ -155,6 +155,15 @@ class TestApplicableRegion:
         assert 0.0 < xbar <= 1.0
         assert abs(xbar - _crossing_roots(reg.u_star, reg.v, a)[-1]) <= 2.0 * 2.0**-53
 
+    @pytest.mark.parametrize("a", [1e154, 2e154, 1e200, 1e300, 1.7976931348623157e308])
+    def test_case2_crossing_for_huge_a(self, a):
+        # b^2 overflows past a ~ 1.34e154 and b + sqrt(.) past a ~ 9e307;
+        # the crossing is still the 50-digit root, within 2 ulp of 1
+        reg = applicable_region(ModelParams(r=3.9, beta=0.3, a=a, K=0.5))
+        assert reg.case == 2
+        (xbar,) = reg.crossings
+        assert abs(xbar - _crossing_roots(reg.u_star, reg.v, a)[-1]) <= 2.0 * 2.0**-53
+
     @pytest.mark.parametrize("r,K", GRID_R_K)
     def test_case2_crossing_within_2_ulp_on_grid(self, r, K):
         # the larger root, in (0, 1], for a from 0 to 1e6 and beta down to

@@ -46,13 +46,23 @@ reader outside its own unit test (the CLI, a demo, the benchmark, the
 README or an acceptance test); a reference that only a test reads lives
 in ``tests/oracles.py``.  ``equilibria`` imports no numpy: its 2x2 work,
 the period-2 Jacobian product included, is plain floats.
+
+The per-point records of ``equilibria``, ``normal_forms`` and
+``positivity`` are NamedTuples, as ``State`` and ``EscapeRecord`` are:
+those modules import no ``dataclasses``, each record keeps the field
+order and the ``repr`` it had as a frozen dataclass and refuses attribute
+assignment, and ``normal_forms._eigenpair`` hands out plain tuples (the
+arrays of ``NormalFormData`` are built where the record is).
 """
 import ast
 import dataclasses
 import inspect
 from pathlib import Path
 
+import pytest
+
 import sirmap
+from sirmap.normal_forms import _eigenpair
 
 SOURCES = sorted(Path(sirmap.__file__).parent.glob("*.py"))
 STEP_KERNELS = {"step", "_step_into", "_advance", "_tangent"}
@@ -467,3 +477,106 @@ def test_equilibria_imports_no_numpy():
     modules = _imported_modules(tree)
     assert "math" in modules
     assert "numpy" not in modules, modules
+
+
+RECORD_MODULES = ("equilibria.py", "normal_forms.py", "positivity.py")
+#: Each per-point record and its fields, in the order they had as frozen dataclasses.
+RECORD_FIELDS = {
+    "EigenData": ("trace", "det", "mu1", "mu2", "sigma", "omega"),
+    "FixedPointReport": ("kind", "location", "eigen", "stability", "residual", "boundary"),
+    "Thresholds": ("beta0", "beta1", "beta2", "r_bar", "r_tilde", "r_max"),
+    "MultilinearForms": ("A", "B", "C"),
+    "NormalFormData": ("kind", "coefficient", "eigenvalue", "q", "p", "theta0"),
+    "RegionSpec": ("case", "params", "u_star", "v", "crossings"),
+    "ProbeReport": ("region", "samples", "steps", "seed", "escape_count", "escapes"),
+}
+
+
+def _records() -> dict:
+    """One instance of each record, at fixed points (the disease-free flip at a = 1, K = 0.5)."""
+    p = sirmap.ModelParams(3.0, 0.5, 1.0, 0.5)
+    df = sirmap.disease_free(p)
+    return {
+        "EigenData": df.eigen,
+        "FixedPointReport": df,
+        "Thresholds": sirmap.thresholds(3.5, 1.0, 0.5),
+        "MultilinearForms": sirmap.shifted_forms(p, df.location),
+        "NormalFormData": sirmap.flip_coefficient(p, df),
+        "RegionSpec": sirmap.applicable_region(sirmap.ModelParams(3.9, 0.3, 1.0, 0.5)),
+        "ProbeReport": sirmap.invariance_probe(
+            sirmap.ModelParams(2.0, 1.5, 1.0, 0.25), samples=2, steps=1, seed=0
+        ),
+    }
+
+
+#: The reprs of :func:`_records`, as the frozen dataclasses printed them.
+RECORD_REPRS = {
+    "EigenData": (
+        "EigenData(trace=-0.30000000000000004, det=-0.7, mu1=(-1+0j), mu2=(0.7+0j), "
+        "sigma=-0.15000000000000002, omega=0.0)"
+    ),
+    "FixedPointReport": (
+        "FixedPointReport(kind='disease_free', location=State(S=0.6666666666666666, I=0.0), "
+        "eigen=EigenData(trace=-0.30000000000000004, det=-0.7, mu1=(-1+0j), mu2=(0.7+0j), "
+        "sigma=-0.15000000000000002, omega=0.0), "
+        "stability=<StabilityClass.NON_HYPERBOLIC: 'non-hyperbolic'>, "
+        "residual=1.1102230246251565e-16, boundary=<BoundaryTag.FLIP: 'flip'>)"
+    ),
+    "Thresholds": (
+        "Thresholds(beta0=1.2, beta1=1.3046786018877388, beta2=2.354798835069989, "
+        "r_bar=9.772001872658766, r_tilde=14.32455532033676, r_max=18.881527307120106)"
+    ),
+    "MultilinearForms": (
+        "MultilinearForms(A=array([[-1. , -0.2],\n       [ 0. ,  0.7]]), "
+        "B=array([[[-6.  , -0.18],\n        [-0.18,  0.  ]],\n\n"
+        "       [[-0.  ,  0.18],\n        [ 0.18,  0.  ]]]), "
+        "C=array([[[[-0.   ,  0.216],\n         [ 0.216,  0.   ]],\n\n"
+        "        [[ 0.216,  0.   ],\n         [ 0.   ,  0.   ]]],\n\n\n"
+        "       [[[ 0.   , -0.216],\n         [-0.216,  0.   ]],\n\n"
+        "        [[-0.216,  0.   ],\n         [ 0.   ,  0.   ]]]]))"
+    ),
+    "NormalFormData": (
+        "NormalFormData(kind='flip', coefficient=9.0, eigenvalue=(-1+0j), "
+        "q=array([ 1., -0.]), p=array([1.        , 0.11764706]), theta0=None)"
+    ),
+    "RegionSpec": (
+        "RegionSpec(case=2, params=ModelParams(r=3.9, beta=0.3, a=1.0, K=0.5), "
+        "u_star=1.482051282051282, v=13.0, crossings=(0.9805206370151551,))"
+    ),
+    "ProbeReport": (
+        "ProbeReport(region=RegionSpec(case=1, params=ModelParams(r=2.0, beta=1.5, a=1.0, "
+        "K=0.25), u_star=0.78125, v=1.3333333333333333, crossings=()), samples=2, steps=1, "
+        "seed=0, escape_count=0, escapes=[])"
+    ),
+}
+
+
+def test_record_modules_import_no_dataclasses():
+    for name in RECORD_MODULES:
+        tree = ast.parse((Path(sirmap.__file__).parent / name).read_text(encoding="utf-8"))
+        assert "dataclasses" not in _imported_modules(tree), name
+
+
+def test_records_are_named_tuples_with_pinned_fields():
+    for name, fields in RECORD_FIELDS.items():
+        cls = getattr(sirmap, name)
+        assert issubclass(cls, tuple), name
+        assert cls._fields == fields, name
+
+
+@pytest.mark.parametrize("name", list(RECORD_FIELDS))
+def test_records_are_immutable_and_keep_their_repr(name):
+    record = _records()[name]
+    assert type(record) is getattr(sirmap, name)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert repr(record) == RECORD_REPRS[name]
+
+
+def test_eigenpair_returns_tuples():
+    for A, mu in ((((0.5, 1.5), (0.5, -0.5)), -1.0), (((0.0, -1.0), (1.0, 0.0)), 1j)):
+        q, p = _eigenpair(A, mu)
+        assert type(q) is tuple and type(p) is tuple
+        assert len(q) == len(p) == 2
