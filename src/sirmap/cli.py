@@ -35,8 +35,10 @@ from collections import namedtuple
 from dataclasses import replace
 
 from .core import DivergenceError, ModelParams, iterate
-from .dynamics import find_cycle_births, lyapunov, reproduction_candidates, scan
-from .equilibria import _NS_CURVE_TAGS, BoundaryTag, disease_free, endemic, thresholds
+from .dynamics import find_cycle_births, lyapunov, scan
+from .equilibria import (
+    _NS_CURVE_TAGS, BoundaryTag, disease_free, endemic, reproduction_candidates, thresholds
+)
 from .normal_forms import ResonanceError, flip_coefficient, ns_coefficient, rho_prime_at_ns
 from .positivity import _check_probe_input, applicable_region, invariance_probe
 

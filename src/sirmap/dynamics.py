@@ -34,7 +34,6 @@ from .core import (
     TOL_CYCLE,
     _advance,
 )
-from .equilibria import beta0_threshold
 
 __all__ = [
     "lyapunov",
@@ -44,7 +43,6 @@ __all__ = [
     "CycleBirth",
     "find_cycle_births",
     "sharkovskii_precedes",
-    "reproduction_candidates",
 ]
 
 
@@ -467,19 +465,3 @@ def sharkovskii_precedes(m: int, n: int) -> bool:
     if qn > 1:
         return False
     return sm > sn
-
-
-def reproduction_candidates(p: ModelParams) -> tuple[float, float]:
-    """Two candidate reproduction numbers, requires r > 1.
-
-    The first is ``beta * (r-1) / (K * (r + a*(r-1)))``, i.e. the ratio
-    of beta to the fold threshold, so it crosses 1 exactly when the
-    endemic point appears.  The second, ``beta / ((a+1)*K)``, bounds the
-    first from above and is 1-homogeneous in beta.
-    """
-    if not p.r > 1.0:
-        raise ValueError(f"reproduction candidates require r > 1, got r={p.r}")
-    ra = p.beta / beta0_threshold(p.r, p.a, p.K)
-    rb = p.beta / ((p.a + 1.0) * p.K)
-    return float(ra), float(rb)
-

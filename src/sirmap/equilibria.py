@@ -2,8 +2,9 @@
 
 The map has the disease-free fixed point E0 = ((r-1)/r, 0) and, once the
 transmission strength crosses the fold threshold ``beta0``, the endemic
-point E1 with both coordinates positive.  Three threshold curves in the
-(r, beta) plane organise the local bifurcations of E1:
+point E1 with both coordinates positive; the ratio ``beta/beta0`` is the
+first of the two :func:`reproduction_candidates`.  Three threshold curves
+in the (r, beta) plane organise the local bifurcations of E1:
 
 * ``beta0``  -- E1 collides with E0 (eigenvalue +1),
 * ``beta1``  -- E1 loses stability through eigenvalue -1 (3 < r < r_max),
@@ -38,6 +39,7 @@ __all__ = [
     "disease_free",
     "endemic",
     "beta0_threshold",
+    "reproduction_candidates",
     "beta1_formula",
     "beta2_threshold",
     "resonance_growth",
@@ -230,6 +232,21 @@ def endemic(p: ModelParams) -> FixedPointReport | None:
 def beta0_threshold(r: float, a: float, K: float) -> float:
     """Fold threshold: E1 branches off E0 as beta crosses this value."""
     return K * (r + a * (r - 1.0)) / (r - 1.0)
+
+
+def reproduction_candidates(p: ModelParams) -> tuple[float, float]:
+    """Two candidate reproduction numbers, requires r > 1.
+
+    The first is ``beta * (r-1) / (K * (r + a*(r-1)))``, i.e. the ratio
+    of beta to the fold threshold, so it crosses 1 exactly when the
+    endemic point appears.  The second, ``beta / ((a+1)*K)``, bounds the
+    first from above and is 1-homogeneous in beta.
+    """
+    if not p.r > 1.0:
+        raise ValueError(f"reproduction candidates require r > 1, got r={p.r}")
+    ra = p.beta / beta0_threshold(p.r, p.a, p.K)
+    rb = p.beta / ((p.a + 1.0) * p.K)
+    return float(ra), float(rb)
 
 
 def beta1_formula(r: float, a: float, K: float) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -379,48 +380,52 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
 
 
 def rho_prime_at_ns(p: ModelParams) -> float:
-    """d|mu|/d(beta) for the complex eigenvalue pair at E1.
+    """d|mu|/d(beta) for the complex eigenvalue pair at E1, in closed form.
 
-    The modulus is ``sqrt(det)`` while the pair is complex, and the two
-    determinant entries that move with beta are differentiated in
-    closed form.  The result is cross-validated internally against a
-    central finite difference (relative 1e-5) and must be non-zero,
-    so on the NS curve it certifies transversal unit-circle crossing.
-    Each determinant is read from the Jacobian entries at E1 alone; no
-    fixed-point report is built.
+    At E1 the Jacobian has ``a22 = 1`` and ``a12 = -K``, so ``det J =
+    a11 + K*a21`` and, while the pair is complex, ``|mu| = sqrt(det J)``.
+    Its beta-derivative is ``(t1 - t2 + t3) / (2*sqrt(det J))`` with
+
+        t1 = 2*K*r/(a*K - beta)**2,   t2 = K*(a*(r - 1) + r)/beta**2,
+        t3 = K*da21 = K*K*(a*(r - 1) + r)/beta**2,
+
+    ``t1 - t2`` being ``d a11/d beta``; all three are non-negative for
+    r > 1.  The one E1 evaluation reads the determinant from the Jacobian
+    entries; no fixed-point report is built.  A non-zero value on the NS
+    curve certifies the transversal unit-circle crossing.  The tests check
+    the value against a 50-digit ``mpmath`` derivative of ``sqrt(det J(E1))``
+    (``tests/oracles.mpmath_modulus_slope``).
+
+    The slope is refused as vanishing when ``|t1 - t2 + t3|`` lies within
+    the rounding error of its own evaluation.  With ``u = eps/2`` and the
+    standard model of each operation, to first order t1 carries
+    ``(5 + 2*k1)*u`` relative error, with ``k1 = a*K/(beta - a*K)`` the
+    condition of the difference it squares; t2 carries ``6u``; t3 carries
+    ``(5 + 2*k2)*u``, with ``k2 = (a + 1)*r/(a*(r - 1) + r)`` the condition
+    of ``a - (a + 1)*r``.  The two sums add ``u*(t1 + t2)`` and
+    ``u*(t1 + t2 + t3)``.  So the error is at most ``u*((7 + 2*k1)*t1 +
+    8*t2 + (6 + 2*k2)*t3)``, below ``eps*(4*(t1 + t2 + t3) + k1*t1 +
+    k2*t3)``.  The test takes twice that, for the second-order terms and a
+    ``pow`` rounded within one ulp rather than half of one; at a = 0 it is
+    ``8*eps*(t1 + t2 + t3)`` plus ``2*eps*t3``.  Being relative to the
+    terms, it refuses at any scale of the parameters only what rounding
+    cannot tell from zero.
     """
-    r, beta, a, K = p.r, p.beta, p.a, p.K
-
-    def eigen(q: ModelParams):
-        x = _endemic_location(q)
-        if x is None:
-            return None
-        return _eigen_quadratic(*_jacobian_entries(q, *x))
-
-    e = eigen(p)
-    if e is None:
+    x = _endemic_location(p)
+    if x is None:
         raise ValueError("endemic point absent; no eigenvalue pair to track")
+    e = _eigen_quadratic(*_jacobian_entries(p, *x))
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; modulus derivative not defined this way")
 
-    da11 = 2.0 * K * r / (a * K - beta) ** 2 - K * (a * (r - 1.0) + r) / beta**2
+    r, beta, a, K = p.r, p.beta, p.a, p.K
+    t1 = 2.0 * K * r / (a * K - beta) ** 2
+    t2 = K * (a * (r - 1.0) + r) / beta**2
     da21 = -K * (a - (a + 1.0) * r) / beta**2
-    m = e.det
-    analytic = (da11 + K * da21) / (2.0 * math.sqrt(m))
-
-    def modulus(b: float) -> float:
-        eb = eigen(ModelParams(r=r, beta=b, a=a, K=K))
-        if eb is None:
-            raise ValueError("finite-difference probe left the endemic region")
-        return math.sqrt(eb.det)
-
-    h = 1.0e-6 * max(1.0, abs(beta))
-    fd = (modulus(beta + h) - modulus(beta - h)) / (2.0 * h)
-    if abs(analytic - fd) > 1.0e-5 * max(abs(analytic), 1.0e-12):
-        raise RuntimeError(
-            f"modulus derivative cross-check failed: analytic {analytic:.12g} "
-            f"vs finite difference {fd:.12g}"
-        )
-    if abs(analytic) < 1.0e-12:
+    t3 = K * da21
+    slope = t1 - t2 + t3
+    k1 = a * K / (beta - a * K)
+    k2 = (a + 1.0) * r / (a * (r - 1.0) + r)
+    if abs(slope) <= 2.0 * sys.float_info.epsilon * (4.0 * (t1 + t2 + t3) + k1 * t1 + k2 * t3):
         raise ValueError("modulus derivative vanishes; crossing is not transversal")
-    return float(analytic)
+    return slope / (2.0 * math.sqrt(e.det))

@@ -21,7 +21,9 @@ entries became plain floats, and ``mpmath_normal_form`` recomputes a fixed
 point, its derivative tensors and its flip or Neimark-Sacker coefficient
 at 40 digits.  ``report_modulus_slope`` is ``sirmap.rho_prime_at_ns``'s value
 read from a full ``sirmap.endemic`` report, as it was before the E1
-determinant came straight from the Jacobian entries.
+determinant came straight from the Jacobian entries, and
+``mpmath_modulus_slope`` is the 50-digit ``mpmath.diff`` of sqrt(det J(E1))
+in beta that certifies that closed form.
 ``numpy_period2_eigen`` is ``sirmap.period2_branch``'s eigen data from the
 numpy product of its two Jacobian arrays, as they were before the product
 became plain floats.  ``UnscaledParams``, ``scale_params`` and
@@ -560,6 +562,35 @@ def report_modulus_slope(p: ModelParams) -> float:
     da11 = 2.0 * K * r / (a * K - beta) ** 2 - K * (a * (r - 1.0) + r) / beta**2
     da21 = -K * (a - (a + 1.0) * r) / beta**2
     return (da11 + K * da21) / (2.0 * math.sqrt(endemic(p).eigen.det))
+
+
+def mpmath_modulus_slope(p: ModelParams, dps: int = 50):
+    """d|mu|/d(beta) at E1: the ``mpmath.diff`` of sqrt(det J(E1)) in beta, at ``dps`` digits.
+
+    E1 = (K/(beta - a K), (r-1)/(beta - a K) - r K/(beta - a K)^2) and the
+    four entries of its Jacobian are written out for every beta, so only
+    the model is shared with ``sirmap.rho_prime_at_ns``'s closed form.  The
+    central difference steps ``beta * 2**-prec`` (mpmath's own ``relative``
+    step shrinks as beta grows) and runs at twice the working precision;
+    the value is an mpmath number.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        r, a, K = (mp.mpf(v) for v in (p.r, p.a, p.K))
+
+        def modulus(beta):
+            den = beta - a * K
+            S, I = K / den, (r - 1) / den - r * K / den**2
+            g = 1 + a * S
+            a11 = r - 2 * r * S - beta * I / g**2
+            a12 = -beta * S / g
+            a21 = beta * I / g**2
+            a22 = 1 - K + beta * S / g
+            return mp.sqrt(a11 * a22 - a12 * a21)
+
+        beta = mp.mpf(p.beta)
+        return mp.diff(modulus, beta, h=mp.ldexp(beta, -mp.mp.prec))
 
 
 def numpy_period2_eigen(p: ModelParams) -> EigenData:

@@ -5,6 +5,7 @@ path as the installed ``sirmap`` script without spawning processes; two
 parser-reuse tests compare against a fresh interpreter.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -21,12 +22,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sirmap import ModelParams, applicable_region, cli, dynamics
+from sirmap import ModelParams, applicable_region, cli, dynamics, equilibria, normal_forms
 from sirmap.cli import PRESETS, main
 from sirmap.core import TOL_BOUNDARY
 from sirmap.dynamics import ScanResult
 from sirmap.equilibria import beta2_threshold, thresholds
+
+from oracles import mpmath_modulus_slope
 
 
 def run_cli(capsys, *argv):
@@ -525,6 +530,88 @@ class TestAnalyze:
         assert doc["thresholds"] is None
         assert doc["endemic"] is None
         assert doc["reproduction_candidates"] is None
+
+    def test_ns_point_evaluates_e1_three_times(self, capsys, monkeypatch):
+        # the report's E1, the NS coefficient's and the modulus slope's
+        located, original = [], equilibria._endemic_location
+
+        def locate(p):
+            located.append(p)
+            return original(p)
+
+        monkeypatch.setattr(equilibria, "_endemic_location", locate)
+        monkeypatch.setattr(normal_forms, "_endemic_location", locate)
+        doc = run_json(capsys, "analyze", "--r", "2.1875", "--beta", "3")
+        assert doc["normal_form"]["kind"] == "ns"
+        assert len(located) == 3
+
+    @pytest.mark.parametrize("argv", [
+        # the finite-difference cross-check of the slope once ended in a traceback here
+        ["--r", "1.0000136705818676", "--beta", "89775.7338063329",
+         "--a", "0.014008852061774147", "--K", "0.22726981828990278"],
+        # an absolute 1e-12 vanishing test once refused this slope of 1.5e-17
+        ["--r", "1.0000000309050967", "--beta", "33403129.777641818",
+         "--a", "0.002325462685221495", "--K", "0.03232692415528521"],
+    ])
+    def test_small_transversal_slope_is_reported(self, capsys, argv):
+        doc = run_json(capsys, "analyze", *argv)
+        nf = doc["normal_form"]
+        assert nf["kind"] == "ns"
+        r, beta, a, K = (float(v) for v in argv[1::2])
+        exact = mpmath_modulus_slope(ModelParams(r=r, beta=beta2_threshold(r, a, K), a=a, K=K))
+        assert abs(nf["modulus_slope"] - exact) <= 1.0e-13 * abs(exact)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+#: Any valid model parameters, each log-uniform over its domain (a = 0 too).
+_ANY_MODEL = st.tuples(
+    _log_uniform(-300.0, 300.0),
+    _log_uniform(-300.0, 300.0),
+    st.one_of(st.just(0.0), _log_uniform(-300.0, 300.0)),
+    _log_uniform(-300.0, 0.0).filter(lambda K: K < 1.0),
+)
+
+
+@st.composite
+def _on_ns_curve(draw):
+    """A point (r, beta2(r), a, K) of the NS curve with r = 1 + 10^U(-9, -1)."""
+    r = 1.0 + draw(_log_uniform(-9.0, -1.0))
+    a = draw(st.one_of(st.just(0.0), _log_uniform(-4.0, 2.0)))
+    K = draw(_log_uniform(-4.0, 0.0).filter(lambda K: K < 1.0))
+    return r, beta2_threshold(r, a, K), a, K
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
+class TestValidInputExitCodes:
+    """A valid input exits 0 with strict JSON, 2 with a message, or 3; never 1."""
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["regions", "--samples", "3", "--steps", "3"],
+    ])
+    @given(model=st.one_of(_ANY_MODEL, _on_ns_curve()))
+    @example(model=(1.0000136705818676, 89775.7338063329, 0.014008852061774147,
+                    0.22726981828990278))
+    @example(model=(1.0000000309050967, 33403129.777641818, 0.002325462685221495,
+                    0.03232692415528521))
+    @settings(max_examples=150, deadline=None)
+    def test_no_traceback(self, command, model):
+        flags = [item for key, value in zip(("--r", "--beta", "--a", "--K"), model)
+                 for item in (key, repr(value))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, *flags])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3), (code, err)
+        if code == 0:
+            json.loads(out, parse_constant=_refuse_constant)
+        elif code == 2:
+            assert out == "" and err.startswith("error: ") and err.strip() != "error:"
 
 
 class TestScan:

@@ -23,12 +23,13 @@ from sirmap import (
     thresholds,
 )
 from sirmap.core import TOL_BOUNDARY, TOL_HYP
-from sirmap import equilibria
+from sirmap import equilibria, normal_forms
 from sirmap.normal_forms import ResonanceError, _apply_B, _apply_C, _eigenpair
 
 from oracles import (
     chain_rule_forms,
     finite_difference_forms,
+    mpmath_modulus_slope,
     mpmath_normal_form,
     report_modulus_slope,
 )
@@ -236,16 +237,59 @@ class TestNSCoefficient:
             rho_prime_at_ns(ModelParams(r=2.0, beta=beta, a=1.0, K=0.5))
 
     def test_modulus_derivative_builds_no_report(self, monkeypatch):
-        # the point and both finite-difference probes need only det J(E1),
-        # and the coefficient reads E1's eigenvalues from its own forms
+        # the slope needs only det J(E1), from one E1 evaluation and no new
+        # parameter set, and the coefficient reads E1's eigenvalues from its
+        # own forms
         def refuse(*args, **kwargs):
             raise AssertionError("full fixed-point report built")
 
-        monkeypatch.setattr(equilibria, "_report", refuse)
+        def no_params(self):
+            raise AssertionError("ModelParams validated")
+
+        located = []
+
+        def locate(q):
+            located.append(q)
+            return equilibria._endemic_location(q)
+
         p = ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5)
+        monkeypatch.setattr(equilibria, "_report", refuse)
+        monkeypatch.setattr(normal_forms, "_endemic_location", locate)
+        monkeypatch.setattr(ModelParams, "__post_init__", no_params)
         rho = rho_prime_at_ns(p)
+        assert located == [p]
         assert abs(rho - 0.128125) < 1.0e-9
         assert abs(ns_coefficient(p).coefficient - D_AT_35_16) < 1.0e-9
+
+    @given(a=st.floats(0.0, 3.0), K=st.floats(0.1, 0.9), t=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_modulus_derivative_matches_the_50_digit_slope(self, a, K, t):
+        # the paper range 1.05 <= r < r_max and the tail 1 + 1e-9 <= r <= 1.1
+        # below it, on the NS curve
+        r_max = thresholds(2.0, a, K).r_max
+        for r in (1.05 + t * (r_max - 1.05), 1.0 + 10.0 ** (-9.0 + 8.0 * t)):
+            p = ModelParams(r=r, beta=beta2_threshold(r, a, K), a=a, K=K)
+            try:
+                rho = rho_prime_at_ns(p)
+            except ValueError as exc:  # past r_max the pair turns real
+                assert "eigenvalues are real" in str(exc)
+                continue
+            exact = mpmath_modulus_slope(p)
+            assert abs(rho - exact) <= 1.0e-13 * abs(exact), (p, rho, exact)
+
+    def test_vanishing_slope_is_refused_within_rounding_only(self):
+        # t1 = (1 - K)*t2 at this beta: |mu| has a minimum in beta there
+        r, a, K = 2.0, 10.0, 0.1
+        c = math.sqrt((1.0 - K) * (a * (r - 1.0) + r))
+        beta = c * a * K / (c - math.sqrt(2.0 * r))
+        for b in (math.nextafter(beta, 0.0), beta, math.nextafter(beta, 3.0)):
+            with pytest.raises(ValueError, match="modulus derivative vanishes"):
+                rho_prime_at_ns(ModelParams(r=r, beta=b, a=a, K=K))
+        # a relative step of 1e-12 already leaves a slope that rounding can tell
+        for b in (beta * (1.0 - 1.0e-12), beta * (1.0 + 1.0e-12)):
+            p = ModelParams(r=r, beta=b, a=a, K=K)
+            exact = mpmath_modulus_slope(p)
+            assert abs(rho_prime_at_ns(p) - exact) <= 1.0e-3 * abs(exact)
 
 
 class TestEigenpair:

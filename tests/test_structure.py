@@ -45,7 +45,13 @@ The public API is pinned: ``sirmap.__all__`` holds exactly the names in
 reader outside its own unit test (the CLI, a demo, the benchmark, the
 README or an acceptance test); a reference that only a test reads lives
 in ``tests/oracles.py``.  ``equilibria`` imports no numpy: its 2x2 work,
-the period-2 Jacobian product included, is plain floats.
+the period-2 Jacobian product included, is plain floats.  ``dynamics``
+imports nothing from ``equilibria``.
+
+The size of the package is pinned too: ``CODE_LINES`` is the number of
+lines under ``src/sirmap`` that hold code (no docstring, comment or blank
+line), as :func:`_code_lines` counts them from the tokens and the syntax
+tree.  A change that moves it updates the pin and says old -> new.
 
 The per-point records of ``equilibria``, ``normal_forms`` and
 ``positivity`` are NamedTuples, as ``State`` and ``EscapeRecord`` are:
@@ -57,6 +63,8 @@ arrays of ``NormalFormData`` are built where the record is).
 import ast
 import dataclasses
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -477,6 +485,69 @@ def test_equilibria_imports_no_numpy():
     modules = _imported_modules(tree)
     assert "math" in modules
     assert "numpy" not in modules, modules
+
+
+def test_dynamics_imports_nothing_from_equilibria():
+    # the orbit layer stands on core alone; reproduction_candidates, which
+    # divides by beta0_threshold, lives in equilibria next to it
+    tree = ast.parse((Path(sirmap.__file__).parent / "dynamics.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names |= {alias.name for alias in node.names}
+    assert "core" in names
+    assert not [name for name in names if "equilibria" in name], names
+
+
+#: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
+#: moves the total updates this pin and states old -> new in CHANGES.md.
+CODE_LINES = 1445
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _code_lines(source: str) -> int:
+    """Lines that hold code: no docstring, comment or blank line.
+
+    A docstring is the leading string statement of the module, a class or a
+    function.  Every line a code token spans counts once, so a statement
+    wrapped over three lines counts three.
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and (
+                isinstance(first.value.value, str)
+            ):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_line_counter():
+    source = '''"""Module."""
+# comment
+
+def f(x):
+    """Doc
+    string."""
+    text = """two
+    lines"""  # trailing
+    return (x,
+            text)
+'''
+    assert _code_lines(source) == 5
+
+
+def test_code_lines_are_pinned():
+    assert sum(_code_lines(path.read_text(encoding="utf-8")) for path in SOURCES) == CODE_LINES
 
 
 RECORD_MODULES = ("equilibria.py", "normal_forms.py", "positivity.py")
