@@ -21,7 +21,8 @@ arrays) and :func:`_advance` the one guarded plain-map loop, behind
 probe steps its ensemble with :func:`_step_into`, which overwrites the
 state arrays in place with :func:`step`'s operations in :func:`step`'s
 order (bit-identical states, no allocation per step).  Only the tangent
-kernel ``dynamics._tangent`` keeps its own fused step.
+kernel ``dynamics._tangent`` keeps its own fused step.  numpy is imported
+only inside :func:`jacobian`, :func:`iterate` and :func:`_step_into`.
 
 A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
@@ -42,8 +43,6 @@ import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "DIVERGENCE_BOUND",
@@ -147,6 +146,8 @@ def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -
     in :func:`step`'s operation order with the same operands, so each
     state is bit-identical to ``step(p, (S, I))``, and nothing is allocated.
     """
+    import numpy as np
+
     t, w = work
     # t = (1 - K)*I, kept for the last line
     np.multiply(1.0 - p.K, I, out=t)
@@ -195,6 +196,8 @@ def jacobian(p: ModelParams, x: tuple[float, float]) -> np.ndarray:
     which raises ``ValueError`` on the pole ``1 + a*S = 0`` and wherever an
     entry fails to be finite.
     """
+    import numpy as np
+
     a11, a12, a21, a22 = _jacobian_entries(p, float(x[0]), float(x[1]))
     return np.array(((a11, a12), (a21, a22)), dtype=np.float64)
 
@@ -288,6 +291,8 @@ def iterate(
     """
     if n_transient < 0 or n_keep < 0:
         raise ValueError("n_transient and n_keep must be non-negative")
+    import numpy as np
+
     S, I, k = _advance(p, x0, n_transient)
     if k is not None:
         return Orbit(states=np.empty((0, 2)), escaped_at=k)

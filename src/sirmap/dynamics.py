@@ -2,7 +2,8 @@
 
 Heavy loops are plain-float Python: the work runs one orbit at a time
 (one per scan row, per Lyapunov estimate, per cycle birth), where numpy
-array overhead would dominate.
+array overhead would dominate.  numpy is imported only inside
+:func:`detect_period`, :func:`scan` and :func:`find_cycle_births`.
 
 Plain-map stretches run through ``core._advance``.  :func:`_tangent`
 fuses the map step, its Jacobian, one normalised tangent vector and
@@ -21,8 +22,6 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .core import (
     DEFAULT_MAX_PERIOD,
@@ -200,6 +199,8 @@ def detect_period(orbit, max_period: int = DEFAULT_MAX_PERIOD) -> int | None:
     ``TOL_CYCLE`` in the sup norm across the whole sample window.  The window
     must hold at least ``4 * max_period`` samples.
     """
+    import numpy as np
+
     pts = orbit.states if isinstance(orbit, Orbit) else np.asarray(orbit, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("orbit must be an (n, 2) array of samples")
@@ -259,6 +260,8 @@ def scan(
         raise ValueError("keep must be >= 1")
     if transient < 0:
         raise ValueError("transient must be non-negative")
+    import numpy as np
+
     lo, hi = prange
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(lo, hi, steps)
@@ -423,6 +426,7 @@ def find_cycle_births(
     lo, hi = float(r_window[0]), float(r_window[1])
     if not (3.0 <= lo < hi <= 4.0):
         raise ValueError(f"r_window must sit inside (3, 4], got {r_window}")
+    import numpy as np
 
     births, harmonics = [], set()
     for v, r in _superstable_words(n // 2) if n % 2 == 0 else []:

@@ -24,8 +24,8 @@ as pairs of scalars.  numpy arrays remain only in the public return
 types, the three tensors of :class:`MultilinearForms` and
 ``NormalFormData.q`` and ``.p`` (each built once, as the record is), and
 in :func:`iterate_forms`' chain-rule composition for k >= 2, where they
-pay off.  Both records are NamedTuples, like those of
-:mod:`sirmap.equilibria`.
+pay off.  numpy is imported only inside the functions that build them.
+Both records are NamedTuples, like those of :mod:`sirmap.equilibria`.
 
 Conventions, the same on the float and the array path: for real (flip)
 data the pairing <p, x> is the plain dot product; for complex (NS) data it
@@ -38,8 +38,6 @@ import cmath
 import math
 import sys
 from typing import Literal, NamedTuple
-
-import numpy as np
 
 from .core import ModelParams, State, TOL_HYP, _jacobian_entries, step
 from .equilibria import (
@@ -68,7 +66,8 @@ __all__ = [
 #: Radius (in r) around the strong resonances where the NS coefficient
 #: is refused rather than computed.
 RESONANCE_EXCLUSION = 1.0e-6
-#: Largest fixed-point residual (sup norm) accepted for normal-form work.
+#: Relative fixed-point residual bound for normal-form work: a residual
+#: (sup norm) above ``TOL_RESIDUAL * max(1, |S|, |I|)`` is refused.
 TOL_RESIDUAL = 1.0e-10
 
 
@@ -150,6 +149,8 @@ def _point_entries(p: ModelParams, S: float, I: float) -> tuple:
 
 def _point_tensors(p: ModelParams, x) -> MultilinearForms:
     """:func:`_point_entries` at an arbitrary point, as arrays."""
+    import numpy as np
+
     return MultilinearForms(*map(np.array, _point_entries(p, float(x[0]), float(x[1]))))
 
 
@@ -157,14 +158,16 @@ def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> tuple:
     """A, B, C of the k-th iterate, as nested floats, at a point it fixes.
 
     The larger of ``residual`` (one the caller already holds) and the
-    recomputed k-step residual must not exceed :data:`TOL_RESIDUAL`.
+    recomputed k-step residual must not exceed :data:`TOL_RESIDUAL` times
+    ``max(1, |S|, |I|)``: a few ulp of a large coordinate pass.
     """
     x = State(float(x[0]), float(x[1]))
     res = max(residual, _residual(p, x, k))
-    if res > TOL_RESIDUAL:
+    bound = TOL_RESIDUAL * max(1.0, abs(x.S), abs(x.I))
+    if res > bound:
         raise ValueError(
             f"normal-form work requires a fixed point: residual {res:.3e} "
-            f"exceeds {TOL_RESIDUAL:.1e} at {tuple(x)}"
+            f"exceeds {bound:.1e} at {tuple(x)}"
         )
     if k == 1:
         return _point_entries(p, x.S, x.I)
@@ -176,10 +179,12 @@ def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
     """Derivative tensors of the map at a fixed point.
 
     ``fp`` must actually be fixed: a one-step residual above
-    :data:`TOL_RESIDUAL` raises ``ValueError``.  These are the forms of
-    the map shifted so the fixed point sits at the origin (shifting does
-    not change derivatives).
+    :data:`TOL_RESIDUAL` times ``max(1, |S|, |I|)`` raises ``ValueError``.
+    These are the forms of the map shifted so the fixed point sits at the
+    origin (shifting does not change derivatives).
     """
+    import numpy as np
+
     return MultilinearForms(*map(np.array, _cycle_forms(p, fp, 1)))
 
 
@@ -192,6 +197,8 @@ def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    import numpy as np
+
     z = (float(x[0]), float(x[1]))
     forms = _point_tensors(p, z)
     A, B, C = forms.A, forms.B, forms.C
@@ -280,9 +287,10 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     Accepts a report for the disease-free point, the endemic point, or
     one point of the axis 2-cycle; in the latter case the expansion is
     taken for the second iterate at that point.  Requires the report's
-    residual and the recomputed one to stay within :data:`TOL_RESIDUAL`,
-    the relevant Jacobian to have an eigenvalue -1 and ``A - I`` to be
-    invertible; the eigenvectors are :func:`_eigenpair`'s at exactly -1.
+    residual and the recomputed one to stay within :data:`TOL_RESIDUAL`
+    times ``max(1, |S|, |I|)``, the relevant Jacobian to have an eigenvalue
+    -1 and ``A - I`` to be invertible; the eigenvectors are
+    :func:`_eigenpair`'s at exactly -1.
     The eigenvalue test is ``|det(A + I)| <= TOL_HYP * max(1, |1 + mu_far|)``
     with ``mu_far`` the eigenvalue farther from -1: while ``mu_far`` is O(1)
     from -1 that puts the nearer one within about ``TOL_HYP`` of -1, and
@@ -309,6 +317,8 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     q, pv = _eigenpair(A, -1.0)
     w = _solve2(((a11 - 1.0, a12), (a21, a22 - 1.0)), _apply_B(B, q, q))
     c = _pair(pv, _apply_C(C, q, q, q)) / 6.0 - _pair(pv, _apply_B(B, q, w)) / 2.0
+    import numpy as np
+
     return NormalFormData(
         kind="flip",
         coefficient=c,
@@ -369,6 +379,8 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     w2 = _solve2(((z - a11, -a12), (-a21, z - a22)), _apply_B(B, q, q))
     t3 = _pair(pv, _apply_B(B, qbar, w2))
     d = 0.5 * (cmath.exp(-1.0j * theta0) * (t1 + t2 + t3)).real
+    import numpy as np
+
     return NormalFormData(
         kind="ns",
         coefficient=d,

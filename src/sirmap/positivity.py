@@ -28,7 +28,9 @@ ensemble in place with ``core._step_into`` and writes every inequality
 into one membership table (``_holds``, also behind the sampler), one
 row per constraint; a column's first False names an orbit's exit.
 Exited orbits are dropped by moving the survivors, with their original
-indices, to the front of each buffer.
+indices, to the front of each buffer.  numpy is imported only inside the
+functions that make or step arrays (the probe, its sampler and table,
+``_holds`` and ``RegionSpec.nullcline``).
 
 Orbits that settle are dropped the same way.  Every ``_SETTLE_EVERY``-th
 step the probe keeps the states before the step and drops each orbit
@@ -43,8 +45,6 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import ModelParams, _step_into
 
@@ -89,6 +89,8 @@ class RegionSpec(NamedTuple):
 
     def nullcline(self, x):
         """Height of the S' >= 0 frontier: ``v * (1 - x) * (1 + a*x)``."""
+        import numpy as np
+
         return self.v * (1.0 - np.asarray(x)) * (1.0 + self.params.a * np.asarray(x))
 
 
@@ -179,6 +181,8 @@ class ProbeReport(NamedTuple):
 
 def _table(region: RegionSpec, shape: tuple) -> np.ndarray:
     """An unfilled membership table: a bool row per constraint the region has."""
+    import numpy as np
+
     return np.empty((3 if region.case == 1 else len(_CONSTRAINTS),) + shape, dtype=bool)
 
 
@@ -192,6 +196,8 @@ def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
     ``work``, two float rows shaped like ``S``; either is allocated when
     not given.
     """
+    import numpy as np
+
     if table is None:
         table = _table(region, np.shape(S))
     if work is None:
@@ -217,6 +223,8 @@ def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
 
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points of the region by rejection from its bounding box."""
+    import numpy as np
+
     u = region.u_star
     if region.case == 1:
         x_hi, y_hi = u, u
@@ -280,6 +288,8 @@ def invariance_probe(
                 "no invariance region applies at these parameters; "
                 "pass an explicit region to probe one anyway"
             )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     S, I = _sample_region(region, samples, rng)
     index = np.arange(samples)

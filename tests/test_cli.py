@@ -2,7 +2,8 @@
 
 Everything goes through ``main(argv)`` so the tests exercise the same
 path as the installed ``sirmap`` script without spawning processes; two
-parser-reuse tests compare against a fresh interpreter.
+parser-reuse tests compare against a fresh interpreter, and one runs the
+scalar subcommands in a fresh interpreter to see that numpy stays unloaded.
 """
 
 import contextlib
@@ -588,8 +589,26 @@ def _refuse_constant(token):
     raise AssertionError(f"non-strict JSON token {token}")
 
 
+_MODEL_FLAGS = ("--r", "--beta", "--a", "--K")
+
+
+def _exit_code_is_clean(argv):
+    """Run ``main``: exit 0 with strict JSON or a CSV header, 2 with a message, or 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    if code == 0 and argv[0] in ("simulate", "scan"):
+        assert out.startswith(("n,S,I\n", "a,lyap_max,escaped_at,")), out
+    elif code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+    elif code == 2:
+        assert out == "" and err.startswith("error: ") and err.strip() != "error:"
+
+
 class TestValidInputExitCodes:
-    """A valid input exits 0 with strict JSON, 2 with a message, or 3; never 1."""
+    """A valid input exits 0 with strict JSON or CSV, 2 with a message, or 3; never 1."""
 
     @pytest.mark.parametrize("command", [
         ["analyze"], ["regions", "--samples", "3", "--steps", "3"],
@@ -601,17 +620,34 @@ class TestValidInputExitCodes:
                     0.03232692415528521))
     @settings(max_examples=150, deadline=None)
     def test_no_traceback(self, command, model):
-        flags = [item for key, value in zip(("--r", "--beta", "--a", "--K"), model)
-                 for item in (key, repr(value))]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*command, *flags])
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 2, 3), (code, err)
-        if code == 0:
-            json.loads(out, parse_constant=_refuse_constant)
-        elif code == 2:
-            assert out == "" and err.startswith("error: ") and err.strip() != "error:"
+        flags = [item for key, value in zip(_MODEL_FLAGS, model) for item in (key, repr(value))]
+        _exit_code_is_clean([*command, *flags])
+
+    # scan sweeps a over three rows in place of the drawn one
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--transient", "10", "--steps", "5"],
+        ["scan", "--param", "a", "--lo", "0", "--hi", "1", "--steps", "3", "--keep", "2",
+         "--transient", "10"],
+        ["lyapunov", "--transient", "10", "--steps", "1000"],
+    ], ids=["simulate", "scan", "lyapunov"])
+    @given(model=st.one_of(_ANY_MODEL, _on_ns_curve()))
+    @settings(max_examples=150, deadline=None)
+    def test_orbit_commands_no_traceback(self, command, model):
+        flags = [item for key, value in zip(_MODEL_FLAGS, model) for item in (key, repr(value))]
+        _exit_code_is_clean([*command, *flags])
+
+    # windows inside [3, 4], so the birth search runs; the examples take the
+    # refusals of an empty window and of one outside (3, 4]
+    @given(
+        n=st.integers(3, 12),
+        window=st.lists(st.floats(3.0, 4.0), min_size=2, max_size=2, unique=True).map(sorted),
+    )
+    @example(n=3, window=(3.5, 3.5))
+    @example(n=5, window=(1.0e-300, 1.0e300))
+    @settings(max_examples=150, deadline=None)
+    def test_cycles_no_traceback(self, n, window):
+        _exit_code_is_clean(["cycles", "--n", str(n), "--lo", repr(window[0]),
+                             "--hi", repr(window[1])])
 
 
 class TestScan:
@@ -1060,6 +1096,46 @@ class TestParserReuse:
         proc = _python("-m", "sirmap.cli", "cycles", "--n", "3")
         code, out, err = run_cli(capsys, "cycles", "--n", "3")
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+#: Runs ``main`` on each argv of the JSON list in argv[1] and writes, as
+#: JSON, whether numpy was loaded after the imports and after each call,
+#: with each call's exit code.
+_NUMPY_PROBE = """
+import json, sys
+import sirmap, sirmap.cli
+seen = [("import", "numpy" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = sirmap.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    seen.append((code, "numpy" in sys.modules))
+sys.stderr.write("\\n" + json.dumps(seen))
+"""
+
+
+class TestNumpyFreePath:
+    def test_scalar_subcommands_never_load_numpy(self, tmp_path):
+        spec = PRESETS["ns-branch-scan"]
+        out = tmp_path / "scan.csv"
+        calls = [
+            ["analyze", "--r", "1.8", "--beta", "3"],
+            ["lyapunov", "--preset", "axis-chaos", "--steps", "1000"],
+            ["--help"],
+            ["analyze", "--preset", "nope"],
+            ["scan", "--preset", "ns-branch-scan", "--s0", repr(spec["s0"]),
+             "--i0", repr(spec["i0"]), "--out", str(out)],
+        ]
+        proc = _python("-c", _NUMPY_PROBE, json.dumps(calls))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [
+            ["import", False], [0, False], [0, False], [0, False], [2, False], [0, True]
+        ]
+        # the first array loads it, and the bytes are the benchmark's reference
+        ref = json.loads(_SWEEP_REFERENCE.read_text(encoding="utf-8"))["scan ns-branch-scan"]
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (ref["bytes"], ref["sha256"])
 
 
 def _readme_commands():

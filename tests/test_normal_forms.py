@@ -1,7 +1,9 @@
 """Tests for the flip and Neimark-Sacker normal-form machinery."""
 
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +24,7 @@ from sirmap import (
     shifted_forms,
     thresholds,
 )
+from sirmap.cli import main
 from sirmap.core import TOL_BOUNDARY, TOL_HYP
 from sirmap import equilibria, normal_forms
 from sirmap.normal_forms import ResonanceError, _apply_B, _apply_C, _eigenpair
@@ -509,3 +512,32 @@ class TestMpmathOracle:
         )
         sensitivity = abs(up - down) / (2.0 * h)
         assert gap <= ORACLE_COND * sensitivity, (p, gap, exact, sensitivity)
+
+    def test_ns_form_at_a_fixed_point_with_large_coordinates(self, capsys):
+        # E1 sits at I ~ 5.9e5, where its one-step residual of 1.16e-10 is a
+        # few ulp of I: the residual bound scales with the coordinates
+        argv = ["--r", "37035.60750267616", "--beta", "4.543153267741701",
+                "--a", "288.2651573648773", "--K", "0.0156513624059114"]
+        assert main(["analyze", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["endemic"]["location"][1] > 5.0e5
+        assert doc["endemic"]["residual"] > 1.0e-10
+        nf = doc["normal_form"]
+        assert (nf["at"], nf["kind"]) == ("endemic", "ns")
+        r, beta, a, K = (float(v) for v in argv[1::2])
+        assert beta == beta2_threshold(r, a, K)
+
+        def exact(beta):
+            """The oracle's d and theta0, the angle of its critical eigenvalue."""
+            A, d = (mpmath_normal_form(ModelParams(r=r, beta=beta, a=a, K=K), "ns")[i]
+                    for i in (2, -1))
+            half_trace = (A[0][0] + A[1][1]) / 2
+            det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+            return float(d), float(mpmath.atan2(mpmath.sqrt(det - half_trace**2), half_trace))
+
+        # both are ill-conditioned here; bound each by its sensitivity to beta
+        h = 1.0e-10
+        (d, theta0), up, down = (exact(beta * (1.0 + s)) for s in (0.0, h, -h))
+        for got, want, plus, minus in zip((nf["coefficient"], nf["theta0"]), (d, theta0), up, down):
+            assert abs(got - want) <= ORACLE_COND * abs(plus - minus) / (2.0 * h), (got, want)
+        assert d < 0.0 and nf["branch_stable"]

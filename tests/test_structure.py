@@ -45,7 +45,12 @@ The public API is pinned: ``sirmap.__all__`` holds exactly the names in
 reader outside its own unit test (the CLI, a demo, the benchmark, the
 README or an acceptance test); a reference that only a test reads lives
 in ``tests/oracles.py``.  ``equilibria`` imports no numpy: its 2x2 work,
-the period-2 Jacobian product included, is plain floats.  ``dynamics``
+the period-2 Jacobian product included, is plain floats.  No module
+imports numpy when it loads: each function that builds, reads or steps
+arrays imports it in its own body, so ``import sirmap`` and the scalar
+subcommands run without it.  Array annotations stay the unevaluated
+strings of ``from __future__ import annotations``; nothing resolves them,
+so no ``TYPE_CHECKING`` import of numpy backs them either.  ``dynamics``
 imports nothing from ``equilibria``.
 
 The size of the package is pinned too: ``CODE_LINES`` is the number of
@@ -487,6 +492,35 @@ def test_equilibria_imports_no_numpy():
     assert "numpy" not in modules, modules
 
 
+def _load_time_modules(tree) -> set:
+    """The top-level package of every import outside a function body.
+
+    Those run when the module loads: at module level, in a class body or
+    under an ``if``.  A ``TYPE_CHECKING`` block counts too.
+    """
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= _imported_modules(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_numpy_imported_only_inside_functions():
+    guarded = "if TYPE_CHECKING:\n    import numpy as np\n"
+    local = "def f():\n    import numpy as np\n    return np.zeros(1)\n"
+    assert _load_time_modules(ast.parse(guarded)) == {"numpy"}
+    assert _load_time_modules(ast.parse(local)) == set()
+    loaded = {
+        path.name
+        for path in SOURCES
+        if "numpy" in _load_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert loaded == set(), loaded
+
+
 def test_dynamics_imports_nothing_from_equilibria():
     # the orbit layer stands on core alone; reproduction_candidates, which
     # divides by beta0_threshold, lives in equilibria next to it
@@ -504,7 +538,7 @@ def test_dynamics_imports_nothing_from_equilibria():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1445
+CODE_LINES = 1458
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
