@@ -28,14 +28,16 @@ A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
 an earlier one, the rest of the run goes round a cycle whose states have
 all passed the guard; it runs only the steps that reach the same phase
-and returns the bits the full loop would.  A state is packed to bits only
-after its S and I compare equal, as floats, to the kept state's.
-Recorded windows still run every step.  The tangent kernel
-``dynamics._tangent`` stops the same way at a repeat of its whole state,
-then replays one recorded turn's log stretches.  The invariance probe
-drops each ensemble orbit whose state is bit-equal to its image under
-:func:`_step_into` (an exact fixed point); it does not look for longer
-cycles.
+and returns the bits the full loop would.  Its step loop holds only the
+guard, the step and the comparison of the new state with the kept one;
+the rows of a recorded window and the keeping of states happen between
+stretches of that loop.  A state is packed to bits only after its S and I
+compare equal, as floats, to the kept state's.  Recorded windows still run
+every step.  The tangent kernel ``dynamics._tangent`` stops the same way at
+a repeat of its whole state, then replays one recorded turn's log
+stretches.  The invariance probe drops each ensemble orbit whose state is
+bit-equal to its image under :func:`_step_into` (an exact fixed point); it
+does not look for longer cycles.
 """
 from __future__ import annotations
 
@@ -233,14 +235,21 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     of a state on the pole ``1 + a*S = 0``), or None.  Row ``k < len(out)``
     of ``out``, if given, receives the checked state before step ``k``.
 
-    Past the rows of ``out`` the loop keeps the state at step
-    ``max(len(out), 1)`` and at each doubling of that step (Brent's
-    cycle-finding schedule, BIT 20 (1980) 176-184), and stops at the first
-    later state bit-equal to the kept one, signed zeros included.  The map
-    is deterministic, so the orbit then goes round that cycle for good, and
+    Past the rows of ``out`` the loop keeps the state at step ``len(out)``
+    and at each doubling of that step (1 after 0: Brent's cycle-finding
+    schedule, BIT 20 (1980) 176-184), and stops at the first later state
+    bit-equal to the kept one, signed zeros included.  The map is
+    deterministic, so the orbit then goes round that cycle for good, and
     every state of the cycle has passed the guard: whole turns can neither
     escape nor change the result, and only the steps left over after them
     are run.
+
+    The step loop runs guard, step and comparison from one bookkeeping
+    point (a row, or a step of that schedule) to the next.  The state after
+    each step is compared with the kept one, so a repeat after step ``k``
+    has period ``k + 1 - kept``; a state kept at a bookkeeping point passes
+    the guard before the first step leaves it, and a row is written once
+    its state has passed the guard.
     """
     S, I = float(x0[0]), float(x0[1])
     r, beta, a, K = p.r, p.beta, p.a, p.K
@@ -250,29 +259,36 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
     # sum of two such terms stays <= bound): only a state outside it pays
     # for the exact test
     low, high = -0.5 * bound, 0.5 * bound
-    # the kept state (none yet: NaN equals nothing) and the next step to
-    # keep; until then every step with a row of `out` is due
-    kept, next_keep, bits_kept = 0, 0 if m else 1, b""
+    # the kept state (none yet: NaN equals nothing)
     S_kept = I_kept = math.nan
+    k = 0
     try:
-        # `not (total <= bound)` also catches NaN
-        for k in range(n):
-            if not (low <= S <= high and low <= I <= high) and not (abs(S) + abs(I) <= bound):
-                return S, I, k
-            # S can sit still while I moves on, as when I decays to the
-            # axis: compare I too before packing the bits
-            if S == S_kept and I == I_kept and _bits(S, I) == bits_kept:
-                return _advance(p, (S, I), (n - k) % (k - kept))
-            if k >= next_keep:
-                if k < m:
-                    out[k, 0] = S
-                    out[k, 1] = I
-                else:
-                    kept, next_keep, S_kept, I_kept = k, 2 * k, S, I
-                    bits_kept = _bits(S, I)
-            force = beta * S * I / (1.0 + a * S)
-            S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+        while k < n:
+            # a bookkeeping point: a row of `out` (one step each), or a step
+            # of the doubling schedule past them
+            if k < m:
+                S_row, I_row, stop = S, I, k + 1
+            else:
+                kept, S_kept, I_kept, bits_kept = k, S, I, _bits(S, I)
+                stop = 2 * k or 1
+            for k in range(k, min(stop, n)):
+                # `not (total <= bound)` also catches NaN
+                if not (low <= S <= high and low <= I <= high) and not (abs(S) + abs(I) <= bound):
+                    return S, I, k
+                force = beta * S * I / (1.0 + a * S)
+                S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
+                # S can sit still while I moves on, as when I decays to the
+                # axis: compare I too before packing the bits
+                if S == S_kept and I == I_kept and _bits(S, I) == bits_kept:
+                    return _advance(p, (S, I), (n - k - 1) % (k + 1 - kept))
+            if k < m:  # the state before step k passed the guard
+                out[k, 0] = S_row
+                out[k, 1] = I_row
+            k += 1
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
+        if k < m:
+            out[k, 0] = S
+            out[k, 1] = I
         return S, I, k
     return S, I, None
 

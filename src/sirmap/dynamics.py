@@ -7,14 +7,16 @@ array overhead would dominate.  numpy is imported only inside
 
 Plain-map stretches run through ``core._advance``.  :func:`_tangent`
 fuses the map step, its Jacobian, one normalised tangent vector and
-``|det J|`` for ``lyapunov`` and ``scan``.  Its step forms the incidence
-as ``phi * I``, which rounds differently from ``core.step``, and the scan
-and Lyapunov outputs follow that orbit bit for bit.  Like ``_advance``, it
-stops at the first bit-exact repeat of its state (the orbit point, the
-vector and its lost flag) and replays one turn's log stretches one step
-at a time, so the sums are those of the every-step loop.  It packs a
-state to bits only after S, the vector's q2 and I compare equal, as
-floats, to the kept state's.
+``|det J|`` for ``lyapunov`` and ``scan``.  The ``|det J|`` part (the log
+sum of ``r22``) runs only for the caller that reads it, the main
+``lyapunov`` run; ``scan`` and the frame warm-up pass ``det=False``.  Its
+step forms the incidence as ``phi * I``, which rounds differently from
+``core.step``, and the scan and Lyapunov outputs follow that orbit bit
+for bit.  Like ``_advance``, it stops at the first bit-exact repeat of
+its state (the orbit point, the vector and its lost flag) and replays one
+turn's log stretches one step at a time, so the sums are those of the
+every-step loop.  It packs a state to bits only after S, the vector's q2
+and I compare equal, as floats, to the kept state's.
 """
 from __future__ import annotations
 
@@ -53,13 +55,15 @@ _FRAME_WARMUP = 2000
 _tangent_bits = struct.Struct("<4d?").pack
 
 
-def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
+def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None, *, det=True):
     """Run ``n`` guarded steps of the map and its normalised tangent vector.
 
     Returns ``(S, I, frame, log_r11, log_r22, escaped_at)``: log sums over the
     steps run of the vector's stretch ``r11`` and of ``|det J| / r11``, the
     ``r22`` of a two-column QR; ``escaped_at`` is as in ``core._advance``,
-    a state on the pole ``1 + a*S = 0`` included.
+    a state on the pole ``1 + a*S = 0`` included.  With ``det=False`` no
+    step forms, clamps, logs or sums ``r22``, and ``log_r22`` is ``None``;
+    every other result has the bits of the ``det=True`` run.
     Row ``k < len(out)`` of ``out``, if given, receives the state before step ``k``.
 
     A vector mapped exactly to zero is lost in the kernel of ``J``, as the
@@ -68,14 +72,16 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     second column, whose stretch is ``r22``.
 
     Past the rows of ``out`` the whole tangent state ``(S, I, q1, q2,
-    lost)`` is kept on the doubling schedule of ``core._advance``.  At its
-    first bit-equal repeat, signed zeros included, the state goes round a
-    cycle of length ``L`` for good, every state of it past the guard.  If
-    more than ``L`` steps remain, one more turn runs and records each step's
-    two log increments and the state after it (O(L) memory); the steps left
-    then add the recorded increments to the sums one at a time, in order,
-    as the full loop would (a turn is never summed ahead: float addition is
-    not associative), and end on the recorded state of their phase.
+    lost)`` is kept at step ``max(len(out), 1)`` and at each doubling of
+    that step, Brent's schedule as in ``core._advance``.  At its first
+    bit-equal repeat, signed zeros included, the state goes round a cycle of
+    length ``L`` for good, every state of it past the guard.  If more than
+    ``L`` steps remain, one more turn runs and records each step's log
+    increments (the ``r22`` one is ``None`` with ``det=False``) and the state
+    after it (O(L) memory); the steps left then add the recorded increments
+    to the sums one at a time, in order, as the full loop would (a turn is
+    never summed ahead: float addition is not associative), and end on the
+    recorded state of their phase.
     """
     S, I = x0
     r, beta, a, K = p.r, p.beta, p.a, p.K
@@ -84,7 +90,7 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
     bound, tiny, hypot, log = DIVERGENCE_BOUND, 1.0e-300, math.hypot, math.log
     two_r, retain = 2.0 * r, 1.0 - K
     low, high = -0.5 * bound, 0.5 * bound  # the guard's fast box, as in core._advance
-    s1 = s2 = 0.0
+    s1, s2, d2 = 0.0, 0.0 if det else None, None
     lost = False
     # the kept state and the next step to keep, as in core._advance; `turn`
     # records (d1, d2, state) per step once the kept state comes round
@@ -107,7 +113,8 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
                     rest = n - k
                     for d1, d2, _ in itertools.islice(itertools.cycle(turn), rest):
                         s1 += d1
-                        s2 += d2
+                        if det:
+                            s2 += d2
                     S, I, q1, q2 = turn[(rest - 1) % len(turn)][2]
                     return S, I, (q1, q2), s1, s2, None
                 if n - k > k - kept:
@@ -141,14 +148,17 @@ def _tangent(p: ModelParams, x0, frame, n: int, out: np.ndarray | None = None):
                     stretch = tiny
             q1, q2 = m1 / stretch, m2 / stretch
             if lost:  # r11 stays at its clamp; the stretch is r22
-                d1, d2 = log(tiny), log(stretch)
+                d1, r22 = log(tiny), stretch
             else:
-                r22 = abs(j11 * j22 + phi * j21) / stretch
-                if r22 < tiny:
-                    r22 = tiny
-                d1, d2 = log(stretch), log(r22)
+                d1 = log(stretch)
+                if det:
+                    r22 = abs(j11 * j22 + phi * j21) / stretch
+                    if r22 < tiny:
+                        r22 = tiny
             s1 += d1
-            s2 += d2
+            if det:
+                d2 = log(r22)
+                s2 += d2
             if turn is not None:
                 turn.append((d1, d2, (S, I, q1, q2)))
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
@@ -182,7 +192,7 @@ def lyapunov(
     # swing onto the dominant direction (the misalignment may start at
     # denormal size), which would otherwise leak a 1/n bias into both
     # exponents.  On the axis it stays on the axis direction: hence the sort.
-    S, I, frame, _, _, k = _tangent(p, (S, I), _START, _FRAME_WARMUP)
+    S, I, frame, _, _, k = _tangent(p, (S, I), _START, _FRAME_WARMUP, det=False)
     if k is not None:
         raise DivergenceError(transient + k)
     _, _, _, s1, s2, k = _tangent(p, (S, I), frame, n)
@@ -280,7 +290,7 @@ def scan(
     for row, q in enumerate(row_params):
         S, I, escaped_at = _advance(q, state, transient)
         if escaped_at is None:
-            S, I, _, log_r11, _, k = _tangent(q, (S, I), _START, n_lyap, samples[row])
+            S, I, _, log_r11, _, k = _tangent(q, (S, I), _START, n_lyap, samples[row], det=False)
             if k is None:
                 lyap_max[row] = log_r11 / n_lyap
             else:

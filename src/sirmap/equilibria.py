@@ -25,6 +25,7 @@ every analysed point, and equal to plain tuples holding the same values.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Literal, NamedTuple
 
@@ -268,9 +269,18 @@ def beta1_formula(r: float, a: float, K: float) -> float:
 
 
 def beta2_threshold(r: float, a: float, K: float) -> float:
-    """Neimark-Sacker threshold: det of the E1 Jacobian equals one here."""
+    """Neimark-Sacker threshold: det of the E1 Jacobian equals one here.
+
+    The radicand ``a^2 + 2aq(3K - 1) + q^2 (K + 1)^2`` cancels near
+    ``a = q(1 - 3K)`` for small K; where it keeps less than a quarter of
+    its square terms, it is taken in the equal form
+    ``(a - q(1 - 3K))^2 + 8K(1 - K)q^2``, whose terms are both positive.
+    """
     q = r / (r - 1.0)
-    inner = a * a + 2.0 * a * q * (3.0 * K - 1.0) + q * q * (K + 1.0) ** 2
+    aa, qq = a * a, q * q * (K + 1.0) ** 2
+    inner = aa + 2.0 * a * q * (3.0 * K - 1.0) + qq
+    if inner < 0.25 * (aa + qq):
+        inner = (a - q * (1.0 - 3.0 * K)) ** 2 + 8.0 * K * (1.0 - K) * q * q
     return 0.5 * (a * (2.0 * K - 1.0) + q * (K + 1.0) + math.sqrt(inner))
 
 
@@ -287,7 +297,10 @@ def resonance_growth(x: float, a: float, K: float) -> float:
         + 2.0 * a * x * (K * (3.0 * x - 1.0) - x)
         + (K * (x + 1.0) + x) ** 2
     )
-    return lin + 0.5 * math.sqrt(inner / (K * K))
+    KK = K * K
+    # below the normal range K*K has lost bits, or is 0: divide the root by K
+    root = math.sqrt(inner / KK) if KK >= sys.float_info.min else math.sqrt(inner) / K
+    return lin + 0.5 * root
 
 
 class Thresholds(NamedTuple):

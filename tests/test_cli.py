@@ -154,8 +154,8 @@ class TestDispatchAndErrors:
         assert err.startswith("error:")
 
     def test_zero_divisor_is_config_error(self, capsys):
-        # K*K underflows to 0 in the resonance growth values
-        code, out, err = run_cli(capsys, "analyze", "--r", "3", "--beta", "1", "--a", "1",
+        # den*den underflows to 0 in the endemic point's I coordinate
+        code, out, err = run_cli(capsys, "analyze", "--r", "3", "--beta", "3e-200", "--a", "1",
                                  "--K", "1e-200")
         assert code == 2
         assert out == ""
@@ -370,6 +370,19 @@ class TestSimulate:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("model", [
+        # beta2's expanded radicand rounds below zero ("math domain error")
+        ("3.196970438572481", "1", "1.4551722601464623", "7.487848446512169e-19"),
+        # K*K underflows to 0 in the resonance growth values
+        ("3", "1", "1", "1e-200"),
+    ], ids=["beta2-radicand-cancels", "K-squared-underflows"])
+    def test_tiny_K_gives_a_report(self, capsys, model):
+        argv = [item for flag, value in zip(_MODEL_FLAGS, model) for item in (flag, value)]
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert code == 0, err
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert doc["thresholds"]["beta2"] > 0.0
+
     def test_endemic_focus_report(self, capsys):
         doc = run_json(capsys, "analyze", "--preset", "endemic-focus")
         assert doc["disease_free"]["stability"] == "saddle"
@@ -842,6 +855,21 @@ class TestRegions:
 
 
 class TestLyapunov:
+    @pytest.mark.parametrize("argv, size, sha256", [
+        (["--preset", "axis-chaos", "--s0", "0.3"], 113,
+         "886e52bd3a7eeed72c744ae16e0938a9de9fcb27407bcba5ebe611a24e562929"),
+        (["--preset", "invariant-curve", "--s0", "0.6", "--i0", "0.2"], 120,
+         "7f356b9aeb1fc58332056f78d0059eda3d1a1a4d55dc62968bc3d20e21a2a489"),
+    ], ids=["axis-chaos", "invariant-curve"])
+    def test_sweep_calls_keep_their_bytes(self, capsys, argv, size, sha256):
+        # the two lyapunov calls of the benchmark's sweep workload at its
+        # default seed; the benchmark's reference for the second predates
+        # the one-vector frame, so the bytes are pinned here
+        code, out, err = run_cli(capsys, "lyapunov", *argv)
+        assert code == 0, err
+        data = out.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
+
     def test_sink_exponents_json(self, capsys):
         doc = run_json(
             capsys, "lyapunov", "--preset", "endemic-focus",

@@ -254,17 +254,27 @@ class TestTangentPathOracle:
 
 
 def _tangent_bits(result):
-    """A tangent run's result with every float as its bit pattern."""
+    """A tangent run's result with every float as its bit pattern (an absent
+    r22 sum stays None)."""
     S, I, (q1, q2), s1, s2, escaped_at = result
-    return tuple(v.hex() for v in (S, I, q1, q2, s1, s2)) + (escaped_at,)
+    return tuple(v if v is None else v.hex() for v in (S, I, q1, q2, s1, s2)) + (escaped_at,)
+
+
+def _without_det(bits):
+    """The bits a ``det=False`` run of the same call returns: no r22 sum."""
+    return bits[:5] + (None,) + bits[6:]
 
 
 def _same_tangent(p, x0, frame, n, rows=0):
-    """``_tangent`` and the every-step loop agree bit for bit, ``out`` rows included."""
-    got_out, want_out = np.full((rows, 2), np.nan), np.full((rows, 2), np.nan)
+    """``_tangent`` and the every-step loop agree bit for bit, ``out`` rows
+    included, and so does ``_tangent(det=False)`` in all but the r22 sum."""
+    got_out, want_out, lean_out = (np.full((rows, 2), np.nan) for _ in range(3))
     got = _tangent_bits(dynamics._tangent(p, x0, frame, n, got_out if rows else None))
     assert got == _tangent_bits(plain_tangent(p, x0, frame, n, want_out if rows else None))
     assert got_out.tobytes() == want_out.tobytes()
+    lean = dynamics._tangent(p, x0, frame, n, lean_out if rows else None, det=False)
+    assert _tangent_bits(lean) == _without_det(got)
+    assert lean_out.tobytes() == want_out.tobytes()
     return got
 
 
@@ -337,6 +347,7 @@ class TestTangentCycleReplay:
         p, x0 = _LOST_VECTOR
         _, _, _, s1, s2, _ = dynamics._tangent(p, x0, dynamics._START, 10_001)
         assert s1 == plain_tangent(p, x0, dynamics._START, 10_001)[3]
+        assert dynamics._tangent(p, x0, dynamics._START, 10_001, det=False)[3:5] == (s1, None)
         assert s1 < -690.0 * 10_000  # log(1e-300) every step
         assert abs(s2 / 10_001 - math.log(1.5)) < 1.0e-3
 
@@ -381,6 +392,9 @@ class TestTangentCycleReplay:
         want = _tangent_bits(plain_tangent(p, x0, dynamics._START, 10**5))
         assert _tangent_bits(dynamics._tangent(p, x0, dynamics._START, 10**5)) == want
         assert len(packs) < 40  # one per kept state and one at the repeat, not one per step
+        lean = dynamics._tangent(p, x0, dynamics._START, 10**5, det=False)
+        assert _tangent_bits(lean) == _without_det(want)
+        assert len(packs) < 80
 
     def test_endemic_focus_never_repeats(self):
         # the vector turns by the eigenvalues' angle: no state comes round
@@ -403,6 +417,10 @@ class TestTangentCycleReplay:
         got = _tangent_bits(dynamics._tangent(p, x0, dynamics._START, n))
         assert got == want
         assert 0 < len(calls) < 200  # detection at step 66, one 2-step turn recorded
+        calls.clear()
+        lean = dynamics._tangent(p, x0, dynamics._START, n, det=False)
+        assert _tangent_bits(lean) == _without_det(want)
+        assert 0 < len(calls) < 200
 
 
 class TestLyapunov:

@@ -1,6 +1,7 @@
 """Fixed points, thresholds, boundary classification, period-2 branch."""
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +180,76 @@ class TestThresholds:
         rep = endemic(ModelParams(r=r, beta=beta, a=a, K=K))
         assert math.isclose(rep.eigen.det, 1.0, abs_tol=1e-9)
 
+
+
+def _mp_closed_forms(r, a, K):
+    """``(beta0, beta2, r_bar, r_tilde, r_max)`` at 50 digits, at the float inputs."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r, a, K = mp.mpf(r), mp.mpf(a), mp.mpf(K)
+        q = r / (r - 1)
+        beta2 = (a * (2 * K - 1) + q * (K + 1)
+                 + mp.sqrt(a * a + 2 * a * q * (3 * K - 1) + q * q * (K + 1) ** 2)) / 2
+
+        def growth(x):
+            inner = a * a * x * x + 2 * a * x * (K * (3 * x - 1) - x) + (K * (x + 1) + x) ** 2
+            return (a * x + K * (x + 1) + x) / (2 * K) + mp.sqrt(inner) / (2 * K)
+
+        return K * (r + a * (r - 1)) / (r - 1), beta2, growth(2), growth(3), growth(4)
+
+
+class TestTinyK:
+    """Closed forms at removal fractions K far below the paper's range."""
+
+    @given(
+        r=st.floats(1.05, 10.0),
+        log_K=st.floats(-30.0, -8.0),
+        offset=st.floats(-1.0e-15, 1.0e-15),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_beta2_where_its_radicand_cancels(self, r, log_K, offset):
+        # near a = q(1 - 3K) the expanded radicand cancels to O(K q^2) and
+        # used to round below zero ("math domain error")
+        K = 10.0 ** log_K
+        q = r / (r - 1.0)
+        a = q * (1.0 - 3.0 * K) * (1.0 + offset)
+        want = _mp_closed_forms(r, a, K)[1]
+        assert abs(beta2_threshold(r, a, K) - want) <= 2.0 * sys.float_info.epsilon * max(a, q)
+
+    def test_beta2_repro(self):
+        r, a, K = 3.196970438572481, 1.4551722601464623, 7.487848446512169e-19
+        q = r / (r - 1.0)
+        want = _mp_closed_forms(r, a, K)[1]
+        # the result, about 1.8e-9, is what is left of terms of size q
+        assert abs(thresholds(r, a, K).beta2 - want) <= 2.0 * sys.float_info.epsilon * q
+
+    def test_thresholds_where_K_squared_underflows(self):
+        th = thresholds(3.0, 1.0, 1.0e-170)
+        assert th.beta1 is None  # r = 3 is the flip curve's lower end
+        want = _mp_closed_forms(3.0, 1.0, 1.0e-170)
+        got = (th.beta0, th.beta2, th.r_bar, th.r_tilde, th.r_max)
+        for value, exact in zip(got, want):
+            assert math.isclose(value, exact, rel_tol=4.0 * sys.float_info.epsilon)
+
+    def test_endemic_where_K_squared_underflows(self):
+        import mpmath as mp
+
+        p = ModelParams(r=3.0, beta=1.0, a=1.0, K=1.0e-200)
+        rep = endemic(p)
+        assert rep.boundary is None
+        with mp.workdps(50):
+            r, beta, a, K = (mp.mpf(v) for v in (p.r, p.beta, p.a, p.K))
+            den = beta - a * K
+            S, I = K / den, (r - 1) / den - r * K / den ** 2
+            a11 = r - 2 * r * S - I * beta / (1 + a * S) ** 2
+            a12 = -beta * S / (1 + a * S)
+            a21 = I * beta / (1 + a * S) ** 2
+            a22 = 1 - K + beta * S / (1 + a * S)
+            want = (S, I, a11 + a22, a11 * a22 - a12 * a21)
+        got = (*rep.location, rep.eigen.trace, rep.eigen.det)
+        for value, exact in zip(got, want):
+            assert math.isclose(value, exact, rel_tol=4.0 * sys.float_info.epsilon)
 
 class TestEigenQuadratic:
     @pytest.mark.parametrize(

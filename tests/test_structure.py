@@ -7,6 +7,9 @@ in each map kernel and nowhere else (in the in-place ensemble kernel
 the tangent kernel.  A new hand-inlined copy of either fails here, also
 one inside a kernel; route the new caller through ``core.step``,
 ``core._step_into``, ``core._advance`` or ``dynamics._tangent`` instead.
+A ``_tangent`` call that binds its fifth result (the r22 log sum) to ``_``
+passes ``det=False``, so the kernel skips that sum, and a call that reads
+it does not.
 numpy functions are called with an ``out=`` buffer only in
 ``core._step_into`` and in ``positivity._holds``, the one membership
 site, and the only other call with ``out=`` is the probe's reduction of
@@ -192,6 +195,41 @@ def test_hypot_only_in_tangent_kernel():
     # exactly one call: a second normalised tangent column cannot come back
     calls = _occurrences(_is_hypot_call)
     assert [(path, func) for path, func, _ in calls] == [("dynamics.py", "_tangent")], calls
+
+
+def _tangent_calls() -> list:
+    """``(file, line, r22 sum discarded, det keyword)`` of each ``_tangent`` call.
+
+    The r22 sum is the fifth result; it counts as discarded when the call is
+    unpacked straight into six targets and the fifth is ``_``.  The det
+    keyword is its constant value, ``None`` when absent, or ``...`` when it
+    is not a constant.
+    """
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        discarded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+                targets = node.targets[0].elts
+                if len(targets) == 6 and isinstance(targets[4], ast.Name) and targets[4].id == "_":
+                    discarded.add(id(node.value))
+        for node in ast.walk(tree):
+            if _calls("_tangent")(node):
+                det = None
+                for kw in node.keywords:
+                    if kw.arg == "det":
+                        det = kw.value.value if isinstance(kw.value, ast.Constant) else ...
+                found.append((path.name, node.lineno, id(node) in discarded, det))
+    return found
+
+
+def test_det_sum_only_where_it_is_read():
+    calls = _tangent_calls()
+    # scan and the lyapunov warm-up discard the r22 sum; the lyapunov run reads it
+    assert sorted(discarded for _, _, discarded, _ in calls) == [False, True, True], calls
+    for path, line, discarded, det in calls:
+        assert (det is False) if discarded else (det in (None, True)), (path, line, det)
 
 
 def _writes_out(numpy_function: bool):
@@ -538,7 +576,7 @@ def test_dynamics_imports_nothing_from_equilibria():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1458
+CODE_LINES = 1474
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
