@@ -16,8 +16,12 @@ lines, any option key; keys outside the row are ignored) < explicit flags.
 A scan preset's sweep (``_SWEEP_KEYS``) reaches scan only.
 
 JSON output is strict: a report holding a non-finite number is refused
-as a configuration error.  Inputs that would make a subcommand store more
-than ``MAX_STORED_FLOATS`` numbers are refused before any allocation.
+as a configuration error.  A JSON object that stands for a library record
+holds that record's fields in their order: the ``thresholds`` of analyze
+are ``Thresholds``, a region is ``RegionSpec`` without ``params``, and the
+regions report is ``ProbeReport`` with its ``escapes`` as ``EscapeRecord``
+objects.  Inputs that would make a subcommand store more than
+``MAX_STORED_FLOATS`` numbers are refused before any allocation.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite
 initial state or scan range, and arithmetic overflow or a zero divisor on
@@ -219,14 +223,10 @@ def _normal_form_json(at: str, nf, **extra) -> dict:
 
 
 def _region_json(region) -> dict | None:
+    """The fields of a ``RegionSpec`` but ``params``, or None."""
     if region is None:
         return None
-    return {
-        "case": region.case,
-        "u_star": region.u_star,
-        "v": region.v,
-        "crossings": list(region.crossings),
-    }
+    return {key: value for key, value in region._asdict().items() if key != "params"}
 
 
 def _report_json(rep) -> dict:
@@ -273,14 +273,7 @@ def cmd_analyze(opts: dict) -> int:
     tag1 = None
     if p.r > 1.0:
         th = thresholds(p.r, p.a, p.K)
-        doc["thresholds"] = {
-            "beta0": th.beta0,
-            "beta1": th.beta1,
-            "beta2": th.beta2,
-            "r_bar": th.r_bar,
-            "r_tilde": th.r_tilde,
-            "r_max": th.r_max,
-        }
+        doc["thresholds"] = th._asdict()
         en = endemic(p)
         if en is not None:
             tag1 = en.boundary
@@ -379,14 +372,9 @@ def cmd_regions(opts: dict) -> int:
     report = invariance_probe(
         p, samples=opts["samples"], steps=opts["steps"], seed=opts["seed"], region=region
     )
-    doc = {
-        "region": _region_json(region),
-        "samples": report.samples,
-        "steps": report.steps,
-        "seed": report.seed,
-        "escape_count": report.escape_count,
-        "escapes": [e._asdict() for e in report.escapes],
-    }
+    doc = report._asdict()
+    doc["region"] = _region_json(region)
+    doc["escapes"] = [e._asdict() for e in report.escapes]
     _emit_json(doc, opts["out"])
     return 0
 

@@ -89,9 +89,9 @@ class DivergenceError(RuntimeError):
         at which the guard triggered.
     """
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"orbit escaped the guard region at step {step}")
+        super().__init__(f"orbit escaped the guard region at step {step}")
 
 
 class State(NamedTuple):

@@ -17,7 +17,9 @@ resonances at three special growth values ``r_bar < r_tilde < r_max``
 Everything here is closed-form 2x2 work in plain floats: the four
 Jacobian entries come from ``core._jacobian_entries`` and the eigenvalues
 from the trace/determinant quadratic :func:`_eigen_quadratic`, never from
-a general eigensolver or a numpy array.  The records handed out
+a general eigensolver or a numpy array.  E1 and its linearisation come
+from one site, :func:`_endemic_point`, which :func:`endemic` and the E1
+work of :mod:`sirmap.normal_forms` read.  The records handed out
 (:class:`EigenData`, :class:`FixedPointReport`, :class:`Thresholds`) are
 NamedTuples, like ``core.State``: immutable, cheap to build on
 every analysed point, and equal to plain tuples holding the same values.
@@ -199,17 +201,21 @@ def disease_free(p: ModelParams) -> FixedPointReport:
         ) from None
 
 
-def _endemic_location(p: ModelParams) -> State | None:
-    """E1 = ``(K/(beta - a*K), (r-1)/(beta - a*K) - r*K/(beta - a*K)^2)``, or ``None``.
+def _endemic_point(p: ModelParams) -> tuple[State, tuple, EigenData] | None:
+    """E1, its Jacobian entries ``(a11, a12, a21, a22)`` and their eigen data, or ``None``.
 
+    E1 = ``(K/(beta - a*K), (r-1)/(beta - a*K) - r*K/(beta - a*K)^2)``.
     Requires ``r > 1``; ``None`` at or below the fold ``beta <= beta0``.
+    The one site that locates and linearises E1.
     """
     if not p.r > 1.0:
         raise ValueError(f"endemic analysis requires r > 1, got r={p.r}")
     if not p.beta > beta0_threshold(p.r, p.a, p.K):
         return None
     den = p.beta - p.a * p.K
-    return State(p.K / den, (p.r - 1.0) / den - p.r * p.K / (den * den))
+    x = State(p.K / den, (p.r - 1.0) / den - p.r * p.K / (den * den))
+    entries = _jacobian_entries(p, *x)
+    return x, entries, _eigen_quadratic(*entries)
 
 
 def endemic(p: ModelParams) -> FixedPointReport | None:
@@ -219,11 +225,11 @@ def endemic(p: ModelParams) -> FixedPointReport | None:
     exactly when ``beta > beta0``; at or below the threshold ``None`` is
     returned.
     """
-    loc = _endemic_location(p)
-    if loc is None:
+    point = _endemic_point(p)
+    if point is None:
         return None
-    e = _eigen_quadratic(*_jacobian_entries(p, *loc))
-    return _report(p, "endemic", loc, e, tag=classify_boundary(p, "E1"))
+    x, _, e = point
+    return _report(p, "endemic", x, e, tag=classify_boundary(p, "E1"))
 
 
 # ---------------------------------------------------------------------------

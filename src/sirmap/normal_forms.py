@@ -22,10 +22,11 @@ tuples of floats (:func:`_point_entries`), contracted by the sums of
 rule in :func:`_solve2`, and :func:`_eigenpair` returns its eigenvectors
 as pairs of scalars.  numpy arrays remain only in the public return
 types, the three tensors of :class:`MultilinearForms` and
-``NormalFormData.q`` and ``.p`` (each built once, as the record is), and
-in :func:`iterate_forms`' chain-rule composition for k >= 2, where they
-pay off.  numpy is imported only inside the functions that build them.
-Both records are NamedTuples, like those of :mod:`sirmap.equilibria`.
+``NormalFormData.q`` and ``.p`` (built in :func:`_normal_form`, the one
+place either coefficient's record is made), and in :func:`iterate_forms`'
+chain-rule composition for k >= 2, where they pay off.  numpy is imported
+only inside the functions that build them.  Both records are
+NamedTuples, like those of :mod:`sirmap.equilibria`.
 
 Conventions, the same on the float and the array path: for real (flip)
 data the pairing <p, x> is the plain dot product; for complex (NS) data it
@@ -47,7 +48,7 @@ from .equilibria import (
     FixedPointReport,
     _eigen_quadratic,
     _endemic_boundary,
-    _endemic_location,
+    _endemic_point,
     _residual,
 )
 
@@ -250,6 +251,13 @@ class NormalFormData(NamedTuple):
         return self.coefficient < 0.0
 
 
+def _normal_form(kind, coefficient, mu, q, pv, theta0=None) -> NormalFormData:
+    """The record of a flip or NS ``coefficient`` at ``mu``, with ``q`` and ``pv`` as arrays."""
+    import numpy as np
+
+    return NormalFormData(kind, coefficient, mu, np.array(q), np.array(pv), theta0)
+
+
 def _null_vector(M) -> tuple:
     """A unit solution of M v = 0 for a rank-1 nested 2x2 ``M``, real or complex."""
     (m00, m01), (m10, m11) = M
@@ -317,16 +325,7 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     q, pv = _eigenpair(A, -1.0)
     w = _solve2(((a11 - 1.0, a12), (a21, a22 - 1.0)), _apply_B(B, q, q))
     c = _pair(pv, _apply_C(C, q, q, q)) / 6.0 - _pair(pv, _apply_B(B, q, w)) / 2.0
-    import numpy as np
-
-    return NormalFormData(
-        kind="flip",
-        coefficient=c,
-        eigenvalue=mu,
-        q=np.array(q),
-        p=np.array(pv),
-        theta0=None,
-    )
+    return _normal_form("flip", c, mu, q, pv)
 
 
 def ns_coefficient(p: ModelParams) -> NormalFormData:
@@ -338,10 +337,10 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     (``cmd_analyze`` passes the curve point).  The growth value must stay
     clear (by :data:`RESONANCE_EXCLUSION` in r) of the strong resonances at
     r_bar, r_tilde and r_max, where the coefficient is undefined; those are
-    refused with :class:`ResonanceError` naming the resonance.  E1 comes
-    from its closed-form location and its eigenvalues from the Jacobian of
-    the forms, so no fixed-point report is built; the eigenvectors are
-    :func:`_eigenpair`'s.
+    refused with :class:`ResonanceError` naming the resonance.  E1, its
+    Jacobian and its eigenvalues come from ``equilibria._endemic_point``
+    and only the second and third derivatives from the forms, so no
+    fixed-point report is built; the eigenvectors are :func:`_eigenpair`'s.
     """
     tag1, r_stars = _endemic_boundary(p)
     if tag1 not in _NS_CURVE_TAGS:
@@ -353,18 +352,17 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
         if abs(p.r - r_star) < RESONANCE_EXCLUSION:
             raise ResonanceError(tag, p.r, r_star)
 
-    x = _endemic_location(p)
-    if x is None:
+    point = _endemic_point(p)
+    if point is None:
         raise ValueError("endemic point absent at these parameters")
-    A, B, C = _cycle_forms(p, x, 1)
-    (a11, a12), (a21, a22) = A
-    e = _eigen_quadratic(a11, a12, a21, a22)
+    x, (a11, a12, a21, a22), e = point
+    _, B, C = _cycle_forms(p, x, 1)
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
     theta0 = math.atan2(e.omega, e.sigma)
     mu = complex(e.sigma, e.omega)
 
-    q, pv = _eigenpair(A, mu)
+    q, pv = _eigenpair(((a11, a12), (a21, a22)), mu)
     qbar = (q[0].conjugate(), q[1].conjugate())
     t1 = _pair(pv, _apply_C(C, q, q, qbar))
     # The middle resolvent must be (I - A), not (A - I): only that branch
@@ -379,16 +377,7 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     w2 = _solve2(((z - a11, -a12), (-a21, z - a22)), _apply_B(B, q, q))
     t3 = _pair(pv, _apply_B(B, qbar, w2))
     d = 0.5 * (cmath.exp(-1.0j * theta0) * (t1 + t2 + t3)).real
-    import numpy as np
-
-    return NormalFormData(
-        kind="ns",
-        coefficient=d,
-        eigenvalue=mu,
-        q=np.array(q),
-        p=np.array(pv),
-        theta0=theta0,
-    )
+    return _normal_form("ns", d, mu, q, pv, theta0)
 
 
 def rho_prime_at_ns(p: ModelParams) -> float:
@@ -423,10 +412,10 @@ def rho_prime_at_ns(p: ModelParams) -> float:
     terms, it refuses at any scale of the parameters only what rounding
     cannot tell from zero.
     """
-    x = _endemic_location(p)
-    if x is None:
+    point = _endemic_point(p)
+    if point is None:
         raise ValueError("endemic point absent; no eigenvalue pair to track")
-    e = _eigen_quadratic(*_jacobian_entries(p, *x))
+    e = point[2]
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; modulus derivative not defined this way")
 

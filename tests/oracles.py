@@ -366,6 +366,8 @@ def plain_advance(p: ModelParams, x0, n: int, out=None):
     The loop ``sirmap.core._advance`` had before it learned to stop at an
     exact cycle: the guard before each step, row ``k < len(out)`` of
     ``out`` set to the state before step ``k``, the last state unchecked.
+    A state on the pole ``1 + a*S = 0`` escapes at its step, as in
+    :func:`plain_tangent`.
     """
     S, I = float(x0[0]), float(x0[1])
     m = 0 if out is None else out.shape[0]
@@ -374,7 +376,10 @@ def plain_advance(p: ModelParams, x0, n: int, out=None):
             return S, I, k
         if k < m:
             out[k] = S, I
-        force = p.beta * S * I / (1.0 + p.a * S)
+        try:
+            force = p.beta * S * I / (1.0 + p.a * S)
+        except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
+            return S, I, k
         S, I = p.r * S * (1.0 - S) - force, (1.0 - p.K) * I + force
     return S, I, None
 

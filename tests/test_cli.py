@@ -547,14 +547,14 @@ class TestAnalyze:
 
     def test_ns_point_evaluates_e1_three_times(self, capsys, monkeypatch):
         # the report's E1, the NS coefficient's and the modulus slope's
-        located, original = [], equilibria._endemic_location
+        located, original = [], equilibria._endemic_point
 
         def locate(p):
             located.append(p)
             return original(p)
 
-        monkeypatch.setattr(equilibria, "_endemic_location", locate)
-        monkeypatch.setattr(normal_forms, "_endemic_location", locate)
+        monkeypatch.setattr(equilibria, "_endemic_point", locate)
+        monkeypatch.setattr(normal_forms, "_endemic_point", locate)
         doc = run_json(capsys, "analyze", "--r", "2.1875", "--beta", "3")
         assert doc["normal_form"]["kind"] == "ns"
         assert len(located) == 3

@@ -253,11 +253,11 @@ class TestNSCoefficient:
 
         def locate(q):
             located.append(q)
-            return equilibria._endemic_location(q)
+            return equilibria._endemic_point(q)
 
         p = ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5)
         monkeypatch.setattr(equilibria, "_report", refuse)
-        monkeypatch.setattr(normal_forms, "_endemic_location", locate)
+        monkeypatch.setattr(normal_forms, "_endemic_point", locate)
         monkeypatch.setattr(ModelParams, "__post_init__", no_params)
         rho = rho_prime_at_ns(p)
         assert located == [p]

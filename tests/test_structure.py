@@ -17,8 +17,12 @@ the membership table in ``positivity.invariance_probe``.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
 the eigenvectors behind ``c`` and ``d`` come only from
-``normal_forms._eigenpair`` (the one caller of ``_null_vector``).  The
-per-point fixed-point and normal-form path is plain-float 2x2 algebra:
+``normal_forms._eigenpair`` (the one caller of ``_null_vector``), and
+``NormalFormData`` is built only by ``normal_forms._normal_form``.  E1 is
+located and linearised only by ``equilibria._endemic_point``: its readers
+``endemic``, ``ns_coefficient`` and ``rho_prime_at_ns`` call neither
+``_jacobian_entries`` nor ``_eigen_quadratic``.  The per-point
+fixed-point and normal-form path is plain-float 2x2 algebra:
 ``np.linalg``, ``einsum``, ``np.eye`` and ``np.vdot`` appear only in
 ``normal_forms.iterate_forms`` (its k >= 2 chain rule), and in
 ``equilibria`` and ``normal_forms`` one 2x2 solve helper,
@@ -32,8 +36,11 @@ table ``cli._OPTIONS``, at one call site; only ``--preset`` and
 from its own row of ``cli._SUBCOMMANDS``: no option list shared by all
 subcommands (``_COMMON``) and no ``parents=`` parser, and ``cli`` calls no
 private argparse method (``_add_action``); the one private argparse name it
-touches is the ``_negative_number_matcher`` that ``cli._Parser`` sets.  The
-strong-resonance tags ``RESONANCE_12/13/14`` are named only in the tables
+touches is the ``_negative_number_matcher`` that ``cli._Parser`` sets.  No
+dict literal in ``cli`` spells out the fields of ``Thresholds``,
+``RegionSpec`` (``params`` aside) or ``ProbeReport``: those JSON objects
+are the records' own ``_asdict()``.  The strong-resonance tags
+``RESONANCE_12/13/14`` are named only in the tables
 ``equilibria._NS_CURVE_TAGS`` and ``equilibria._RESONANCES``, the one
 pairing of each resonance with its growth value, and ``normal_forms``
 does not reach for ``thresholds`` to pair them again.  The 17-digit float
@@ -277,6 +284,25 @@ def test_null_vector_called_only_by_eigenpair():
     assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "_eigenpair")}, sites
 
 
+def test_normal_form_record_built_only_by_normal_form():
+    sites = [(path, func) for path, func, _ in _occurrences(_calls("NormalFormData"))]
+    assert sites == [("normal_forms.py", "_normal_form")], sites
+
+
+E1_READERS = {("equilibria.py", "endemic"), ("normal_forms.py", "ns_coefficient"),
+              ("normal_forms.py", "rho_prime_at_ns")}
+
+
+def test_endemic_point_linearised_only_by_endemic_point():
+    # the readers of E1 take its Jacobian entries and eigen data from the one site
+    for name in ("_jacobian_entries", "_eigen_quadratic"):
+        sites = {(path, func) for path, func, _ in _occurrences(_calls(name))}
+        assert ("equilibria.py", "_endemic_point") in sites, (name, sites)
+        assert not sites & E1_READERS, (name, sites)
+    readers = _occurrences(_calls("_endemic_point"))
+    assert sorted((path, func) for path, func, _ in readers) == sorted(E1_READERS), readers
+
+
 ARRAY_ALGEBRA = {"linalg", "einsum", "eye", "vdot"}
 FIXED_POINT_MODULES = {"equilibria.py", "normal_forms.py"}
 
@@ -405,9 +431,10 @@ def _private_attributes(tree) -> list:
 
 def test_cli_touches_no_private_argparse_name():
     tree = ast.parse((Path(sirmap.__file__).parent / "cli.py").read_text(encoding="utf-8"))
-    # _asdict is the documented namedtuple method behind the regions escapes
-    private = _private_attributes(tree)
-    assert private == [("_asdict", "Load"), ("_negative_number_matcher", "Store")], private
+    # _asdict is the documented namedtuple method behind the record objects;
+    # each load of it is the same name
+    private = set(_private_attributes(tree))
+    assert private == {("_asdict", "Load"), ("_negative_number_matcher", "Store")}, private
     parser = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Parser")
     assert _private_attributes(parser) == [("_negative_number_matcher", "Store")]
 
@@ -457,6 +484,23 @@ def test_normal_forms_does_not_reference_thresholds():
 def _is_full_precision_spec(node) -> bool:
     """A string constant holding ``.17g``: an f-string spec, a ``format`` or ``%`` template."""
     return isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+
+
+def test_cli_writes_no_record_fields_by_hand():
+    # the thresholds, region and regions report objects are the records' own fields
+    records = {
+        name: set(RECORD_FIELDS[name]) - {"params"}
+        for name in ("Thresholds", "RegionSpec", "ProbeReport")
+    }
+    tree = ast.parse((Path(sirmap.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    literals = [
+        {key.value for key in node.keys if isinstance(key, ast.Constant)}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+    ]
+    assert literals  # the guard sees the dict literals that remain
+    hand_written = [name for name, fields in records.items() if fields in literals]
+    assert hand_written == [], hand_written
 
 
 def test_full_precision_format_only_in_cli_fmt():
@@ -576,7 +620,7 @@ def test_dynamics_imports_nothing_from_equilibria():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1474
+CODE_LINES = 1445
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
