@@ -428,14 +428,26 @@ def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:
     report is the smaller-S point.  Eigen data comes from the product
     of the map's Jacobians around the cycle, so one eigenvalue is the
     logistic multiplier ``4 - r*(r-2)`` and the other is transverse.
+
+    Up to r = 4.5 the points are taken in that form, where the smaller
+    one loses at most a bit to the difference.  Past it, where that
+    difference cancels (to 0 by r = 1e150) and ``(r-3)*(r+1)`` overflows
+    past r ~ 1.3e154, they are taken with w = 1/r as
+    ``S+ = (1 + w + sqrt((1 - 3w)(1 + w)))/2`` and, from the product of
+    the roots ``(r + 1)/r^2``, ``S- = w*(1 + w)/S+``: sums of positive
+    terms only.
     """
     r = p.r
     if r < 3.0:
         raise ValueError(f"the 2-cycle branch requires r >= 3, got r={r}")
-    d = max((r - 3.0) * (r + 1.0), 0.0)
-    root = math.sqrt(d)
-    s_minus = (1.0 + r - root) / (2.0 * r)
-    s_plus = (1.0 + r + root) / (2.0 * r)
+    if r <= 4.5:
+        root = math.sqrt(max((r - 3.0) * (r + 1.0), 0.0))
+        s_minus = (1.0 + r - root) / (2.0 * r)
+        s_plus = (1.0 + r + root) / (2.0 * r)
+    else:
+        w = 1.0 / r
+        s_plus = 0.5 * (1.0 + w + math.sqrt((1.0 - 3.0 * w) * (1.0 + w)))
+        s_minus = w * (1.0 + w) / s_plus
     x_minus = State(s_minus, 0.0)
     x_plus = State(s_plus, 0.0)
     a11, a12, a21, a22 = _jacobian_entries(p, s_plus, 0.0)

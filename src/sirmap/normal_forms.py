@@ -17,11 +17,13 @@ expansion is taken for the second iterate of the map, with the chain
 rule applied exactly to the composed derivative tensors.
 
 The per-point work is plain-float 2x2 algebra: the tensors are nested
-tuples of floats (:func:`_point_entries`), contracted by the sums of
-:func:`_apply_B` and :func:`_apply_C`, the one linear solve is Cramer's
-rule in :func:`_solve2`, and :func:`_eigenpair` returns its eigenvectors
-as pairs of scalars.  numpy arrays remain only in the public return
-types, the three tensors of :class:`MultilinearForms` and
+tuples of floats (:func:`_point_entries`; the NS coefficient, which holds
+E1's Jacobian already, takes only :func:`_curvature_entries`), contracted
+by the sums of :func:`_apply_B` and :func:`_apply_C`, the one linear
+solve is Cramer's rule in :func:`_solve2`, and :func:`_eigenpair`
+returns its eigenvectors as pairs of scalars.  numpy arrays remain only
+in the public return types, the three tensors of
+:class:`MultilinearForms` and
 ``NormalFormData.q`` and ``.p`` (built in :func:`_normal_form`, the one
 place either coefficient's record is made), and in :func:`iterate_forms`'
 chain-rule composition for k >= 2, where they pay off.  numpy is imported
@@ -132,11 +134,15 @@ def _solve2(M, v) -> tuple:
 def _point_entries(p: ModelParams, S: float, I: float) -> tuple:
     """Exact A, B, C of one map step at (S, I), as nested tuples of floats."""
     a11, a12, a21, a22 = _jacobian_entries(p, S, I)
+    return ((a11, a12), (a21, a22)), *_curvature_entries(p, S, I)
+
+
+def _curvature_entries(p: ModelParams, S: float, I: float) -> tuple:
+    """Exact B and C of one map step at (S, I): the second and third partials."""
     den = 1.0 + p.a * S
     d1 = p.beta / den**2
     d2 = -2.0 * p.a * p.beta / den**3
     d3 = 6.0 * p.a * p.a * p.beta / den**4
-    A = ((a11, a12), (a21, a22))
     B = (
         ((-2.0 * p.r - I * d2, -d1), (-d1, 0.0)),
         ((I * d2, d1), (d1, 0.0)),
@@ -145,7 +151,7 @@ def _point_entries(p: ModelParams, S: float, I: float) -> tuple:
         (((-I * d3, -d2), (-d2, 0.0)), ((-d2, 0.0), (0.0, 0.0))),
         (((I * d3, d2), (d2, 0.0)), ((d2, 0.0), (0.0, 0.0))),
     )
-    return A, B, C
+    return B, C
 
 
 def _point_tensors(p: ModelParams, x) -> MultilinearForms:
@@ -155,12 +161,13 @@ def _point_tensors(p: ModelParams, x) -> MultilinearForms:
     return MultilinearForms(*map(np.array, _point_entries(p, float(x[0]), float(x[1]))))
 
 
-def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> tuple:
-    """A, B, C of the k-th iterate, as nested floats, at a point it fixes.
+def _fixed(p: ModelParams, x, k: int, residual: float = 0.0) -> State:
+    """``x`` as a State of floats, once it passes as a point the k-th iterate fixes.
 
     The larger of ``residual`` (one the caller already holds) and the
     recomputed k-step residual must not exceed :data:`TOL_RESIDUAL` times
-    ``max(1, |S|, |I|)``: a few ulp of a large coordinate pass.
+    ``max(1, |S|, |I|)``: a few ulp of a large coordinate pass.  The one
+    residual check of normal-form work.
     """
     x = State(float(x[0]), float(x[1]))
     res = max(residual, _residual(p, x, k))
@@ -170,6 +177,12 @@ def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> tuple:
             f"normal-form work requires a fixed point: residual {res:.3e} "
             f"exceeds {bound:.1e} at {tuple(x)}"
         )
+    return x
+
+
+def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> tuple:
+    """A, B, C of the k-th iterate, as nested floats, at a point it fixes (:func:`_fixed`)."""
+    x = _fixed(p, x, k, residual)
     if k == 1:
         return _point_entries(p, x.S, x.I)
     forms = iterate_forms(p, x, k)
@@ -339,8 +352,10 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     r_bar, r_tilde and r_max, where the coefficient is undefined; those are
     refused with :class:`ResonanceError` naming the resonance.  E1, its
     Jacobian and its eigenvalues come from ``equilibria._endemic_point``
-    and only the second and third derivatives from the forms, so no
-    fixed-point report is built; the eigenvectors are :func:`_eigenpair`'s.
+    and only the second and third derivatives from
+    :func:`_curvature_entries`, once E1 passes :func:`_fixed`, so no
+    fixed-point report and no second Jacobian is built; the eigenvectors
+    are :func:`_eigenpair`'s.
     """
     tag1, r_stars = _endemic_boundary(p)
     if tag1 not in _NS_CURVE_TAGS:
@@ -356,7 +371,7 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     if point is None:
         raise ValueError("endemic point absent at these parameters")
     x, (a11, a12, a21, a22), e = point
-    _, B, C = _cycle_forms(p, x, 1)
+    B, C = _curvature_entries(p, *_fixed(p, x, 1))
     if e.omega <= 0.0:
         raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
     theta0 = math.atan2(e.omega, e.sigma)

@@ -32,21 +32,40 @@ indices, to the front of each buffer.  numpy is imported only inside the
 functions that make or step arrays (the probe, its sampler and table,
 ``_holds`` and ``RegionSpec.nullcline``).
 
-Orbits that settle are dropped the same way.  Every ``_SETTLE_EVERY``-th
-step the probe keeps the states before the step and drops each orbit
-whose new state has the same bits (signed zeros included).  That state is
-its own image, and it passed the membership check one step earlier, so
-the orbit can never leave and would add no record: the count, the
-records and their order are those of the full run.  Sealed regions whose
-orbits land on a fixed point in float (E1 of the triangle-region and
-capped-region presets) stop within a few hundred steps.
+Orbits that settle are dropped the same way.  Once per call,
+``_trap`` proves, in closed form with explicit rounding bounds (validated
+numerics in the sense of W. Tucker, *Validated Numerics*, Princeton
+2011), that an ellipse ``|Q(x - x*)| <= rho`` around E1 is mapped into
+itself by every float map step and clears every inequality of the probed
+region; it exists where E1 is a stable node or focus with a
+diagonalisable Jacobian.  The proof is the inequality
+
+    |Q| (res + 2 delta) + q rho + |Q| (M2/2) |P|^2 rho^2  <=  rho,
+
+with P = Q^-1 the real Jordan basis of E1's Jacobian J, ``q`` a bound on
+``|Q J P|`` that includes the rounding of J's entries, ``M2`` one on the
+map's second derivatives over the ellipse's box, ``res`` the float
+residual of x* and ``delta`` the rounding of one float step.  Every ``_SETTLE_EVERY``-th step the probe then
+drops each orbit whose state x passes ``|Q(x - x*)|^2 <= (rho/2)^2``
+(``_trapped``, through the four rows of the probe's float scratch).  Such
+an orbit stays inside the ellipse, and so inside the region, for good:
+it would add no record, and the count, the records and their order are
+those of the full run.  The constants are ``_ROUNDING`` (8 eps, the
+rounding bound of every expression the proof evaluates or relies on)
+and ``_DROP`` (1/2, which leaves the drop test's own rounding far inside
+the ellipse); :func:`_trap` derives the bound.  Where there is no
+certificate (E1 absent, unstable, non-hyperbolic or defective, or its
+Jacobian's digits lost) no orbit is dropped.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .core import ModelParams, _step_into
+from .equilibria import _endemic_point, _residual
+from .normal_forms import _curvature_entries
 
 __all__ = [
     "RegionSpec",
@@ -61,13 +80,36 @@ __all__ = [
 MEMBERSHIP_TOL = 1.0e-12
 #: Constraints in checking order; the last two bound cases 2 and 3 only.
 _CONSTRAINTS = ("S<0", "I<0", "S+I>u*", "S>1", "I>nullcline")
-#: Steps between the probe's checks for orbits sitting on an exact fixed point.
+#: Steps between the probe's checks for orbits inside the trapping ellipse.
 _SETTLE_EVERY = 16
+#: Rounding bound of every float expression :func:`_trap` evaluates or relies
+#: on, relative to the sum of the magnitudes of the expression's terms.  With
+#: u = eps/2 and the standard model of each operation, none of them takes
+#: more than 3*eps of those magnitudes to first order (a map step: 6u on
+#: ``r*S*|1 - S| + force`` and on ``(1 - K)*I + force``; a Jacobian entry:
+#: at most 8u on the magnitudes of its terms; a 2x2 product: 2u per factor);
+#: 8*eps leaves room for the second-order terms and for rounding the bounds.
+_ROUNDING = 8.0 * sys.float_info.epsilon
+#: The probe drops an orbit within this fraction of the certified radius,
+#: which leaves the drop test's own rounding far inside the ellipse.
+_DROP = 0.5
 
 
 def u_star(p: ModelParams) -> float:
-    """Ceiling of S + I under one map step: ``(r-1+K)^2 / (4*K*r)``."""
-    return (p.r - 1.0 + p.K) ** 2 / (4.0 * p.K * p.r)
+    """Ceiling of S + I under one map step: ``(r-1+K)^2 / (4*K*r)``.
+
+    Taken in that form wherever the square stays finite and ``4*K*r`` is a
+    normal float; elsewhere (r past about 1e154, or a subnormal ``4*K*r``)
+    as the square of ``(r-1+K) / (2*sqrt(K)*sqrt(r))``, which overflows
+    or underflows only where u* does: within 6 ulp where r - 1 + K does
+    not cancel (11 roundings of half an ulp each, to first order).
+    """
+    t = p.r - 1.0 + p.K
+    den = 4.0 * p.K * p.r
+    if abs(t) < 1.0e154 and den >= sys.float_info.min:
+        return t**2 / den
+    h = t / (2.0 * math.sqrt(p.K) * math.sqrt(p.r))
+    return h * h
 
 
 class RegionSpec(NamedTuple):
@@ -221,6 +263,203 @@ def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
     return table
 
 
+def _norm2(m00: float, m01: float, m10: float, m11: float) -> float:
+    """An upper bound on the spectral norm of ``((m00, m01), (m10, m11))``.
+
+    The singular values are ``(sqrt(f + d) +/- sqrt(f - d))/2``, with f the
+    squared Frobenius norm and d twice the absolute determinant; f - d may
+    cancel, so it gets its rounding bound ``_ROUNDING*f`` added.
+    """
+    f = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
+    d = 2.0 * abs(m00 * m11 - m01 * m10)
+    root = math.sqrt(f + d) + math.sqrt(max(f - d, 0.0) + _ROUNDING * f)
+    return (1.0 + _ROUNDING) * 0.5 * root
+
+
+def _length(*c: float) -> float:
+    """The 2-norm of a vector, or the Frobenius norm of a flat matrix."""
+    return math.sqrt(sum(x * x for x in c))
+
+
+def _mul(m, n) -> tuple:
+    """The product of two flat 2x2 matrices ``(m00, m01, m10, m11)``."""
+    m00, m01, m10, m11 = m
+    n00, n01, n10, n11 = n
+    return (
+        m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
+        m10 * n00 + m11 * n10, m10 * n01 + m11 * n11,
+    )
+
+
+def _clearance(region: RegionSpec, x, hi, P) -> float:
+    """The largest radius rho at which the ellipse ``x + P y``, ``|y| <= rho``, stays in ``region``.
+
+    Each inequality's value at ``x``, less its rounding over the box that
+    reaches up to ``hi`` = (S, I) and the rounding of the probe's own check
+    there, over the ellipse's reach across it per unit of rho: ``|P^T n|``
+    for a linear inequality with gradient n, and the Lipschitz constant on
+    the box times ``|P|`` for the nullcline.  ``P`` is a flat 2x2 matrix; 0
+    where any of them is not positive (or NaN).
+    """
+    S, I = x
+    S_hi, I_hi = hi
+    p00, p01, p10, p11 = P
+    u, v, a = region.u_star, region.v, region.params.a
+    reach = (1.0 + _ROUNDING) * _length(p00 + p10, p01 + p11)
+    rows = [
+        (S, _length(p00, p01), _ROUNDING * S),
+        (I, _length(p10, p11), _ROUNDING * I),
+        (u - S - I, reach, _ROUNDING * (u + S_hi + I_hi)),
+    ]
+    if region.case != 1:
+        slope = v * (abs(a - 1.0) + 2.0 * a * S_hi)  # |d nullcline / dS| on the box
+        rows += [
+            (1.0 - S, _length(p00, p01), _ROUNDING * (1.0 + S_hi)),
+            (
+                v * (1.0 - S) * (1.0 + a * S) - I,
+                _length(1.0, slope) * _norm2(*P),
+                _ROUNDING * (v * (1.0 + S_hi) * (1.0 + a * S_hi) + I_hi),
+            ),
+        ]
+    room = [(g - err) / ((1.0 + _ROUNDING) * span) for g, span, err in rows]
+    return min(room) if all(r > 0.0 for r in room) else 0.0
+
+
+def _trap(p: ModelParams, region: RegionSpec):
+    """A certified trapping ellipse around a stable E1 inside ``region``, or ``None``.
+
+    Returns ``(x, Q, rho)``: the centre x* = E1 as floats, a flat 2x2 ``Q``
+    that is the inverse of the real Jordan basis P of E1's Jacobian J up
+    to scale (the rows are unit left eigenvectors for real eigenvalues, and
+    ``adj(P)`` for a complex pair, P holding an eigenvector's real and
+    imaginary parts), and a radius rho.  With ``|.|`` the 2-norm, two facts
+    hold for the ellipse ``E = {x : |Q(x - x*)| <= rho}``:
+
+    1. every float x in E has its float image ``fl(F(x))`` under
+       ``core.step`` (bit-identical to ``core._step_into``) in E again;
+    2. every point of E meets each inequality of ``region`` with room for
+       the rounding of the probe's membership check.
+
+    For (1), write ``F(x) - x* = (F(x*) - x*) + J h + R(h)`` with
+    ``h = x - x*``, ``|h| <= |P| rho``.  Then ``|Q(fl(F(x)) - x*)|`` is at most
+
+        |Q| (res + 2 delta) + q rho + |Q| (M2/2) |P|^2 rho^2,
+
+    which must not exceed rho, where
+
+    * ``q >= |Q J P|``: the norm of the float ``Q J adj(Q)`` over
+      ``|det Q|``, plus the product's rounding and ``|Q| |dJ| |P|``, dJ the
+      rounding of J's float entries (a11 = r - 2rS - I*dphi nearly cancels
+      r at E1; where its digits are gone, q >= 1 and there is no
+      certificate);
+    * ``M2`` bounds the 2-norm of the two components' Hessians
+      (Frobenius norms of entrywise bounds) over the ellipse's box:
+      with a >= 0 and S >= 0 there, ``|d1| = beta/den^2`` and
+      ``|I*d2| = 2*a*beta*I/den^3`` are largest at the corner (S_lo, I_hi),
+      where ``normal_forms._curvature_entries`` gives them;
+    * ``res`` is the float residual ``|fl(F(x*)) - x*|`` of the centre, and
+      ``delta = _ROUNDING * |(r*S*|1 - S| + force, (1 - K)*I + force)|``
+      over the box bounds the rounding of one float step (twice: at x* and
+      at x).
+
+    The quadratic ``A rho^2 - (1 - q) rho + c0 <= 0`` holds between two
+    roots; rho is their midpoint, or less where (2) needs it: each
+    inequality's value at x*, less its rounding, over the ellipse's reach
+    across it per unit of rho (see :func:`_clearance`).  The constants are
+    those of the box of the ellipse at a radius no smaller than the final
+    one, so they bound those of its own box.  The last test also checks
+    that a state the probe finds within ``_DROP * rho`` through its own
+    rounded ``Q(x - x*)`` lies within rho.
+
+    ``None`` where E1 is absent (or r <= 1), where its Jacobian is
+    defective (a repeated eigenvalue: a12 = -K is never 0 at E1), where q
+    is not below 1 (E1 unstable or non-hyperbolic, or J's entries lost to
+    rounding), and wherever a bound leaves the float range or the two facts
+    fail.
+    """
+    try:
+        point = _endemic_point(p)
+        return None if point is None else _ellipse(p, region, *point)
+    except (ValueError, ArithmeticError):  # r <= 1, or a value out of float range
+        return None
+
+
+def _ellipse(p: ModelParams, region: RegionSpec, x, J, e):
+    """:func:`_trap` around the E1 ``x`` with Jacobian entries ``J`` and eigen data ``e``."""
+    S0, I0 = x
+    a11, a12, a21, a22 = J
+    if e.omega > 0.0:
+        Q = (e.omega, 0.0, a11 - e.sigma, a12)
+    elif e.mu1 != e.mu2:
+        Q = tuple(
+            c / _length(mu.real - a11, a12) for mu in (e.mu2, e.mu1) for c in (mu.real - a11, -a12)
+        )
+    else:
+        return None
+    q00, q01, q10, q11 = Q
+    # P = Q^-1 = adj(Q)/det(Q), over det Q rounded down: no entry too small
+    det_lo = abs(q00 * q11 - q01 * q10) - _ROUNDING * (abs(q00 * q11) + abs(q01 * q10))
+    if not det_lo > 0.0:
+        return None
+    P = (q11 / det_lo, -q01 / det_lo, -q10 / det_lo, q00 / det_lo)
+    nQ, nP = _norm2(*Q), _norm2(*P)
+    dJ = _ROUNDING * _length(p.r * (1.0 + 2.0 * S0) + abs(a21), a12, a21, 1.0 + abs(a12))
+    rounded = _ROUNDING * _length(*Q) * _length(*J) * _length(*P)
+    q = _norm2(*_mul(_mul(Q, J), P)) + rounded + nQ * dJ * nP
+    if not q < 1.0:
+        return None
+
+    # the 2-norm of the float residual, from its sup norm
+    res = (1.0 + _ROUNDING) * math.sqrt(2.0) * _residual(p, x)
+    gap = 1.0 - q
+    # a radius (2) allows by the constants at x*, then twice the radius both
+    # allow by the constants over the box of the ellipse at the last radius
+    rho = _clearance(region, x, x, P)
+    for _ in range(2):
+        dS, dI = ((1.0 + _ROUNDING) * rho * _length(*row) for row in (P[:2], P[2:]))
+        S_lo, S_hi, I_hi = S0 - dS, S0 + dS, I0 + dI
+        i_d2, d1 = _curvature_entries(p, S_lo, I_hi)[0][1][0]
+        M2 = (1.0 + _ROUNDING) * _length(2.0 * p.r + abs(i_d2), i_d2, 2.0 * d1)
+        force = p.beta * S_hi * I_hi / (1.0 + p.a * S_lo)
+        delta = _ROUNDING * _length(
+            p.r * S_hi * max(1.0 - S_lo, S_hi - 1.0) + force, force + (1.0 - p.K) * I_hi
+        )
+        A = 0.5 * nQ * M2 * nP * nP
+        c0 = nQ * (res + 2.0 * delta)
+        disc = gap * gap - 4.0 * A * c0
+        if not disc > 0.0:
+            return None
+        hi = (gap + math.sqrt(disc)) / (2.0 * A)
+        rho = min(rho, _clearance(region, x, (S_hi, I_hi), P), 0.5 * (c0 / (A * hi) + hi))
+    invariant = c0 + q * rho + A * rho * rho <= (1.0 - _ROUNDING) * rho
+    if not (invariant and (1.0 + _ROUNDING) * _DROP <= 1.0 - _ROUNDING * nQ * nP):
+        return None
+    return x, Q, rho
+
+
+def _trapped(trap, s, i, work):
+    """Which states lie within ``_DROP`` of the trap's radius, as a new bool array.
+
+    ``work`` holds four float rows shaped like ``s``; all are overwritten.
+    """
+    import numpy as np
+
+    (S0, I0), (q00, q01, q10, q11), rho = trap
+    y0, y1, d0, d1 = work
+    np.subtract(s, S0, out=d0)
+    np.subtract(i, I0, out=d1)
+    np.multiply(d0, q00, out=y0)
+    np.multiply(d1, q01, out=y1)
+    np.add(y0, y1, out=y0)
+    np.multiply(d0, q10, out=d0)
+    np.multiply(d1, q11, out=d1)
+    np.add(d0, d1, out=y1)
+    np.multiply(y0, y0, out=y0)
+    np.multiply(y1, y1, out=y1)
+    np.add(y0, y1, out=y0)
+    return np.less_equal(y0, (_DROP * rho) ** 2)
+
+
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points of the region by rejection from its bounding box."""
     import numpy as np
@@ -274,11 +513,13 @@ def invariance_probe(
     most ``max_records`` detailed records are kept; the count is exact).
     The ``region`` override lets a caller probe a hand-built region.
 
-    An orbit whose state is bit-equal to its own image at a settle step
-    (every ``_SETTLE_EVERY``-th) is dropped: the map is deterministic and
-    the state met the membership check one step earlier, so the orbit
-    stays put for good, and the report is that of all ``steps`` steps.
-    The loop ends once every orbit has left or settled.
+    An orbit is dropped at a settle step (every ``_SETTLE_EVERY``-th) once
+    its state x meets ``|Q(x - x*)|^2 <= (rho/2)^2``, the ellipse
+    ``|Q(x - x*)| <= rho`` around E1 being one that ``_trap`` certifies:
+    every float step maps it into itself, and it clears each inequality of
+    ``region`` by more than the rounding of the membership check.  The orbit
+    can never leave, so the report is that of all ``steps`` steps.  The
+    loop ends once every orbit has left or been dropped.
     """
     _check_probe_input(samples, steps, seed)
     if region is None:
@@ -290,34 +531,29 @@ def invariance_probe(
             )
     import numpy as np
 
+    trap = _trap(p, region)
     rng = np.random.default_rng(seed)
     S, I = _sample_region(region, samples, rng)
     index = np.arange(samples)
     escapes: list[EscapeRecord] = []
     escape_count = 0
     # allocated once; once orbits exit or settle, the live ones fill a
-    # prefix of each.  Rows 0-1 of `work` are scratch, rows 2-3 the states
-    # before a settle step
+    # prefix of each.  Rows 0-1 of `work` are the step's and the table's
+    # scratch, and all four rows the trap test's
     work = np.empty((4, samples))
     table = _table(region, (samples,))
     inside = np.empty(samples, dtype=bool)
-    s, i, w, last, ok, ins = S, I, work[:2], work[2:], table, inside
+    s, i, w, ok, ins = S, I, work, table, inside
 
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            settle = k % _SETTLE_EVERY == 0
-            if settle:
-                last[0] = s
-                last[1] = i
-            _step_into(p, s, i, w)
-            _holds(region, s, i, MEMBERSHIP_TOL, ok, w)
+            _step_into(p, s, i, w[:2])
+            _holds(region, s, i, MEMBERSHIP_TOL, ok, w[:2])
             ok.all(axis=0, out=ins)
             keep = ins
-            if settle:
-                # an orbit whose state is its own image bit for bit never leaves
-                moved = s.view(np.int64) != last[0].view(np.int64)
-                moved |= i.view(np.int64) != last[1].view(np.int64)
-                keep = ins & moved
+            if trap is not None and k % _SETTLE_EVERY == 0:
+                # an orbit inside the certified ellipse never leaves it
+                keep = ins & ~_trapped(trap, s, i, w)
             if not keep.all():
                 hits = np.flatnonzero(~ins)
                 escape_count += hits.size
@@ -330,8 +566,7 @@ def invariance_probe(
                 if n == 0:
                     break
                 S[:n], I[:n], index[:n] = s[live], i[live], index[live]
-                s, i, ok, ins = S[:n], I[:n], table[:, :n], inside[:n]
-                w, last = work[:2, :n], work[2:, :n]
+                s, i, w, ok, ins = S[:n], I[:n], work[:, :n], table[:, :n], inside[:n]
 
     return ProbeReport(
         region=region,

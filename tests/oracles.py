@@ -31,7 +31,9 @@ became plain floats.  ``UnscaledParams``, ``scale_params`` and
 from: a step of it, divided by the scale factor, is a step of
 ``sirmap.step``.  ``decay_envelope_holds`` checks the geometric decay of
 the infected mass along a ``sirmap.iterate`` orbit below
-``beta = (1 + a)*K``.  Tests compare the library against all of them.
+``beta = (1 + a)*K``, and ``iv_trap_holds`` re-proves the invariance
+probe's trapping ellipse in ``mpmath.iv`` interval boxes.  Tests compare
+the library against all of them.
 """
 import math
 import struct
@@ -677,4 +679,70 @@ def decay_envelope_holds(p: ModelParams, x0, n: int) -> bool:
         if I_next * slack < env_lo * I0 or I_next > env_hi * I0 * slack:
             return False
         I = I_next
+    return True
+
+
+def iv_trap_holds(p: ModelParams, region, trap, depth: int = 40) -> bool:
+    """Whether the trap's ellipse lies in ``region`` and every float step maps it into itself.
+
+    ``trap`` is ``(x*, Q, rho)`` for the ellipse ``|Q(x - x*)| <= rho``, that
+    is ``x* + P y`` with ``|y| <= rho`` and ``P = Q^-1``; everything is taken
+    in 106-bit ``mpmath.iv`` arithmetic.  The ellipse reaches
+    ``n.x* + rho |P^T n|`` along the gradient n of each linear inequality
+    (S >= 0, I >= 0, S + I <= u*, and S <= 1 for cases 2 and 3), which must
+    stay within it.  Its bounding box is cut into sub-boxes, each halved
+    across its wider side (at most ``depth`` times in all) until it is
+    decided: a box wholly outside the ellipse is skipped; any other must lie
+    under the nullcline (cases 2 and 3), and its interval image under the
+    map, widened by the rounding of one float step (4 eps of
+    ``|r*S*(1 - S)| + force`` and of ``(1 - K)*I + force``: six roundings of
+    half an ulp each, to first order), must lie within the ellipse.  False
+    if a box is still undecided at the depth limit.
+    """
+    from mpmath import iv
+
+    iv.prec = 106
+    (S0, I0), Q, rho = trap
+    q00, q01, q10, q11 = (iv.mpf(c) for c in Q)
+    r, beta, a, K = (iv.mpf(c) for c in (p.r, p.beta, p.a, p.K))
+    v, ra, rho = iv.mpf(region.v), iv.mpf(region.params.a), iv.mpf(rho)
+    eps = iv.mpf(2.0**-52)
+    det = q00 * q11 - q01 * q10
+    p00, p01, p10, p11 = q11 / det, -q01 / det, -q10 / det, q00 / det
+
+    def reach(n0, n1):
+        return rho * ((p00 * n0 + p10 * n1) ** 2 + (p01 * n0 + p11 * n1) ** 2) ** 0.5
+
+    walls = [(-S0, reach(-1, 0), 0.0), (-I0, reach(0, -1), 0.0), (S0 + I0, reach(1, 1), region.u_star)]
+    if region.case != 1:
+        walls.append((S0, reach(1, 0), 1.0))
+    if not all((at + far).b <= bound for at, far, bound in walls):
+        return False
+
+    def norm2(S, I):
+        dS, dI = S - S0, I - I0
+        return (q00 * dS + q01 * dI) ** 2 + (q10 * dS + q11 * dI) ** 2
+
+    wS, wI = float(reach(1, 0).b), float(reach(0, 1).b)
+    boxes = [(iv.mpf([S0 - wS, S0 + wS]), iv.mpf([I0 - wI, I0 + wI]), depth)]
+    while boxes:
+        S, I, left = boxes.pop()
+        if norm2(S, I).a > (rho**2).b:
+            continue
+        under = region.case == 1 or I.b <= (v * (1 - S) * (1 + ra * S)).a
+        force = beta * S * I / (1 + a * S)
+        grow, decay = r * S * (1 - S), (1 - K) * I
+        slack_S = (4 * eps * (abs(grow) + abs(force))).b
+        slack_I = (4 * eps * (abs(decay) + abs(force))).b
+        S1 = grow - force + iv.mpf([-slack_S, slack_S])
+        I1 = decay + force + iv.mpf([-slack_I, slack_I])
+        if under and norm2(S1, I1).b <= (rho**2).a:
+            continue
+        if left == 0:
+            return False
+        if S.delta >= I.delta * (wS / wI):
+            halves = [(iv.mpf([S.a, S.mid]), I), (iv.mpf([S.mid, S.b]), I)]
+        else:
+            halves = [(S, iv.mpf([I.a, I.mid])), (S, iv.mpf([I.mid, I.b]))]
+        boxes += [(hS, hI, left - 1) for hS, hI in halves]
     return True

@@ -141,7 +141,7 @@ class TestDispatchAndErrors:
         [
             # beta2, r_bar, r_tilde and r_max come out infinite
             ["--r", "2", "--a", "1.7e308", "--K", "0.5", "--beta", "1"],
-            # u* overflows
+            # beta0 = K*(r + a*(r - 1))/(r - 1) overflows (u* no longer does)
             ["--r", "1e308", "--beta", "1", "--a", "1", "--K", "0.5"],
             # the flip tensors overflow
             ["--r", "3", "--a", "1.7e308", "--K", "0.5", "--beta", "1"],

@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,6 +493,23 @@ class TestPeriod2Branch:
         lo, _ = period2_branch(p)
         mus = sorted([lo.eigen.mu1.real, lo.eigen.mu2.real])
         assert math.isclose(mus[0], -1.0, abs_tol=1e-12)
+
+    def test_locations_within_2_ulp_of_50_digits_up_to_1e300(self):
+        # past r = 4.5 the textbook smaller root cancels (to 0.0 at r = 1e150,
+        # where it is about 1/r) and (r - 3)(r + 1) overflows past 1.3e154
+        off = []
+        for r in np.logspace(math.log10(3.0), 300, 200).tolist():
+            lo, hi = period2_branch(ModelParams(r=r, beta=1.0, a=1, K=0.5))
+            with mpmath.workdps(50):
+                R = mpmath.mpf(r)
+                s_plus = (1 + R + mpmath.sqrt((R - 3) * (R + 1))) / (2 * R)
+                # the product of the roots is (r + 1)/r^2
+                want = ((R + 1) / (R * R * s_plus), s_plus)
+            for got, w in zip((lo.location.S, hi.location.S), want):
+                ulps = float(abs(mpmath.mpf(got) - w) / math.ulp(float(w)))
+                if not ulps <= 2.0:
+                    off.append((r, got, ulps))
+        assert off == []
 
     # the flip at r = 3 and just past it, the second flip at 1 + sqrt(6), r = 4
     @pytest.mark.parametrize(

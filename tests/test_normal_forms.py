@@ -122,6 +122,15 @@ class TestNSCoefficient:
         assert abs(abs(nf.eigenvalue) - 1.0) < 1.0e-12
         assert nf.branch_stable  # negative d: stable invariant curve
 
+    def test_builds_no_second_jacobian(self, monkeypatch):
+        # E1's Jacobian comes from equilibria._endemic_point; the forms add
+        # only the second and third partials
+        calls = []
+        monkeypatch.setattr(normal_forms, "_jacobian_entries", lambda *a: calls.append(a))
+        nf = ns_coefficient(ModelParams(r=35.0 / 16.0, beta=3.0, a=1.0, K=0.5))
+        assert abs(nf.coefficient - D_AT_35_16) < 1.0e-9
+        assert calls == []
+
     def test_golden_at_pi_over_six(self):
         b2 = beta2_threshold(2.0, 1.0, 0.5)
         nf = ns_coefficient(ModelParams(r=2.0, beta=b2, a=1.0, K=0.5))

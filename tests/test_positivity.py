@@ -1,10 +1,11 @@
-"""Region geometry, case selection, and invariance probes."""
+"""Region geometry, case selection, invariance probes and their trapping certificate."""
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sirmap import (
@@ -18,7 +19,10 @@ from sirmap import (
     u_star,
 )
 from sirmap import positivity
-from sirmap.positivity import _CONSTRAINTS, MEMBERSHIP_TOL, _holds, _sample_region
+from sirmap.equilibria import _endemic_point, beta2_threshold
+from sirmap.positivity import _CONSTRAINTS, MEMBERSHIP_TOL, _holds, _sample_region, _trap
+
+from oracles import iv_trap_holds
 
 
 def contains(region, x) -> bool:
@@ -114,6 +118,36 @@ def _ulps_off(x, want) -> float:
 def test_u_star_golden():
     p = ModelParams(r=2, beta=1.5, a=1, K=0.25)
     assert u_star(p) == 0.78125
+
+
+def test_u_star_finite_at_huge_r():
+    # the square (r - 1 + K)^2 overflows; u* ~ r/(4K) does not
+    p = ModelParams(2.0e239, 6.02, 0.73, 0.107)
+    assert _ulps_off(u_star(p), _u_star_50_digits(p.r, p.K)) <= 6.0
+
+
+def _u_star_50_digits(r, K):
+    with mpmath.workdps(50):
+        r, K = mpmath.mpf(r), mpmath.mpf(K)
+        return (r - 1 + K) ** 2 / (4 * K * r)
+
+
+def test_u_star_within_6_ulp_on_log_grid():
+    # r from 1e-300 to 1e308 and K from 1e-320 to 1: every finite u* within
+    # 6 ulp of 50 digits (the bound of the rescaled form; the plain one is
+    # tighter), where r - 1 + K cancels nowhere on this grid
+    off, checked = [], 0
+    for r in np.logspace(-300, 308, 61).tolist():
+        for K in np.logspace(-320, 0, 33)[:-1].tolist():
+            want = _u_star_50_digits(r, K)
+            if want > sys.float_info.max:
+                continue
+            ulps = _ulps_off(u_star(ModelParams(r, 1.0, 1.0, K)), want)
+            if not ulps <= 6.0:
+                off.append((r, K, ulps))
+            checked += 1
+    assert checked > 900
+    assert off == []
 
 
 class TestApplicableRegion:
@@ -443,7 +477,16 @@ class TestProbeOracle:
 
 
 class TestProbeSettledOrbits:
-    """The probe drops an orbit once its state is its own image bit for bit."""
+    """The probe drops an orbit once it lies inside the certified trapping ellipse.
+
+    Every ``_SETTLE_EVERY``-th step an orbit whose state x passes
+    ``|Q(x - x*)| <= rho/2`` is dropped, where ``positivity._trap`` proves
+    that one float step maps the ellipse ``|Q(x - x*)| <= rho`` around a
+    stable E1 into itself and that the ellipse clears every inequality of
+    the probed region.  Such an orbit never leaves the region, so the
+    records are those of the full run; where there is no certificate (E1
+    absent, unstable, non-hyperbolic or defective) no orbit is dropped.
+    """
 
     @pytest.mark.parametrize("params, steps", [(CASE1_SETS[0], 450), (CASE2_SETS[0], 250)])
     def test_sealed_presets_match_scalar_orbits_past_the_settle_step(
@@ -547,6 +590,106 @@ class TestProbeSettledOrbits:
             p, samples=samples, steps=steps, seed=0, region=region, max_records=samples
         )
         assert rep.escapes == expected
+
+
+# the region sets whose E1 is stable: CASE1_SETS but the slowest focus
+# (|mu| = 0.996), the capped-region preset, its a = 0 twin, and endemic-focus
+STABLE_SETS = [CASE1_SETS[i] for i in (0, 2, 3, 4)] + [
+    CASE2_SETS[0], CASE2_SETS[4], (1.8, 3.0, 1.0, 0.5)
+]
+jitters = st.lists(st.floats(-0.02, 0.02), min_size=4, max_size=4)
+
+
+def _jittered(base, jitter, factor):
+    """A stable set moved by up to 2% in each parameter, its region's ceiling lowered by ``factor``."""
+    p = ModelParams(*(c * (1.0 + j) for c, j in zip(base, jitter)))
+    region = applicable_region(p)
+    assume(region is not None)
+    return p, region._replace(u_star=factor * region.u_star)
+
+
+class TestTrapCertificate:
+    """``positivity._trap``: an ellipse around a stable E1 that one float step maps into itself."""
+
+    # endemic-focus, triangle-region and capped-region: the stable-E1 presets
+    @pytest.mark.parametrize("params", [(1.8, 3.0, 1.0, 0.5), CASE1_SETS[0], CASE2_SETS[0]])
+    def test_ellipse_maps_into_itself_in_interval_arithmetic(self, params):
+        p = ModelParams(*params)
+        region = applicable_region(p)
+        trap = _trap(p, region)
+        assert trap is not None
+        assert iv_trap_holds(p, region, trap)
+        # the oracle refuses an ellipse 50 times as wide
+        x, Q, rho = trap
+        assert not iv_trap_holds(p, region, (x, Q, 50.0 * rho), depth=12)
+
+    @given(base=st.sampled_from(STABLE_SETS), jitter=jitters, factor=st.floats(0.9, 1.0))
+    @settings(max_examples=10, deadline=None)
+    def test_ellipse_maps_into_itself_at_random(self, base, jitter, factor):
+        p, region = _jittered(base, jitter, factor)
+        trap = _trap(p, region)
+        assume(trap is not None)
+        assert iv_trap_holds(p, region, trap)
+
+    @given(
+        base=st.sampled_from(STABLE_SETS),
+        jitter=jitters,
+        factor=st.floats(0.9, 1.0),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_probe_matches_scalar_orbits(self, base, jitter, factor, seed):
+        # lowered ceilings leak: orbits leave on their way round E1, the
+        # rest are dropped inside the ellipse
+        p, region = _jittered(base, jitter, factor)
+        assume(_trap(p, region) is not None)
+        samples, steps = 30, 300
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=seed, region=region, max_records=samples
+        )
+        assert rep.escape_count == len(expected)
+        assert rep.escapes == expected
+
+    def test_no_certificate_without_e1(self):
+        p = ModelParams(2.0, 0.3, 1.0, 0.25)  # beta below beta0 = 0.75
+        assert _endemic_point(p) is None
+        assert _trap(p, applicable_region(p)) is None
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (3.98, 2.8, 1.0, 0.5),  # curved-region: an unstable focus, |mu| = 1.14
+            (4.0, 0.5, 0.0, 0.3),  # a saddle
+        ],
+    )
+    def test_no_certificate_at_unstable_e1(self, params):
+        p = ModelParams(*params)
+        e = _endemic_point(p)[2]
+        assert max(abs(e.mu1), abs(e.mu2)) > 1.0
+        assert _trap(p, applicable_region(p)) is None
+
+    def test_no_certificate_on_the_ns_curve(self):
+        p = ModelParams(2.0, beta2_threshold(2.0, 1.0, 0.25), 1.0, 0.25)
+        e = _endemic_point(p)[2]
+        assert abs(abs(e.mu1) - 1.0) < 1e-12
+        region = RegionSpec(case=1, params=p, u_star=10.0, v=p.r / p.beta)
+        assert _trap(p, region) is None
+
+    def test_no_certificate_at_a_defective_jacobian(self):
+        # the node-focus boundary, where the two eigenvalues coincide in float
+        p = ModelParams(2.0, 1.0507857514773042, 1.0, 0.25)
+        e = _endemic_point(p)[2]
+        assert e.omega == 0.0 and e.mu1 == e.mu2
+        assert _trap(p, applicable_region(p)) is None
+
+    def test_no_certificate_where_jacobian_entries_cancelled(self):
+        # a11 = r - 2rS - I*dphi sums terms of 1e20 to about 1: its float
+        # carries no digit, so the contraction cannot be shown
+        p = ModelParams(1e20, 5e16, 0.0, 0.5)
+        x = _endemic_point(p)[0]
+        region = RegionSpec(case=1, params=p, u_star=10.0 * (x.S + x.I), v=p.r / p.beta)
+        assert _trap(p, region) is None
 
 
 class TestCeilingLemma:

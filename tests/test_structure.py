@@ -11,16 +11,18 @@ A ``_tangent`` call that binds its fifth result (the r22 log sum) to ``_``
 passes ``det=False``, so the kernel skips that sum, and a call that reads
 it does not.
 numpy functions are called with an ``out=`` buffer only in
-``core._step_into`` and in ``positivity._holds``, the one membership
-site, and the only other call with ``out=`` is the probe's reduction of
-the membership table in ``positivity.invariance_probe``.  Likewise the
+``core._step_into``, in ``positivity._holds``, the one membership
+site, and in ``positivity._trapped``, the one test against the probe's
+trapping ellipse; the only other call with ``out=`` is the probe's
+reduction of the membership table in ``positivity.invariance_probe``.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
 the eigenvectors behind ``c`` and ``d`` come only from
 ``normal_forms._eigenpair`` (the one caller of ``_null_vector``), and
 ``NormalFormData`` is built only by ``normal_forms._normal_form``.  E1 is
 located and linearised only by ``equilibria._endemic_point``: its readers
-``endemic``, ``ns_coefficient`` and ``rho_prime_at_ns`` call neither
+``endemic``, ``ns_coefficient``, ``rho_prime_at_ns`` and the probe's
+trapping certificate ``positivity._trap`` call neither
 ``_jacobian_entries`` nor ``_eigen_quadratic``.  The per-point
 fixed-point and normal-form path is plain-float 2x2 algebra:
 ``np.linalg``, ``einsum``, ``np.eye`` and ``np.vdot`` appear only in
@@ -261,6 +263,7 @@ def test_out_buffers_only_in_ensemble_kernels():
     assert {(path, func) for path, func, _ in sites} == {
         ("core.py", "_step_into"),
         ("positivity.py", "_holds"),
+        ("positivity.py", "_trapped"),
     }, sites
     # the probe reduces the membership table into its `inside` buffer, once
     others = _occurrences(_writes_out(numpy_function=False))
@@ -290,7 +293,7 @@ def test_normal_form_record_built_only_by_normal_form():
 
 
 E1_READERS = {("equilibria.py", "endemic"), ("normal_forms.py", "ns_coefficient"),
-              ("normal_forms.py", "rho_prime_at_ns")}
+              ("normal_forms.py", "rho_prime_at_ns"), ("positivity.py", "_trap")}
 
 
 def test_endemic_point_linearised_only_by_endemic_point():
@@ -620,7 +623,7 @@ def test_dynamics_imports_nothing_from_equilibria():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1445
+CODE_LINES = 1561
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
