@@ -35,9 +35,9 @@ stretches of that loop.  A state is packed to bits only after its S and I
 compare equal, as floats, to the kept state's.  Recorded windows still run
 every step.  The tangent kernel ``dynamics._tangent`` stops the same way at
 a repeat of its whole state, then replays one recorded turn's log
-stretches.  The invariance probe drops each ensemble orbit once it lies inside an
-ellipse around a stable E1 that :func:`_step_into` provably maps into
-itself (``positivity._trap``); it does not look for cycles.
+stretches.  The invariance probe drops each ensemble orbit once it lies
+inside an ellipse around a stable E1 that :func:`_step_into` provably
+maps into itself (``positivity._trap``); it does not look for cycles.
 """
 from __future__ import annotations
 

@@ -434,8 +434,8 @@ def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:
     difference cancels (to 0 by r = 1e150) and ``(r-3)*(r+1)`` overflows
     past r ~ 1.3e154, they are taken with w = 1/r as
     ``S+ = (1 + w + sqrt((1 - 3w)(1 + w)))/2`` and, from the product of
-    the roots ``(r + 1)/r^2``, ``S- = w*(1 + w)/S+``: sums of positive
-    terms only.
+    the roots ``(r + 1)/r^2``, ``S- = w*(1 + w)/S+``; nothing there
+    cancels (1 - 3w > 1/3) or leaves the float range.
     """
     r = p.r
     if r < 3.0:
