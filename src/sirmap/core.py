@@ -22,7 +22,7 @@ probe steps its ensemble with :func:`_step_into`, which overwrites the
 state arrays in place with :func:`step`'s operations in :func:`step`'s
 order (bit-identical states, no allocation per step).  Only the tangent
 kernel ``dynamics._tangent`` keeps its own fused step.  numpy is imported
-only inside :func:`jacobian`, :func:`iterate` and :func:`_step_into`.
+only inside :func:`iterate` and :func:`_step_into`.
 
 A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
@@ -30,11 +30,12 @@ an earlier one, the rest of the run goes round a cycle whose states have
 all passed the guard; it runs only the steps that reach the same phase
 and returns the bits the full loop would.  Its step loop holds only the
 guard, the step and the comparison of the new state with the kept one;
-the rows of a recorded window and the keeping of states happen between
-stretches of that loop.  A state is packed to bits only after its S and I
-compare equal, as floats, to the kept state's.  Recorded windows still run
-every step.  The tangent kernel ``dynamics._tangent`` stops the same way at
-a repeat of its whole state, then replays one recorded turn's log
+states are kept between stretches of that loop.  A state is packed to
+bits only after its S and I compare equal, as floats, to the kept
+state's.  ``_advance`` keeps no rows: :func:`iterate` records its window
+itself, one row and one guarded step at a time, so recorded windows run
+every step.  The tangent kernel ``dynamics._tangent`` stops the same way
+at a repeat of its whole state, then replays one recorded turn's log
 stretches.  The invariance probe drops each ensemble orbit once it lies
 inside an ellipse around a stable E1 that :func:`_step_into` provably
 maps into itself (``positivity._trap``); it does not look for cycles.
@@ -59,7 +60,6 @@ __all__ = [
     "State",
     "Orbit",
     "step",
-    "jacobian",
     "iterate",
 ]
 
@@ -172,10 +172,13 @@ def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -
 
 
 def _jacobian_entries(p: ModelParams, S: float, I: float) -> tuple[float, float, float, float]:
-    """The entries ``(a11, a12, a21, a22)`` of :func:`jacobian` at ``(S, I)``, as floats.
+    """The Jacobian entries ``(a11, a12, a21, a22)`` of :func:`step` at ``(S, I)``, as floats.
 
-    Raises ``ValueError`` if any entry fails to be finite, as on the pole
-    ``1 + a*S = 0``, where both incidence terms are taken as infinite.
+    Uses the closed-form partial derivatives; the saturating term
+    contributes ``beta*I/(1 + a*S)**2`` to the S-row and its negative
+    image to the I-row.  Raises ``ValueError`` if any entry fails to be
+    finite, as on the pole ``1 + a*S = 0``, where both incidence terms are
+    taken as infinite.
     """
     den = 1.0 + p.a * S
     try:
@@ -187,21 +190,6 @@ def _jacobian_entries(p: ModelParams, S: float, I: float) -> tuple[float, float,
     if not all(map(math.isfinite, J)):
         raise ValueError(f"Jacobian is not finite at (S, I) = ({S}, {I})")
     return J
-
-
-def jacobian(p: ModelParams, x: tuple[float, float]) -> np.ndarray:
-    """Jacobian matrix of :func:`step` at ``x``, as a (2, 2) float array.
-
-    Uses the closed-form partial derivatives; the saturating term
-    contributes ``beta*I/(1 + a*S)**2`` to the S-row and its negative
-    image to the I-row.  The entries come from :func:`_jacobian_entries`,
-    which raises ``ValueError`` on the pole ``1 + a*S = 0`` and wherever an
-    entry fails to be finite.
-    """
-    import numpy as np
-
-    a11, a12, a21, a22 = _jacobian_entries(p, float(x[0]), float(x[1]))
-    return np.array(((a11, a12), (a21, a22)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -227,51 +215,38 @@ class Orbit:
 _bits = struct.Struct("<2d").pack
 
 
-def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
+def _advance(p: ModelParams, x0, n: int):
     """Run ``n`` guarded map steps from ``x0``; return ``(S, I, escaped_at)``.
 
     The guard is checked before each step, so the last state is returned
     unchecked; ``escaped_at`` is the index of the out-of-bounds state (or
-    of a state on the pole ``1 + a*S = 0``), or None.  Row ``k < len(out)``
-    of ``out``, if given, receives the checked state before step ``k``.
+    of a state on the pole ``1 + a*S = 0``), or None.
 
-    Past the rows of ``out`` the loop keeps the state at step ``len(out)``
-    and at each doubling of that step (1 after 0: Brent's cycle-finding
-    schedule, BIT 20 (1980) 176-184), and stops at the first later state
-    bit-equal to the kept one, signed zeros included.  The map is
-    deterministic, so the orbit then goes round that cycle for good, and
-    every state of the cycle has passed the guard: whole turns can neither
-    escape nor change the result, and only the steps left over after them
-    are run.
+    The loop keeps the state at step 0 and at each doubling of that step
+    (1 after 0: Brent's cycle-finding schedule, BIT 20 (1980) 176-184), and
+    stops at the first later state bit-equal to the kept one, signed zeros
+    included.  The map is deterministic, so the orbit then goes round that
+    cycle for good, and every state of the cycle has passed the guard:
+    whole turns can neither escape nor change the result, and only the
+    steps left over after them are run.
 
-    The step loop runs guard, step and comparison from one bookkeeping
-    point (a row, or a step of that schedule) to the next.  The state after
-    each step is compared with the kept one, so a repeat after step ``k``
-    has period ``k + 1 - kept``; a state kept at a bookkeeping point passes
-    the guard before the first step leaves it, and a row is written once
-    its state has passed the guard.
+    The step loop runs guard, step and comparison from one step of that
+    schedule to the next.  The state after each step is compared with the
+    kept one, so a repeat after step ``k`` has period ``k + 1 - kept``; a
+    kept state passes the guard before the first step leaves it.
     """
     S, I = float(x0[0]), float(x0[1])
     r, beta, a, K = p.r, p.beta, p.a, p.K
-    m = 0 if out is None else out.shape[0]
     bound = DIVERGENCE_BOUND
     # the box |S|, |I| <= bound/2 lies inside the guard region (the rounded
     # sum of two such terms stays <= bound): only a state outside it pays
     # for the exact test
     low, high = -0.5 * bound, 0.5 * bound
-    # the kept state (none yet: NaN equals nothing)
-    S_kept = I_kept = math.nan
     k = 0
     try:
         while k < n:
-            # a bookkeeping point: a row of `out` (one step each), or a step
-            # of the doubling schedule past them
-            if k < m:
-                S_row, I_row, stop = S, I, k + 1
-            else:
-                kept, S_kept, I_kept, bits_kept = k, S, I, _bits(S, I)
-                stop = 2 * k or 1
-            for k in range(k, min(stop, n)):
+            kept, S_kept, I_kept, bits_kept = k, S, I, _bits(S, I)
+            for k in range(k, min(2 * k or 1, n)):
                 # `not (total <= bound)` also catches NaN
                 if not (low <= S <= high and low <= I <= high) and not (abs(S) + abs(I) <= bound):
                     return S, I, k
@@ -281,14 +256,8 @@ def _advance(p: ModelParams, x0, n: int, out: np.ndarray | None = None):
                 # axis: compare I too before packing the bits
                 if S == S_kept and I == I_kept and _bits(S, I) == bits_kept:
                     return _advance(p, (S, I), (n - k - 1) % (k + 1 - kept))
-            if k < m:  # the state before step k passed the guard
-                out[k, 0] = S_row
-                out[k, 1] = I_row
             k += 1
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
-        if k < m:
-            out[k, 0] = S
-            out[k, 1] = I
         return S, I, k
     return S, I, None
 
@@ -301,9 +270,10 @@ def iterate(
 ) -> Orbit:
     """Iterate the planar map and keep the last ``n_keep`` states.
 
-    The first ``n_transient`` iterations are discarded; one more guarded
-    run records the window.  Escape is a distinguished outcome, not an
-    error: the orbit carries the escape step and the samples before it.
+    The first ``n_transient`` iterations are discarded; the window is then
+    recorded one row and one guarded step at a time.  Escape is a
+    distinguished outcome, not an error: the orbit carries the escape step
+    and the samples before it.
     """
     if n_transient < 0 or n_keep < 0:
         raise ValueError("n_transient and n_keep must be non-negative")
@@ -313,7 +283,9 @@ def iterate(
     if k is not None:
         return Orbit(states=np.empty((0, 2)), escaped_at=k)
     out = np.empty((n_keep, 2), dtype=np.float64)
-    _, _, k = _advance(p, (S, I), n_keep, out)
-    if k is not None:
-        return Orbit(states=out[:k].copy(), escaped_at=n_transient + k)
+    for k in range(n_keep):
+        out[k] = S, I
+        S, I, escaped_at = _advance(p, (S, I), 1)
+        if escaped_at is not None:
+            return Orbit(states=out[:k].copy(), escaped_at=n_transient + k)
     return Orbit(states=out, escaped_at=None)

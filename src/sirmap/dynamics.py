@@ -451,12 +451,18 @@ def find_cycle_births(
     )
 
 
-def _decompose(k: int) -> tuple[int, int]:
+def _sharkovskii_key(k: int) -> tuple:
+    """The place of k in the Sharkovskii order, as a sort key.
+
+    ``(0, s, q)`` for ``k = 2^s * q`` with odd ``q > 1``, and ``(1, -s)``
+    for ``k = 2^s``: the odd multiples first, by power of two and then by
+    odd part, and the powers of two last, in descending order.
+    """
     s = 0
     while k % 2 == 0:
         k //= 2
         s += 1
-    return s, k
+    return (0, s, k) if k > 1 else (1, -s)
 
 
 def sharkovskii_precedes(m: int, n: int) -> bool:
@@ -468,14 +474,4 @@ def sharkovskii_precedes(m: int, n: int) -> bool:
     """
     if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
         raise ValueError("m and n must be positive integers")
-    if m == n:
-        return False
-    sm, qm = _decompose(m)
-    sn, qn = _decompose(n)
-    if qm > 1 and qn > 1:
-        return (sm, qm) < (sn, qn)
-    if qm > 1:
-        return True
-    if qn > 1:
-        return False
-    return sm > sn
+    return _sharkovskii_key(m) < _sharkovskii_key(n)

@@ -17,12 +17,14 @@ resonances at three special growth values ``r_bar < r_tilde < r_max``
 Everything here is closed-form 2x2 work in plain floats: the four
 Jacobian entries come from ``core._jacobian_entries`` and the eigenvalues
 from the trace/determinant quadratic :func:`_eigen_quadratic`, never from
-a general eigensolver or a numpy array.  E1 and its linearisation come
-from one site, :func:`_endemic_point`, which :func:`endemic` and the E1
-work of :mod:`sirmap.normal_forms` read.  The records handed out
+a general eigensolver or a numpy array; :func:`_mul` is the one product of
+two flat 2x2 matrices, behind the period-2 cycle matrix and the probe's
+trapping certificate.  E1 and its linearisation come from one site,
+:func:`_endemic_point`, which :func:`endemic` and the E1 work of
+:mod:`sirmap.normal_forms` read.  The records handed out
 (:class:`EigenData`, :class:`FixedPointReport`, :class:`Thresholds`) are
-NamedTuples, like ``core.State``: immutable, cheap to build on
-every analysed point, and equal to plain tuples holding the same values.
+NamedTuples, like ``core.State``: immutable, cheap to build on every
+analysed point, and equal to plain tuples holding the same values.
 """
 from __future__ import annotations
 
@@ -420,6 +422,16 @@ def _endemic_boundary(p: ModelParams) -> tuple[BoundaryTag | None, tuple[float, 
     return None, ()
 
 
+def _mul(m, n) -> tuple:
+    """The product of two flat 2x2 matrices ``(m00, m01, m10, m11)``."""
+    m00, m01, m10, m11 = m
+    n00, n01, n10, n11 = n
+    return (
+        m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
+        m10 * n00 + m11 * n10, m10 * n01 + m11 * n11,
+    )
+
+
 def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:
     """The axis 2-cycle born at r = 3, as two period-2 reports.
 
@@ -450,12 +462,6 @@ def period2_branch(p: ModelParams) -> tuple[FixedPointReport, FixedPointReport]:
         s_minus = w * (1.0 + w) / s_plus
     x_minus = State(s_minus, 0.0)
     x_plus = State(s_plus, 0.0)
-    a11, a12, a21, a22 = _jacobian_entries(p, s_plus, 0.0)
-    b11, b12, b21, b22 = _jacobian_entries(p, s_minus, 0.0)
-    e = _eigen_quadratic(
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
+    J_plus, J_minus = _jacobian_entries(p, s_plus, 0.0), _jacobian_entries(p, s_minus, 0.0)
+    e = _eigen_quadratic(*_mul(J_plus, J_minus))
     return _report(p, "period2", x_minus, e, 2), _report(p, "period2", x_plus, e, 2)

@@ -180,15 +180,6 @@ def _fixed(p: ModelParams, x, k: int, residual: float = 0.0) -> State:
     return x
 
 
-def _cycle_forms(p: ModelParams, x, k: int, residual: float = 0.0) -> tuple:
-    """A, B, C of the k-th iterate, as nested floats, at a point it fixes (:func:`_fixed`)."""
-    x = _fixed(p, x, k, residual)
-    if k == 1:
-        return _point_entries(p, x.S, x.I)
-    forms = iterate_forms(p, x, k)
-    return forms.A.tolist(), forms.B.tolist(), forms.C.tolist()
-
-
 def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
     """Derivative tensors of the map at a fixed point.
 
@@ -197,9 +188,7 @@ def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
     These are the forms of the map shifted so the fixed point sits at the
     origin (shifting does not change derivatives).
     """
-    import numpy as np
-
-    return MultilinearForms(*map(np.array, _cycle_forms(p, fp, 1)))
+    return iterate_forms(p, _fixed(p, fp, 1), 1)
 
 
 def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
@@ -321,7 +310,8 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     ``TOL_BOUNDARY`` off, past ``TOL_HYP`` in the eigenvalue.
     """
     k = 2 if fp.kind == "period2" else 1
-    A, B, C = _cycle_forms(p, fp.location, k, fp.residual)
+    x = _fixed(p, fp.location, k, fp.residual)
+    A, B, C = _point_entries(p, *x) if k == 1 else (f.tolist() for f in iterate_forms(p, x, k))
     (a11, a12), (a21, a22) = A
     e = _eigen_quadratic(a11, a12, a21, a22)
     mu, far = sorted((e.mu1, e.mu2), key=lambda m: abs(m + 1.0))

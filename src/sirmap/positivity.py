@@ -30,7 +30,7 @@ row per constraint; a column's first False names an orbit's exit.
 Exited orbits are dropped by moving the survivors, with their original
 indices, to the front of each buffer.  numpy is imported only inside the
 functions that make or step arrays (the probe, its sampler and table,
-``_holds`` and ``RegionSpec.nullcline``).
+and ``_holds``).
 
 Orbits that settle are dropped the same way.  Once per call,
 ``_trap`` proves, in closed form with explicit rounding bounds (validated
@@ -64,7 +64,7 @@ import sys
 from typing import NamedTuple
 
 from .core import ModelParams, _step_into
-from .equilibria import _endemic_point, _residual
+from .equilibria import _endemic_point, _mul, _residual
 from .normal_forms import _curvature_entries
 
 __all__ = [
@@ -128,12 +128,6 @@ class RegionSpec(NamedTuple):
     u_star: float
     v: float
     crossings: tuple[float, ...] = ()
-
-    def nullcline(self, x):
-        """Height of the S' >= 0 frontier: ``v * (1 - x) * (1 + a*x)``."""
-        import numpy as np
-
-        return self.v * (1.0 - np.asarray(x)) * (1.0 + self.params.a * np.asarray(x))
 
 
 def applicable_region(p: ModelParams) -> RegionSpec | None:
@@ -251,7 +245,7 @@ def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
     np.less_equal(t, region.u_star + tol, out=table[2, ...])
     if region.case != 1:
         np.less_equal(S, 1.0 + tol, out=table[3, ...])
-        # RegionSpec.nullcline's order: (v*(1 - x))*(1 + a*x), then the slack
+        # the nullcline as (v*(1 - x))*(1 + a*x), then the slack
         with np.errstate(invalid="ignore"):
             np.subtract(1.0, S, out=t)
             np.multiply(region.v, t, out=t)
@@ -279,16 +273,6 @@ def _norm2(m00: float, m01: float, m10: float, m11: float) -> float:
 def _length(*c: float) -> float:
     """The 2-norm of a vector, or the Frobenius norm of a flat matrix."""
     return math.sqrt(sum(x * x for x in c))
-
-
-def _mul(m, n) -> tuple:
-    """The product of two flat 2x2 matrices ``(m00, m01, m10, m11)``."""
-    m00, m01, m10, m11 = m
-    n00, n01, n10, n11 = n
-    return (
-        m00 * n00 + m01 * n10, m00 * n01 + m01 * n11,
-        m10 * n00 + m11 * n10, m10 * n01 + m11 * n11,
-    )
 
 
 def _clearance(region: RegionSpec, x, hi, P) -> float:

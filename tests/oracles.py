@@ -16,14 +16,15 @@ admissibility by exact symbol comparison.  ``plain_advance`` is
 run, and ``exact_cycle`` finds an orbit's first bit-exact repeat by
 remembering every state.
 ``plain_tangent`` is ``sirmap.dynamics._tangent`` without its exact-cycle
-replay.  ``numpy_jacobian`` is ``sirmap.jacobian`` as it was before its
-entries became plain floats, and ``mpmath_normal_form`` recomputes a fixed
-point, its derivative tensors and its flip or Neimark-Sacker coefficient
-at 40 digits.  ``report_modulus_slope`` is ``sirmap.rho_prime_at_ns``'s value
-read from a full ``sirmap.endemic`` report, as it was before the E1
-determinant came straight from the Jacobian entries, and
-``mpmath_modulus_slope`` is the 50-digit ``mpmath.diff`` of sqrt(det J(E1))
-in beta that certifies that closed form.
+replay.  ``numpy_jacobian`` is the map's Jacobian as a (2, 2) numpy array,
+from the library's entry formulas (the library keeps only the float
+entries of ``sirmap.core._jacobian_entries``), and ``mpmath_normal_form``
+recomputes a fixed point, its derivative tensors and its flip or
+Neimark-Sacker coefficient at 40 digits.  ``report_modulus_slope`` is
+``sirmap.rho_prime_at_ns``'s value read from a full ``sirmap.endemic``
+report, as it was before the E1 determinant came straight from the
+Jacobian entries, and ``mpmath_modulus_slope`` is the 50-digit
+``mpmath.diff`` of sqrt(det J(E1)) in beta that certifies that closed form.
 ``numpy_period2_eigen`` is ``sirmap.period2_branch``'s eigen data from the
 numpy product of its two Jacobian arrays, as they were before the product
 became plain floats.  ``UnscaledParams``, ``scale_params`` and
@@ -32,8 +33,10 @@ from: a step of it, divided by the scale factor, is a step of
 ``sirmap.step``.  ``decay_envelope_holds`` checks the geometric decay of
 the infected mass along a ``sirmap.iterate`` orbit below
 ``beta = (1 + a)*K``, and ``iv_trap_holds`` re-proves the invariance
-probe's trapping ellipse in ``mpmath.iv`` interval boxes.  Tests compare
-the library against all of them.
+probe's trapping ellipse in ``mpmath.iv`` interval boxes.  ``nullcline``
+is the height ``v*(1 - x)*(1 + a*x)`` of a region's S' >= 0 frontier, in
+the operation order of ``sirmap.positivity._holds``.  Tests compare the
+library against all of them.
 """
 import math
 import struct
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sirmap import DIVERGENCE_BOUND, EigenData, ModelParams, endemic, iterate, jacobian, step
+from sirmap import DIVERGENCE_BOUND, EigenData, ModelParams, endemic, iterate, step
 from sirmap.equilibria import _eigen_quadratic
 from sirmap.normal_forms import MultilinearForms, _point_tensors
 
@@ -90,11 +93,17 @@ def numpy_jacobian(p: ModelParams, x) -> np.ndarray:
     return J
 
 
+def nullcline(region, x):
+    """Height of the S' >= 0 frontier of ``region`` at ``x``: ``v * (1 - x) * (1 + a*x)``."""
+    x = np.asarray(x)
+    return region.v * (1.0 - x) * (1.0 + region.params.a * x)
+
+
 def _iterate_jacobian(p: ModelParams, x, k: int) -> np.ndarray:
     J = np.eye(2)
     z = (float(x[0]), float(x[1]))
     for _ in range(k):
-        J = jacobian(p, z) @ J
+        J = numpy_jacobian(p, z) @ J
         z = step(p, z)
     return J
 
@@ -606,7 +615,7 @@ def numpy_period2_eigen(p: ModelParams) -> EigenData:
     root = math.sqrt(max((r - 3.0) * (r + 1.0), 0.0))
     x_minus = ((1.0 + r - root) / (2.0 * r), 0.0)
     x_plus = ((1.0 + r + root) / (2.0 * r), 0.0)
-    M = jacobian(p, x_plus) @ jacobian(p, x_minus)
+    M = numpy_jacobian(p, x_plus) @ numpy_jacobian(p, x_minus)
     return _eigen_quadratic(*M.ravel().tolist())
 
 

@@ -13,12 +13,11 @@ from sirmap import (
     Orbit,
     State,
     iterate,
-    jacobian,
     step,
 )
 from sirmap import core
 from sirmap.cli import PRESETS
-from sirmap.core import _advance, _step_into
+from sirmap.core import _advance, _jacobian_entries, _step_into
 
 from oracles import UnscaledParams, exact_cycle, plain_advance, scale_params, step_full
 
@@ -106,14 +105,13 @@ class TestScaling:
 
 
 class TestJacobian:
-    def test_shape_and_values_at_origin_row(self):
+    def test_entries_on_the_axis(self):
         p = ModelParams(r=2, beta=3, a=1, K=0.5)
-        J = jacobian(p, (0.5, 0.0))
-        assert J.shape == (2, 2)
+        a11, _, a21, a22 = _jacobian_entries(p, 0.5, 0.0)
         # on the I=0 axis: dS'/dS = r - 2 r S, dI'/dI = 1 - K + phi(S)
-        assert math.isclose(J[0, 0], 2 - 2 * 2 * 0.5, abs_tol=1e-15)
-        assert J[1, 0] == 0.0
-        assert math.isclose(J[1, 1], 0.5 + 3 * 0.5 / 1.5, abs_tol=1e-15)
+        assert math.isclose(a11, 2 - 2 * 2 * 0.5, abs_tol=1e-15)
+        assert a21 == 0.0
+        assert math.isclose(a22, 0.5 + 3 * 0.5 / 1.5, abs_tol=1e-15)
 
     @given(
         r=st.floats(1.1, 4.0),
@@ -126,7 +124,7 @@ class TestJacobian:
     @settings(max_examples=80, deadline=None)
     def test_matches_finite_differences(self, r, beta, a, K, S, I):
         p = ModelParams(r=r, beta=beta, a=a, K=K)
-        J = jacobian(p, (S, I))
+        J = np.reshape(_jacobian_entries(p, S, I), (2, 2))
         h = 1e-6
         fd = np.empty((2, 2))
         for j, e in enumerate(((h, 0.0), (0.0, h))):
@@ -140,7 +138,7 @@ class TestJacobian:
     def test_pole_is_value_error(self, a):
         p = ModelParams(r=2, beta=1, a=a, K=0.5)
         with pytest.raises(ValueError, match="not finite"):
-            jacobian(p, (-1.0 / a, 0.1))
+            _jacobian_entries(p, -1.0 / a, 0.1)
 
 
 class TestIterate:
@@ -231,11 +229,14 @@ def _bits(result):
 
 
 def _same_run(p, x0, n, rows=0):
-    """``_advance`` and the plain loop agree bit for bit, ``out`` rows included."""
-    got_out, want_out = np.full((rows, 2), np.nan), np.full((rows, 2), np.nan)
-    got = _bits(_advance(p, x0, n, got_out if rows else None))
-    assert got == _bits(plain_advance(p, x0, n, want_out if rows else None))
-    assert got_out.tobytes() == want_out.tobytes()
+    """``_advance`` and the plain loop agree bit for bit, and so do ``iterate``'s ``rows`` rows."""
+    got = _bits(_advance(p, x0, n))
+    assert got == _bits(plain_advance(p, x0, n))
+    want_out = np.full((rows, 2), np.nan)
+    k = plain_advance(p, x0, rows, want_out)[2]
+    orbit = iterate(p, x0, n_transient=0, n_keep=rows)
+    assert orbit.escaped_at == k
+    assert orbit.states.tobytes() == want_out[:k].tobytes()
     return got
 
 
@@ -257,8 +258,10 @@ class TestExactCycleShortCircuit:
         n=st.integers(0, 3000),
         rows=st.integers(0, 60),
     )
-    # the orbit lands on the pole S = -1/a at step 1: an escape there
+    # the orbit lands on the pole S = -1/a at step 1: an escape there, in
+    # the run and, with rows, at row 1 of the window
     @example(r=1.0, beta=2.0, a=1.0, K=0.5, S0=1.0, I0=1.0, n=2, rows=0)
+    @example(r=1.0, beta=2.0, a=1.0, K=0.5, S0=1.0, I0=1.0, n=2, rows=3)
     def test_matches_plain_loop(self, r, beta, a, K, S0, I0, n, rows):
         _same_run(ModelParams(r=r, beta=beta, a=a, K=K), (S0, I0), n, rows)
 

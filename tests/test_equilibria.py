@@ -19,7 +19,6 @@ from sirmap import (
     classify_boundary,
     disease_free,
     endemic,
-    jacobian,
     period2_branch,
     resonance_growth,
     step,
@@ -106,9 +105,9 @@ class TestEndemic:
         # at E1 the infection row of the Jacobian is (a21, 1) and a12 = -K
         p = ModelParams(r=3.1, beta=2.4, a=0.7, K=0.43)
         rep = endemic(p)
-        J = jacobian(p, rep.location)
-        assert math.isclose(J[0, 1], -p.K, abs_tol=1e-12)
-        assert math.isclose(J[1, 1], 1.0, abs_tol=1e-12)
+        _, a12, _, a22 = _jacobian_entries(p, *rep.location)
+        assert math.isclose(a12, -p.K, abs_tol=1e-12)
+        assert math.isclose(a22, 1.0, abs_tol=1e-12)
 
 
 class TestThresholds:
@@ -288,14 +287,11 @@ class TestFloatJacobianPath:
     def test_entries_and_eigen_data_bit_for_bit(self, r, beta, a, K, S, I):
         p = ModelParams(r=r, beta=beta, a=a, K=K)
         try:
-            want = numpy_jacobian(p, (S, I))
+            J = numpy_jacobian(p, (S, I))
         except ValueError:
             with pytest.raises(ValueError, match="not finite"):
-                jacobian(p, (S, I))
+                _jacobian_entries(p, S, I)
             return
-        J = jacobian(p, (S, I))
-        assert J.dtype == np.float64 and J.shape == (2, 2)
-        assert J.tobytes() == want.tobytes()
         entries = _jacobian_entries(p, S, I)
         assert struct.pack("<4d", *entries) == J.tobytes()
         assert _bits(_eigen_quadratic(*entries)) == _bits(_eigen_quadratic(*J.ravel().tolist()))
@@ -310,7 +306,7 @@ class TestFloatJacobianPath:
     def test_endemic_eigen_data_is_that_of_its_jacobian(self, r, a, K, excess):
         p = ModelParams(r=r, beta=beta0_threshold(r, a, K) * (1.0 + excess), a=a, K=K)
         rep = endemic(p)
-        assert _bits(rep.eigen) == _bits(_eigen_quadratic(*jacobian(p, rep.location).ravel().tolist()))
+        assert _bits(rep.eigen) == _bits(_eigen_quadratic(*numpy_jacobian(p, rep.location).ravel().tolist()))
 
     @pytest.mark.parametrize(
         "x",
@@ -323,8 +319,6 @@ class TestFloatJacobianPath:
     )
     def test_pole_and_non_finite_entries_are_value_errors(self, x):
         p = ModelParams(r=2.0, beta=1.0, a=1.0, K=0.5)
-        with pytest.raises(ValueError, match="not finite"):
-            jacobian(p, x)
         with pytest.raises(ValueError, match="not finite"):
             _jacobian_entries(p, *x)
 

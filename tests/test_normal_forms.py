@@ -350,6 +350,15 @@ class TestFormsConsistency:
         assert np.allclose(forms.B, fd.B, rtol=1.0e-5, atol=1.0e-9)
         assert np.allclose(forms.C, fd.C, rtol=1.0e-5, atol=1.0e-6)
 
+    @pytest.mark.parametrize("point", [disease_free, endemic])
+    def test_shifted_forms_are_the_one_step_iterate_forms(self, point):
+        p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
+        x = point(p).location
+        got, want = shifted_forms(p, x), iterate_forms(p, x, 1)
+        for name in ("A", "B", "C"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
     def test_tensors_are_symmetric(self):
         p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
         forms = iterate_forms(p, (0.37, 0.21), 3)

@@ -22,7 +22,7 @@ from sirmap import positivity
 from sirmap.equilibria import _endemic_point, beta2_threshold
 from sirmap.positivity import _CONSTRAINTS, MEMBERSHIP_TOL, _holds, _sample_region, _trap
 
-from oracles import iv_trap_holds
+from oracles import iv_trap_holds, nullcline
 
 
 def contains(region, x) -> bool:
@@ -176,7 +176,7 @@ class TestApplicableRegion:
         reg = applicable_region(ModelParams(r=r, beta=beta, a=a, K=K))
         (xbar,) = reg.crossings
         assert 0.5 < xbar < 1.0
-        assert abs((reg.u_star - xbar) - float(reg.nullcline(xbar))) < 1e-12
+        assert abs((reg.u_star - xbar) - float(nullcline(reg, xbar))) < 1e-12
 
     @pytest.mark.parametrize("beta", [1e-100, 1e-150, 1e-154, 1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -225,7 +225,7 @@ class TestApplicableRegion:
         x1, x2 = reg.crossings
         assert 0.0 < x1 < 0.5 < x2 < 1.0
         for x in (x1, x2):
-            assert abs((reg.u_star - x) - float(reg.nullcline(x))) < 1e-12
+            assert abs((reg.u_star - x) - float(nullcline(reg, x))) < 1e-12
 
     @pytest.mark.parametrize("r,K", WINDOW_R_K)
     def test_case3_crossings_within_2_ulp_along_window(self, r, K):
@@ -255,7 +255,7 @@ class TestApplicableRegion:
         assert 0.0 < x1 <= x2 < 1.0
         assert x2 - x1 < 1e-7
         for x in (x1, x2):
-            assert abs((reg.u_star - x) - float(reg.nullcline(x))) < 1e-12
+            assert abs((reg.u_star - x) - float(nullcline(reg, x))) < 1e-12
 
     def test_case3_needs_unit_a(self):
         # same window otherwise, but a != 1 falls through to no region
@@ -282,7 +282,7 @@ class TestContains:
         reg = applicable_region(ModelParams(r=r, beta=beta, a=a, K=K))
         (xbar,) = reg.crossings
         x = (xbar + 1.0) / 2.0
-        y = float(reg.nullcline(x))
+        y = float(nullcline(reg, x))
         assert contains(reg, (x, y))
         assert not contains(reg, (x, y + 1e-9))
 
@@ -292,7 +292,7 @@ class TestContains:
         r, beta, a, K = CASE2_SETS[0]
         reg = applicable_region(ModelParams(r=r, beta=beta, a=a, K=K))
         x = (reg.crossings[0] + 1.0) / 2.0
-        top = float(reg.nullcline(x))
+        top = float(nullcline(reg, x))
         for row, (point, outward) in enumerate((
             ((0.0, 0.5), (-1.0, 0.0)),
             ((0.5, 0.0), (0.0, -1.0)),
@@ -401,7 +401,7 @@ def _scalar_probe(p, region, samples, steps, seed, starts=None):
             if region.case != 1:
                 checks += [
                     ("S>1", S > 1.0 + tol),
-                    ("I>nullcline", I > region.nullcline(S) + tol),
+                    ("I>nullcline", I > nullcline(region, S) + tol),
                 ]
             failed = [name for name, bad in checks if bad]
             if failed:

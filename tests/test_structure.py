@@ -49,7 +49,13 @@ does not reach for ``thresholds`` to pair them again.  The 17-digit float
 format spec is written once, in ``cli._fmt``, the one float-to-text site of
 the CSV output.  Every ``crossings=`` value of a positivity region is a call
 of ``positivity._crossings``, or a slice of one: the one solve of the
-ceiling line meeting the nullcline.
+ceiling line meeting the nullcline.  Each remaining job has one path:
+``core._advance`` takes no row buffer (``iterate`` records its window
+itself), ``shifted_forms`` is ``iterate_forms`` at k = 1 and nothing calls
+a second fixed-point tensor route (``_cycle_forms``), ``equilibria._mul``
+is the one flat 2x2 product (the period-2 cycle matrix and the probe's
+certificate), and ``RegionSpec`` defines no method, so ``_holds`` is the
+one evaluation of the nullcline.
 
 The public API is pinned: ``sirmap.__all__`` holds exactly the names in
 ``PUBLIC_NAMES``, and ``Orbit`` has exactly the members ``states``,
@@ -280,6 +286,33 @@ def test_residual_only_in_equilibria_residual():
 def test_point_tensors_composed_only_by_iterate_forms():
     sites = _occurrences(_calls("_point_tensors"))
     assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+
+
+def test_advance_keeps_no_rows():
+    # iterate records its window itself; the loop takes no row buffer
+    assert list(inspect.signature(sirmap.core._advance).parameters) == ["p", "x0", "n"]
+
+
+def test_fixed_point_tensors_come_from_iterate_forms():
+    # one route to the tensors at a fixed point: shifted_forms is iterate_forms at k = 1
+    callers = {(path, func) for path, func, _ in _occurrences(_calls("iterate_forms"))}
+    assert ("normal_forms.py", "shifted_forms") in callers, callers
+    assert _occurrences(_calls("_cycle_forms")) == []
+
+
+def test_one_flat_two_by_two_product():
+    defs = _occurrences(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_mul")
+    assert [path for path, _, _ in defs] == ["equilibria.py"], defs
+    callers = {(path, func) for path, func, _ in _occurrences(_calls("_mul"))}
+    assert ("equilibria.py", "period2_branch") in callers, callers
+
+
+def test_region_spec_defines_no_method():
+    # the nullcline height is evaluated only by positivity._holds
+    tree = ast.parse((Path(sirmap.__file__).parent / "positivity.py").read_text(encoding="utf-8"))
+    spec = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RegionSpec")
+    methods = [n.name for n in spec.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert methods == [], methods
 
 
 def test_null_vector_called_only_by_eigenpair():
@@ -539,7 +572,7 @@ PUBLIC_NAMES = [
     "State", "TOL_BOUNDARY", "TOL_CYCLE", "TOL_HYP", "Thresholds", "__version__",
     "applicable_region", "beta0_threshold", "beta1_formula", "beta2_threshold",
     "classify_boundary", "detect_period", "disease_free", "endemic", "find_cycle_births",
-    "flip_coefficient", "invariance_probe", "iterate", "iterate_forms", "jacobian", "lyapunov",
+    "flip_coefficient", "invariance_probe", "iterate", "iterate_forms", "lyapunov",
     "ns_coefficient", "period2_branch", "reproduction_candidates", "resonance_growth",
     "rho_prime_at_ns", "scan", "sharkovskii_precedes", "shifted_forms", "step", "thresholds",
     "u_star",
@@ -547,7 +580,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert sorted(sirmap.__all__) == PUBLIC_NAMES
 
 
@@ -623,7 +656,7 @@ def test_dynamics_imports_nothing_from_equilibria():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1561
+CODE_LINES = 1521
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
