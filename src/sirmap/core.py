@@ -24,17 +24,25 @@ order (bit-identical states, no allocation per step).  Only the tangent
 kernel ``dynamics._tangent`` keeps its own fused step.  numpy is imported
 only inside :func:`iterate` and :func:`_step_into`.
 
+The map's derivatives live here too, as floats in one matrix format, the
+flat 2x2 tuple ``(m00, m01, m10, m11)``: :func:`_jacobian_entries` gives
+the Jacobian J and :func:`_curvature_entries` the second and third
+partials B (one flat 2x2 per component) and C (one per component and
+first index).  ``equilibria``, ``normal_forms`` and the trapping
+certificate of ``positivity`` read them from here.
+
 A transient that settles on an exact floating-point cycle is cut short.
 The map is deterministic, so once ``_advance`` meets a state bit-equal to
 an earlier one, the rest of the run goes round a cycle whose states have
 all passed the guard; it runs only the steps that reach the same phase
 and returns the bits the full loop would.  Its step loop holds only the
 guard, the step and the comparison of the new state with the kept one;
-states are kept between stretches of that loop.  A state is packed to
-bits only after its S and I compare equal, as floats, to the kept
-state's.  ``_advance`` keeps no rows: :func:`iterate` records its window
-itself, one row and one guarded step at a time, so recorded windows run
-every step.  The tangent kernel ``dynamics._tangent`` stops the same way
+states are kept between stretches of that loop.  Neither state is packed
+to bits before its S and I compare equal, as floats, to the kept
+state's, so a row of :func:`iterate`'s window packs nothing.
+``_advance`` keeps no rows: :func:`iterate` records its window itself,
+one row and one guarded step at a time, so recorded windows run every
+step.  The tangent kernel ``dynamics._tangent`` stops the same way
 at a repeat of its whole state, then replays one recorded turn's log
 stretches.  The invariance probe drops each ensemble orbit once it lies
 inside an ellipse around a stable E1 that :func:`_step_into` provably
@@ -51,10 +59,6 @@ __all__ = [
     "DIVERGENCE_BOUND",
     "TOL_HYP",
     "TOL_BOUNDARY",
-    "TOL_CYCLE",
-    "DEFAULT_TRANSIENT",
-    "DEFAULT_WINDOW",
-    "DEFAULT_MAX_PERIOD",
     "DivergenceError",
     "ModelParams",
     "State",
@@ -70,13 +74,13 @@ TOL_HYP = 1.0e-9
 #: Absolute tolerance for matching a point to a bifurcation boundary.
 TOL_BOUNDARY = 1.0e-9
 #: Recurrence tolerance (sup norm) for period detection.
-TOL_CYCLE = 1.0e-7
+_TOL_CYCLE = 1.0e-7
 #: Default number of discarded warm-up iterations.
-DEFAULT_TRANSIENT = 10_000
+_DEFAULT_TRANSIENT = 10_000
 #: Default number of retained post-transient samples.
-DEFAULT_WINDOW = 1_000
+_DEFAULT_WINDOW = 1_000
 #: Default largest period that detection will report.
-DEFAULT_MAX_PERIOD = 64
+_DEFAULT_MAX_PERIOD = 64
 
 
 class DivergenceError(RuntimeError):
@@ -192,6 +196,25 @@ def _jacobian_entries(p: ModelParams, S: float, I: float) -> tuple[float, float,
     return J
 
 
+def _curvature_entries(p: ModelParams, S: float, I: float) -> tuple:
+    """Exact B and C of :func:`step` at ``(S, I)``: its second and third partials.
+
+    ``B[i]`` is the Hessian of component i and ``C[i][j]`` the Hessian of
+    ``d/dx_j`` of component i, each a flat 2x2 ``(m00, m01, m10, m11)``
+    like :func:`_jacobian_entries`.
+    """
+    den = 1.0 + p.a * S
+    d1 = p.beta / den**2
+    d2 = -2.0 * p.a * p.beta / den**3
+    d3 = 6.0 * p.a * p.a * p.beta / den**4
+    B = ((-2.0 * p.r - I * d2, -d1, -d1, 0.0), (I * d2, d1, d1, 0.0))
+    C = (
+        ((-I * d3, -d2, -d2, 0.0), (-d2, 0.0, 0.0, 0.0)),
+        ((I * d3, d2, d2, 0.0), (d2, 0.0, 0.0, 0.0)),
+    )
+    return B, C
+
+
 @dataclass(frozen=True)
 class Orbit:
     """Post-transient orbit samples.
@@ -245,7 +268,7 @@ def _advance(p: ModelParams, x0, n: int):
     k = 0
     try:
         while k < n:
-            kept, S_kept, I_kept, bits_kept = k, S, I, _bits(S, I)
+            kept, S_kept, I_kept = k, S, I
             for k in range(k, min(2 * k or 1, n)):
                 # `not (total <= bound)` also catches NaN
                 if not (low <= S <= high and low <= I <= high) and not (abs(S) + abs(I) <= bound):
@@ -253,8 +276,8 @@ def _advance(p: ModelParams, x0, n: int):
                 force = beta * S * I / (1.0 + a * S)
                 S, I = r * S * (1.0 - S) - force, (1.0 - K) * I + force
                 # S can sit still while I moves on, as when I decays to the
-                # axis: compare I too before packing the bits
-                if S == S_kept and I == I_kept and _bits(S, I) == bits_kept:
+                # axis: compare I too before packing the bits of either state
+                if S == S_kept and I == I_kept and _bits(S, I) == _bits(S_kept, I_kept):
                     return _advance(p, (S, I), (n - k - 1) % (k + 1 - kept))
             k += 1
     except ZeroDivisionError:  # state k sits on the pole 1 + a*S = 0
@@ -265,8 +288,8 @@ def _advance(p: ModelParams, x0, n: int):
 def iterate(
     p: ModelParams,
     x0: tuple[float, float],
-    n_transient: int = DEFAULT_TRANSIENT,
-    n_keep: int = DEFAULT_WINDOW,
+    n_transient: int = _DEFAULT_TRANSIENT,
+    n_keep: int = _DEFAULT_WINDOW,
 ) -> Orbit:
     """Iterate the planar map and keep the last ``n_keep`` states.
 

@@ -26,13 +26,13 @@ import struct
 from dataclasses import dataclass, field, replace
 
 from .core import (
-    DEFAULT_MAX_PERIOD,
-    DEFAULT_TRANSIENT,
     DIVERGENCE_BOUND,
     DivergenceError,
     ModelParams,
     Orbit,
-    TOL_CYCLE,
+    _DEFAULT_MAX_PERIOD,
+    _DEFAULT_TRANSIENT,
+    _TOL_CYCLE,
     _advance,
 )
 
@@ -170,7 +170,7 @@ def lyapunov(
     p: ModelParams,
     x0,
     n: int = 100_000,
-    transient: int = DEFAULT_TRANSIENT,
+    transient: int = _DEFAULT_TRANSIENT,
 ) -> tuple[float, float]:
     """Both Lyapunov exponents along the orbit of ``x0``.
 
@@ -202,11 +202,11 @@ def lyapunov(
     return (l1, l2) if l1 >= l2 else (l2, l1)
 
 
-def detect_period(orbit, max_period: int = DEFAULT_MAX_PERIOD) -> int | None:
+def detect_period(orbit, max_period: int = _DEFAULT_MAX_PERIOD) -> int | None:
     """Smallest period ``<= max_period`` the samples settle on, else None.
 
     A period ``q`` is accepted when ``|x[i+q] - x[i]|`` stays below
-    ``TOL_CYCLE`` in the sup norm across the whole sample window.  The window
+    ``_TOL_CYCLE`` in the sup norm across the whole sample window.  The window
     must hold at least ``4 * max_period`` samples.
     """
     import numpy as np
@@ -220,7 +220,7 @@ def detect_period(orbit, max_period: int = DEFAULT_MAX_PERIOD) -> int | None:
             f"{max_period}, got {pts.shape[0]}"
         )
     for q in range(1, max_period + 1):
-        if float(np.max(np.abs(pts[q:] - pts[:-q]))) <= TOL_CYCLE:
+        if float(np.max(np.abs(pts[q:] - pts[:-q]))) <= _TOL_CYCLE:
             return q
     return None
 
@@ -251,7 +251,7 @@ def scan(
     prange: tuple[float, float],
     steps: int,
     x0=(0.5, 0.1),
-    transient: int = DEFAULT_TRANSIENT,
+    transient: int = _DEFAULT_TRANSIENT,
     keep: int = 100,
 ) -> ScanResult:
     """Sweep one parameter, recording attractor samples and lyap_max.

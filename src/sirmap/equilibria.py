@@ -47,7 +47,6 @@ __all__ = [
     "reproduction_candidates",
     "beta1_formula",
     "beta2_threshold",
-    "resonance_growth",
     "thresholds",
     "classify_boundary",
     "period2_branch",
@@ -82,7 +81,7 @@ _NS_CURVE_TAGS = (
     BoundaryTag.RESONANCE_14,
 )
 #: The strong resonances of the NS curve as (x, tag), in the order
-#: :func:`classify_boundary` tests them; each sits at r = resonance_growth(x).
+#: :func:`classify_boundary` tests them; each sits at r = _resonance_growth(x).
 _RESONANCES = (
     (4.0, BoundaryTag.RESONANCE_12),
     (3.0, BoundaryTag.RESONANCE_13),
@@ -292,11 +291,11 @@ def beta2_threshold(r: float, a: float, K: float) -> float:
     return 0.5 * (a * (2.0 * K - 1.0) + q * (K + 1.0) + math.sqrt(inner))
 
 
-def resonance_growth(x: float, a: float, K: float) -> float:
+def _resonance_growth(x: float, a: float, K: float) -> float:
     """Growth value on the NS curve where ``1 + trace = 2 - x/2``.
 
     ``x = 2, 3, 4`` give the 1:4, 1:3 and 1:2 resonance loci (eigenvalue
-    angles pi/2, 2*pi/3, pi); the last one, ``resonance_growth(4)``, is
+    angles pi/2, 2*pi/3, pi); the last one, ``_resonance_growth(4)``, is
     the endpoint r_max of the flip and NS curves.
     """
     lin = (a * x + K * (x + 1.0) + x) / (2.0 * K)
@@ -338,14 +337,14 @@ def thresholds(r: float, a: float, K: float) -> Thresholds:
         raise ValueError(f"require finite a, got a={a}")
     if not 0 < K < 1:
         raise ValueError(f"require 0 < K < 1, got K={K}")
-    r_max = resonance_growth(4.0, a, K)
+    r_max = _resonance_growth(4.0, a, K)
     b1 = beta1_formula(r, a, K) if 3.0 < r < r_max else None
     return Thresholds(
         beta0_threshold(r, a, K),
         b1,
         beta2_threshold(r, a, K),
-        resonance_growth(2.0, a, K),  # r_bar
-        resonance_growth(3.0, a, K),  # r_tilde
+        _resonance_growth(2.0, a, K),  # r_bar
+        _resonance_growth(3.0, a, K),  # r_tilde
         r_max,
     )
 
@@ -405,12 +404,12 @@ def _endemic_boundary(p: ModelParams) -> tuple[BoundaryTag | None, tuple[float, 
     b0 = beta0_threshold(r, a, K)
     if abs(r - 3.0) <= tol and abs(beta - b0) <= tol:
         return BoundaryTag.FOLD_FLIP, ()
-    r_max = resonance_growth(4.0, a, K)
+    r_max = _resonance_growth(4.0, a, K)
     if abs(beta - beta2_threshold(r, a, K)) <= tol:
         r_stars = ()
         for x, tag in _RESONANCES:
             # the 1:2 point is the r_max just evaluated
-            r_stars += (r_max if x == 4.0 else resonance_growth(x, a, K),)
+            r_stars += (r_max if x == 4.0 else _resonance_growth(x, a, K),)
             if abs(r - r_stars[-1]) <= tol:
                 return tag, r_stars
         if 1.0 < r < r_max:

@@ -16,19 +16,25 @@ Flip coefficients are also available for the axis 2-cycle: there the
 expansion is taken for the second iterate of the map, with the chain
 rule applied exactly to the composed derivative tensors.
 
-The per-point work is plain-float 2x2 algebra: the tensors are nested
-tuples of floats (:func:`_point_entries`; the NS coefficient, which holds
-E1's Jacobian already, takes only :func:`_curvature_entries`), contracted
-by the sums of :func:`_apply_B` and :func:`_apply_C`, the one linear
-solve is Cramer's rule in :func:`_solve2`, and :func:`_eigenpair`
-returns its eigenvectors as pairs of scalars.  numpy arrays remain only
-in the public return types, the three tensors of
-:class:`MultilinearForms` and
-``NormalFormData.q`` and ``.p`` (built in :func:`_normal_form`, the one
-place either coefficient's record is made), and in :func:`iterate_forms`'
-chain-rule composition for k >= 2, where they pay off.  numpy is imported
-only inside the functions that build them.  Both records are
-NamedTuples, like those of :mod:`sirmap.equilibria`.
+The per-point work is plain-float 2x2 algebra in one matrix format, the
+flat tuple ``(m00, m01, m10, m11)`` of :mod:`sirmap.core`: the Jacobian
+comes from ``core._jacobian_entries`` and the second and third partials
+from ``core._curvature_entries`` (B a pair of flat 2x2s, C a pair of
+pairs of them), contracted by the sums of :func:`_apply_B` and
+:func:`_apply_C`; the one linear solve is Cramer's rule in
+:func:`_solve2`, and :func:`_eigenpair` returns its eigenvectors as pairs
+of scalars.  At the 2-cycle the flip coefficient reads
+:func:`iterate_forms`' arrays with their last two axes merged into one
+of length 4.  E1 with a complex eigenvalue pair, the one point both NS
+functions read, comes from :func:`_complex_pair`.  numpy arrays remain
+only in the public return types, the three tensors of
+:class:`MultilinearForms` (reshaped from the flat tuples in
+:func:`_point_tensors`) and ``NormalFormData.q`` and ``.p`` (built in
+:func:`_normal_form`, the one place either coefficient's record is made),
+and in :func:`iterate_forms`' chain-rule composition for k >= 2, where
+they pay off.  numpy is imported only inside the functions that build
+them.  Both records are NamedTuples, like those of
+:mod:`sirmap.equilibria`.
 
 Conventions, the same on the float and the array path: for real (flip)
 data the pairing <p, x> is the plain dot product; for complex (NS) data it
@@ -42,7 +48,7 @@ import math
 import sys
 from typing import Literal, NamedTuple
 
-from .core import ModelParams, State, TOL_HYP, _jacobian_entries, step
+from .core import ModelParams, State, TOL_HYP, _curvature_entries, _jacobian_entries, step
 from .equilibria import (
     _NS_CURVE_TAGS,
     _RESONANCES,
@@ -100,20 +106,20 @@ class MultilinearForms(NamedTuple):
 
 
 def _form(M, x, y):
-    """``sum_jk M[j][k] x_j y_k`` for a nested 2x2 ``M``; real or complex."""
-    (m00, m01), (m10, m11) = M
+    """``sum_jk M[j][k] x_j y_k`` for a flat 2x2 ``M``; real or complex."""
+    m00, m01, m10, m11 = M
     x0, x1 = x
     y0, y1 = y
     return (m00 * y0 + m01 * y1) * x0 + (m10 * y0 + m11 * y1) * x1
 
 
 def _apply_B(B, x, y) -> tuple:
-    """B(x, y) for nested ``B[i][j][k]``, as a pair."""
+    """B(x, y) for ``B[i]`` a flat 2x2 over ``(j, k)``, as a pair."""
     return _form(B[0], x, y), _form(B[1], x, y)
 
 
 def _apply_C(C, x, y, z) -> tuple:
-    """C(x, y, z) for nested ``C[i][j][k][l]``, as a pair."""
+    """C(x, y, z) for ``C[i][j]`` a flat 2x2 over ``(k, l)``, as a pair."""
     x0, x1 = x
     return tuple(_form(Ci[0], y, z) * x0 + _form(Ci[1], y, z) * x1 for Ci in C)
 
@@ -124,41 +130,21 @@ def _pair(u, v):
 
 
 def _solve2(M, v) -> tuple:
-    """The solution of M x = v for a nested 2x2 ``M``, by Cramer's rule."""
-    (m00, m01), (m10, m11) = M
+    """The solution of M x = v for a flat 2x2 ``M``, by Cramer's rule."""
+    m00, m01, m10, m11 = M
     v0, v1 = v
     det = m00 * m11 - m01 * m10
     return (v0 * m11 - m01 * v1) / det, (m00 * v1 - m10 * v0) / det
 
 
-def _point_entries(p: ModelParams, S: float, I: float) -> tuple:
-    """Exact A, B, C of one map step at (S, I), as nested tuples of floats."""
-    a11, a12, a21, a22 = _jacobian_entries(p, S, I)
-    return ((a11, a12), (a21, a22)), *_curvature_entries(p, S, I)
-
-
-def _curvature_entries(p: ModelParams, S: float, I: float) -> tuple:
-    """Exact B and C of one map step at (S, I): the second and third partials."""
-    den = 1.0 + p.a * S
-    d1 = p.beta / den**2
-    d2 = -2.0 * p.a * p.beta / den**3
-    d3 = 6.0 * p.a * p.a * p.beta / den**4
-    B = (
-        ((-2.0 * p.r - I * d2, -d1), (-d1, 0.0)),
-        ((I * d2, d1), (d1, 0.0)),
-    )
-    C = (
-        (((-I * d3, -d2), (-d2, 0.0)), ((-d2, 0.0), (0.0, 0.0))),
-        (((I * d3, d2), (d2, 0.0)), ((d2, 0.0), (0.0, 0.0))),
-    )
-    return B, C
-
-
 def _point_tensors(p: ModelParams, x) -> MultilinearForms:
-    """:func:`_point_entries` at an arbitrary point, as arrays."""
+    """Exact A, B, C of one map step at a point of floats, as arrays."""
     import numpy as np
 
-    return MultilinearForms(*map(np.array, _point_entries(p, float(x[0]), float(x[1]))))
+    A, (B, C) = _jacobian_entries(p, *x), _curvature_entries(p, *x)
+    return MultilinearForms(
+        np.reshape(A, (2, 2)), np.reshape(B, (2, 2, 2)), np.reshape(C, (2, 2, 2, 2))
+    )
 
 
 def _fixed(p: ModelParams, x, k: int, residual: float = 0.0) -> State:
@@ -261,8 +247,8 @@ def _normal_form(kind, coefficient, mu, q, pv, theta0=None) -> NormalFormData:
 
 
 def _null_vector(M) -> tuple:
-    """A unit solution of M v = 0 for a rank-1 nested 2x2 ``M``, real or complex."""
-    (m00, m01), (m10, m11) = M
+    """A unit solution of M v = 0 for a rank-1 flat 2x2 ``M``, real or complex."""
+    m00, m01, m10, m11 = M
     n1 = math.sqrt((m01 * m01.conjugate() + m00 * m00.conjugate()).real)
     n2 = math.sqrt((m11 * m11.conjugate() + m10 * m10.conjugate()).real)
     (v0, v1), n = ((m01, -m00), n1) if n1 >= n2 else ((m11, -m10), n2)
@@ -276,14 +262,14 @@ def _eigenpair(A, mu) -> tuple[tuple, tuple]:
 
     ``q`` has first component 1 (the second when the first vanishes), which
     fixes ``c`` and ``d``: both scale with |q|^2.  A^T p = conj(mu) p.  ``A``
-    is nested or an array; ``q`` and ``p`` come back as pairs of scalars.
+    is a flat 2x2; ``q`` and ``p`` come back as pairs of scalars.
     """
-    (a11, a12), (a21, a22) = A
-    q0, q1 = _null_vector(((a11 - mu, a12), (a21, a22 - mu)))
+    a11, a12, a21, a22 = A
+    q0, q1 = _null_vector((a11 - mu, a12, a21, a22 - mu))
     s = q0 if abs(q0) > 1.0e-8 else q1
     q = (q0 / s, q1 / s)
     mu_bar = mu.conjugate()
-    pv = _null_vector(((a11 - mu_bar, a21), (a12, a22 - mu_bar)))
+    pv = _null_vector((a11 - mu_bar, a21, a12, a22 - mu_bar))
     s = _pair(pv, q)
     if abs(s) < 1.0e-12:
         raise ValueError("eigenvector pairing degenerate; normal-form coefficient undefined")
@@ -311,8 +297,11 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     """
     k = 2 if fp.kind == "period2" else 1
     x = _fixed(p, fp.location, k, fp.residual)
-    A, B, C = _point_entries(p, *x) if k == 1 else (f.tolist() for f in iterate_forms(p, x, k))
-    (a11, a12), (a21, a22) = A
+    if k == 1:
+        A, (B, C) = _jacobian_entries(p, *x), _curvature_entries(p, *x)
+    else:
+        A, B, C = (f.reshape(*f.shape[:-2], 4).tolist() for f in iterate_forms(p, x, k))
+    a11, a12, a21, a22 = A
     e = _eigen_quadratic(a11, a12, a21, a22)
     mu, far = sorted((e.mu1, e.mu2), key=lambda m: abs(m + 1.0))
     char = 1.0 + e.trace + e.det  # det(A + I) = (1 + mu)*(1 + far)
@@ -326,9 +315,22 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
         raise ValueError("A - I is singular (fold degeneracy); flip coefficient undefined")
 
     q, pv = _eigenpair(A, -1.0)
-    w = _solve2(((a11 - 1.0, a12), (a21, a22 - 1.0)), _apply_B(B, q, q))
+    w = _solve2((a11 - 1.0, a12, a21, a22 - 1.0), _apply_B(B, q, q))
     c = _pair(pv, _apply_C(C, q, q, q)) / 6.0 - _pair(pv, _apply_B(B, q, w)) / 2.0
     return _normal_form("flip", c, mu, q, pv)
+
+
+def _complex_pair(p: ModelParams) -> tuple:
+    """``equilibria._endemic_point``'s E1, Jacobian entries and eigen data, at a complex pair.
+
+    Raises ``ValueError`` where E1 is absent or its eigenvalues are real.
+    """
+    point = _endemic_point(p)
+    if point is None:
+        raise ValueError("endemic point absent at these parameters")
+    if point[2].omega <= 0.0:
+        raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
+    return point
 
 
 def ns_coefficient(p: ModelParams) -> NormalFormData:
@@ -341,9 +343,9 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     clear (by :data:`RESONANCE_EXCLUSION` in r) of the strong resonances at
     r_bar, r_tilde and r_max, where the coefficient is undefined; those are
     refused with :class:`ResonanceError` naming the resonance.  E1, its
-    Jacobian and its eigenvalues come from ``equilibria._endemic_point``
-    and only the second and third derivatives from
-    :func:`_curvature_entries`, once E1 passes :func:`_fixed`, so no
+    Jacobian and its eigenvalues come from :func:`_complex_pair`, which
+    refuses real eigenvalues, and only the second and third derivatives
+    from ``core._curvature_entries``, once E1 passes :func:`_fixed`, so no
     fixed-point report and no second Jacobian is built; the eigenvectors
     are :func:`_eigenpair`'s.
     """
@@ -357,17 +359,13 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
         if abs(p.r - r_star) < RESONANCE_EXCLUSION:
             raise ResonanceError(tag, p.r, r_star)
 
-    point = _endemic_point(p)
-    if point is None:
-        raise ValueError("endemic point absent at these parameters")
-    x, (a11, a12, a21, a22), e = point
+    x, J, e = _complex_pair(p)
     B, C = _curvature_entries(p, *_fixed(p, x, 1))
-    if e.omega <= 0.0:
-        raise ValueError("eigenvalues are real here; no Neimark-Sacker crossing")
     theta0 = math.atan2(e.omega, e.sigma)
     mu = complex(e.sigma, e.omega)
 
-    q, pv = _eigenpair(((a11, a12), (a21, a22)), mu)
+    a11, a12, a21, a22 = J
+    q, pv = _eigenpair(J, mu)
     qbar = (q[0].conjugate(), q[1].conjugate())
     t1 = _pair(pv, _apply_C(C, q, q, qbar))
     # The middle resolvent must be (I - A), not (A - I): only that branch
@@ -376,10 +374,10 @@ def ns_coefficient(p: ModelParams) -> NormalFormData:
     #   - |g11|^2/2 - |g02|^2/4,  L = e^{i theta},
     # and with simulated orbits near the boundary (attracting closed
     # curve on the unstable side exactly when d < 0).
-    w1 = _solve2(((1.0 - a11, -a12), (-a21, 1.0 - a22)), _apply_B(B, q, qbar))
+    w1 = _solve2((1.0 - a11, -a12, -a21, 1.0 - a22), _apply_B(B, q, qbar))
     t2 = 2.0 * _pair(pv, _apply_B(B, q, w1))
     z = cmath.exp(2.0j * theta0)
-    w2 = _solve2(((z - a11, -a12), (-a21, z - a22)), _apply_B(B, q, q))
+    w2 = _solve2((z - a11, -a12, -a21, z - a22), _apply_B(B, q, q))
     t3 = _pair(pv, _apply_B(B, qbar, w2))
     d = 0.5 * (cmath.exp(-1.0j * theta0) * (t1 + t2 + t3)).real
     return _normal_form("ns", d, mu, q, pv, theta0)
@@ -396,8 +394,8 @@ def rho_prime_at_ns(p: ModelParams) -> float:
         t3 = K*da21 = K*K*(a*(r - 1) + r)/beta**2,
 
     ``t1 - t2`` being ``d a11/d beta``; all three are non-negative for
-    r > 1.  The one E1 evaluation reads the determinant from the Jacobian
-    entries; no fixed-point report is built.  A non-zero value on the NS
+    r > 1.  The one E1 evaluation, :func:`_complex_pair`, gives the
+    determinant and refuses real eigenvalues; no fixed-point report is built.  A non-zero value on the NS
     curve certifies the transversal unit-circle crossing.  The tests check
     the value against a 50-digit ``mpmath`` derivative of ``sqrt(det J(E1))``
     (``tests/oracles.mpmath_modulus_slope``).
@@ -417,12 +415,7 @@ def rho_prime_at_ns(p: ModelParams) -> float:
     terms, it refuses at any scale of the parameters only what rounding
     cannot tell from zero.
     """
-    point = _endemic_point(p)
-    if point is None:
-        raise ValueError("endemic point absent; no eigenvalue pair to track")
-    e = point[2]
-    if e.omega <= 0.0:
-        raise ValueError("eigenvalues are real here; modulus derivative not defined this way")
+    e = _complex_pair(p)[2]
 
     r, beta, a, K = p.r, p.beta, p.a, p.K
     t1 = 2.0 * K * r / (a * K - beta) ** 2

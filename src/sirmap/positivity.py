@@ -45,17 +45,23 @@ diagonalisable Jacobian.  The proof is the inequality
 with P = Q^-1 the real Jordan basis of E1's Jacobian J, ``q`` a bound on
 ``|Q J P|`` that includes the rounding of J's entries, ``M2`` one on the
 map's second derivatives over the ellipse's box, ``res`` the float
-residual of x* and ``delta`` the rounding of one float step.  Every ``_SETTLE_EVERY``-th step the probe then
-drops each orbit whose state x passes ``|Q(x - x*)|^2 <= (rho/2)^2``
-(``_trapped``, through the four rows of the probe's float scratch).  Such
-an orbit stays inside the ellipse, and so inside the region, for good:
-it would add no record, and the count, the records and their order are
-those of the full run.  The constants are ``_ROUNDING`` (8 eps, the
-rounding bound of every expression the proof evaluates or relies on)
-and ``_DROP`` (1/2, which leaves the drop test's own rounding far inside
-the ellipse); :func:`_trap` derives the bound.  Where there is no
-certificate (E1 absent, unstable, non-hyperbolic or defective, or its
-Jacobian's digits lost) no orbit is dropped.
+residual of x* and ``delta`` the rounding of one float step.  Every
+``_SETTLE_EVERY``-th step the probe then drops each orbit whose state x
+passes ``|Q(x - x*)|^2 <= (rho/2)^2`` (``_trapped``, three array
+expressions over the live orbits).  Such an orbit stays inside the
+ellipse, and so inside the region, for good: it would add no record, and
+the count, the records and their order are those of the full run.  The
+constants are ``_ROUNDING`` (8 eps, the rounding bound of every
+expression the proof evaluates or relies on) and ``_DROP`` (1/2, which
+leaves the drop test's own rounding far inside the ellipse); :func:`_trap`
+derives the bound.  Where there is no certificate (E1 absent, unstable,
+non-hyperbolic or defective, or its Jacobian's digits lost) no orbit is
+dropped.
+
+The module imports only from :mod:`sirmap.core` (the map, the in-place
+step and the second partials ``_curvature_entries``) and
+:mod:`sirmap.equilibria` (E1, the float residual and the flat 2x2
+product ``_mul``).
 """
 from __future__ import annotations
 
@@ -63,9 +69,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import ModelParams, _step_into
+from .core import ModelParams, _curvature_entries, _step_into
 from .equilibria import _endemic_point, _mul, _residual
-from .normal_forms import _curvature_entries
 
 __all__ = [
     "RegionSpec",
@@ -340,7 +345,7 @@ def _trap(p: ModelParams, region: RegionSpec):
       (Frobenius norms of entrywise bounds) over the ellipse's box:
       with a >= 0 and S >= 0 there, ``|d1| = beta/den^2`` and
       ``|I*d2| = 2*a*beta*I/den^3`` are largest at the corner (S_lo, I_hi),
-      where ``normal_forms._curvature_entries`` gives them;
+      where ``core._curvature_entries`` gives them;
     * ``res`` is the float residual ``|fl(F(x*)) - x*|`` of the centre, and
       ``delta = _ROUNDING * |(r*S*|1 - S| + force, (1 - K)*I + force)|``
       over the box bounds the rounding of one float step (twice: at x* and
@@ -402,7 +407,7 @@ def _ellipse(p: ModelParams, region: RegionSpec, x, J, e):
     for _ in range(2):
         dS, dI = ((1.0 + _ROUNDING) * rho * _length(*row) for row in (P[:2], P[2:]))
         S_lo, S_hi, I_hi = S0 - dS, S0 + dS, I0 + dI
-        i_d2, d1 = _curvature_entries(p, S_lo, I_hi)[0][1][0]
+        i_d2, d1 = _curvature_entries(p, S_lo, I_hi)[0][1][:2]
         M2 = (1.0 + _ROUNDING) * _length(2.0 * p.r + abs(i_d2), i_d2, 2.0 * d1)
         force = p.beta * S_hi * I_hi / (1.0 + p.a * S_lo)
         delta = _ROUNDING * _length(
@@ -421,27 +426,12 @@ def _ellipse(p: ModelParams, region: RegionSpec, x, J, e):
     return x, Q, rho
 
 
-def _trapped(trap, s, i, work):
-    """Which states lie within ``_DROP`` of the trap's radius, as a new bool array.
-
-    ``work`` holds four float rows shaped like ``s``; all are overwritten.
-    """
-    import numpy as np
-
+def _trapped(trap, s, i):
+    """Which states lie within ``_DROP`` of the trap's radius, as a new bool array."""
     (S0, I0), (q00, q01, q10, q11), rho = trap
-    y0, y1, d0, d1 = work
-    np.subtract(s, S0, out=d0)
-    np.subtract(i, I0, out=d1)
-    np.multiply(d0, q00, out=y0)
-    np.multiply(d1, q01, out=y1)
-    np.add(y0, y1, out=y0)
-    np.multiply(d0, q10, out=d0)
-    np.multiply(d1, q11, out=d1)
-    np.add(d0, d1, out=y1)
-    np.multiply(y0, y0, out=y0)
-    np.multiply(y1, y1, out=y1)
-    np.add(y0, y1, out=y0)
-    return np.less_equal(y0, (_DROP * rho) ** 2)
+    d0, d1 = s - S0, i - I0
+    y0, y1 = d0 * q00 + d1 * q01, d0 * q10 + d1 * q11
+    return y0 * y0 + y1 * y1 <= (_DROP * rho) ** 2
 
 
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -522,22 +512,22 @@ def invariance_probe(
     escapes: list[EscapeRecord] = []
     escape_count = 0
     # allocated once; once orbits exit or settle, the live ones fill a
-    # prefix of each.  Rows 0-1 of `work` are the step's and the table's
-    # scratch, and all four rows the trap test's
-    work = np.empty((4, samples))
+    # prefix of each.  The two rows of `work` are the step's and the
+    # table's scratch
+    work = np.empty((2, samples))
     table = _table(region, (samples,))
     inside = np.empty(samples, dtype=bool)
     s, i, w, ok, ins = S, I, work, table, inside
 
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            _step_into(p, s, i, w[:2])
-            _holds(region, s, i, MEMBERSHIP_TOL, ok, w[:2])
+            _step_into(p, s, i, w)
+            _holds(region, s, i, MEMBERSHIP_TOL, ok, w)
             ok.all(axis=0, out=ins)
             keep = ins
             if trap is not None and k % _SETTLE_EVERY == 0:
                 # an orbit inside the certified ellipse never leaves it
-                keep = ins & ~_trapped(trap, s, i, w)
+                keep = ins & ~_trapped(trap, s, i)
             if not keep.all():
                 hits = np.flatnonzero(~ins)
                 escape_count += hits.size

@@ -937,6 +937,78 @@ class TestPresetTable:
         assert code == 0, err
         assert (code, out, err) == run_cli(capsys, *without)
 
+    @pytest.mark.parametrize(
+        "command, name, nbytes, sha256",
+        [
+        ("regions", "disease-free-sink", 83,
+         "22537aabba216f28ad0bff89c604a2a44dbebc395df1aac4e66c28f699ca1156"),
+        ("regions", "endemic-focus", 192,
+         "7cfa1bd550aa8f252b803ce8a6f6a7ee0e5784f44fbf66f0d273cd4701f7a833"),
+        ("regions", "invariant-curve", 207,
+         "374f1ce159e0458ae283ecacc133b40a6976de466b495b0af4c77d4de4c00000"),
+        ("regions", "invariant-curve-wide", 192,
+         "bc85a3cf7f946bfc10d534397660197df0be380a54fc24fa2a6c9e7688552f18"),
+        ("regions", "locked-ten", 83,
+         "22537aabba216f28ad0bff89c604a2a44dbebc395df1aac4e66c28f699ca1156"),
+        ("regions", "ten-on-curve", 263,
+         "2d21d346286bd355b9ca3ed5ffae7ceefd519a04f709e9ea13924e874bce1ebe"),
+        ("regions", "endemic-return", 83,
+         "22537aabba216f28ad0bff89c604a2a44dbebc395df1aac4e66c28f699ca1156"),
+        ("regions", "three-cycle", 234,
+         "f8c8259d605b4f91fdfef0f48b0d3689b2ad57da4b8ceb97fca941da3a1e0522"),
+        ("regions", "axis-chaos", 211,
+         "59451c73072f078711fad0cea4aa0792184c6cf78ed865dda5ae07c071571722"),
+        ("regions", "flip-cascade-scan", 195,
+         "0d76f82ed107a42131f8dd576e6ade04d8fe18e045d5c75069967074e2f886d5"),
+        ("regions", "ns-branch-scan", 195,
+         "2009ed91b2cde84310b11d12c689b7edb5378752b6a6f0bfbf29b07c3492a62a"),
+        ("regions", "force-sweep-scan", 2736,
+         "9c66e675cd2898173a195ab154816cbfdca3bc83d25212341f980393563a42af"),
+        ("regions", "inhibition-sweep-scan", 83,
+         "22537aabba216f28ad0bff89c604a2a44dbebc395df1aac4e66c28f699ca1156"),
+        ("regions", "triangle-region", 196,
+         "e5b40d50fb8b197ad99e13dd679ea879f9d33e30a138d7fb3d36a8ad14d355e9"),
+        ("regions", "capped-region", 237,
+         "d98c284976e8fabaeae5529d1f7f22771fe1bd87ed48abe4b5bc96a53e772d17"),
+        ("regions", "curved-region", 1264,
+         "0bfb79a04978464a9e5837d852e9ce6a2702b1e6b7a39eaf1a82554b48e4fc9f"),
+        ("analyze", "disease-free-sink", 713,
+         "ed5a1dbbb364495f2c918b7188106d6e796dc84b6396b12ee0b0cadde8f2470e"),
+        ("analyze", "invariant-curve", 1160,
+         "6ae38c6cdb6a878203999a75d998e4cc48c59dab4166d73d5af36b90021a76c0"),
+        ("analyze", "invariant-curve-wide", 1085,
+         "e6a6c9e224732d7d1cedab9ae3031f2c3688a45d5f1498db19008ad0a9df3033"),
+        ("analyze", "locked-ten", 1059,
+         "ac6326bb4ac3738e99062f4e6bee1f0c889a1aadd891df6e59cfe5f2995b4953"),
+        ("analyze", "ten-on-curve", 1236,
+         "fd3f26f0c2b5374f3e1a1055bd2b588873d147fec374cbd57e83b2dbfc79d198"),
+        ("analyze", "endemic-return", 1079,
+         "29a479fb781e2715840a0e63c42d0c0ba8dd347bbf54f6246405e9ea69b6ec79"),
+        ("analyze", "three-cycle", 864,
+         "0ff3b2d553073149a186366ca2d609725c1da7dc0d899e1398f0bb7876262d95"),
+        ("analyze", "axis-chaos", 800,
+         "c51e777d56f37b084d636dceb3eab646f6edc59f666f82ac8bbe1ca02d0cc4ea"),
+        ("analyze", "flip-cascade-scan", 756,
+         "6061aee17c42685dafaba0fb696eb050d057576b83433eb3723b9e67a606ff61"),
+        ("analyze", "ns-branch-scan", 1048,
+         "962146c650a464e88fde42f0ef9701f34c62955480bd95ee9b407c690b63549d"),
+        ("analyze", "force-sweep-scan", 1173,
+         "a7cb0d1af01bbc755ef0179e949a9aa1f53791eaf6643ad83caee4c954970c71"),
+        ("analyze", "inhibition-sweep-scan", 995,
+         "227245ced772feb1bcf6d2e9ef093356081d543f53178c4bfe77aa3988c9691b"),
+        ("analyze", "triangle-region", 1044,
+         "e82ed681ad98dfec5772c72c79c2c32a7ba9942465686ec6fbe13fb0fe2c07a5"),
+        ],
+    )
+    def test_preset_bytes_are_pinned(self, capsys, command, name, nbytes, sha256):
+        # every preset under regions, and under analyze where
+        # TestAnalyze.test_report_bytes_are_pinned does not pin it already:
+        # a change of any record, probe or formatter shows here
+        code, out, err = run_cli(capsys, command, "--preset", name)
+        assert (code, err) == (0, "")
+        data = out.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (nbytes, sha256)
+
 
 _MODEL_DEFAULTS = {"r": 2.0, "beta": 3.0, "a": 1.0, "K": 0.5}
 _ORBIT_DEFAULTS = {**_MODEL_DEFAULTS, "s0": 0.5, "i0": 0.1, "transient": 10_000, "steps": 1000}

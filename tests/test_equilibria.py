@@ -20,12 +20,11 @@ from sirmap import (
     disease_free,
     endemic,
     period2_branch,
-    resonance_growth,
     step,
     thresholds,
 )
 from sirmap.core import TOL_BOUNDARY, _jacobian_entries
-from sirmap.equilibria import _eigen_quadratic
+from sirmap.equilibria import _eigen_quadratic, _resonance_growth
 
 from oracles import numpy_jacobian, numpy_period2_eigen
 
@@ -153,7 +152,7 @@ class TestThresholds:
         assert math.isclose(
             beta1_formula(3.0, a, K), beta0_threshold(3.0, a, K), rel_tol=1e-12
         )
-        rmax = resonance_growth(4.0, a, K)
+        rmax = _resonance_growth(4.0, a, K)
         assert math.isclose(
             beta1_formula(rmax, a, K), beta2_threshold(rmax, a, K), rel_tol=1e-9
         )
@@ -162,7 +161,7 @@ class TestThresholds:
     def test_resonance_growth_defining_property(self, x, sigma_expect):
         # at r = R(x) with beta on the NS curve, the eigenvalue pair has
         # det 1 and real part sigma = 1 - x/2
-        r = resonance_growth(x, 1.0, 0.5)
+        r = _resonance_growth(x, 1.0, 0.5)
         beta = beta2_threshold(r, 1.0, 0.5)
         rep = endemic(ModelParams(r=r, beta=beta, a=1.0, K=0.5))
         assert math.isclose(rep.eigen.det, 1.0, abs_tol=1e-10)
@@ -171,7 +170,7 @@ class TestThresholds:
     @given(r=st.floats(1.1, 15.0), a=st.floats(0.0, 3.0), K=st.floats(0.1, 0.9))
     @settings(max_examples=100, deadline=None)
     def test_det_is_one_on_ns_curve(self, r, a, K):
-        rmax = resonance_growth(4.0, a, K)
+        rmax = _resonance_growth(4.0, a, K)
         if r >= rmax - 1e-6:
             return
         beta = beta2_threshold(r, a, K)
@@ -360,7 +359,7 @@ class TestClassifyBoundary:
             (3.0, BoundaryTag.RESONANCE_13),
             (2.0, BoundaryTag.RESONANCE_14),
         ]:
-            r = resonance_growth(x, 1.0, 0.5)
+            r = _resonance_growth(x, 1.0, 0.5)
             p = ModelParams(r=r, beta=beta2_threshold(r, 1.0, 0.5), a=1, K=0.5)
             assert classify_boundary(p, "E1") is tag
 
@@ -402,9 +401,9 @@ class TestClassifyBoundary:
         seen = set()
         for _ in range(300):
             a, K = rng.uniform(0.0, 3.0), rng.uniform(0.1, 0.9)
-            r_max = resonance_growth(4.0, a, K)
+            r_max = _resonance_growth(4.0, a, K)
             for r in (rng.uniform(1.05, 2.95), rng.uniform(3.0, r_max), 3.0,
-                      resonance_growth(rng.choice([2.0, 3.0, 4.0]), a, K)):
+                      _resonance_growth(rng.choice([2.0, 3.0, 4.0]), a, K)):
                 th = thresholds(r, a, K)
                 for beta in (th.beta0, th.beta1, th.beta2):
                     for db in (0.0, 5e-10, -2e-9, 1e-3):
@@ -443,7 +442,7 @@ class TestReportedStability:
         rng = np.random.default_rng(12)
         for _ in range(100):
             a, K = rng.uniform(0.0, 3.0), rng.uniform(0.1, 0.9)
-            r = rng.uniform(3.0, resonance_growth(4.0, a, K))
+            r = rng.uniform(3.0, _resonance_growth(4.0, a, K))
             th = thresholds(r, a, K)
             for beta in (th.beta1, th.beta2):
                 p = ModelParams(r=r, beta=beta + rng.uniform(-1e-9, 1e-9), a=a, K=K)

@@ -318,7 +318,7 @@ class TestEigenpair:
         ],
     )
     def test_contracts(self, A, mu):
-        q, p = map(np.array, _eigenpair(A, mu))
+        q, p = map(np.array, _eigenpair(A.ravel(), mu))
         assert np.linalg.norm(A @ q - mu * q) < 1.0e-12
         assert np.linalg.norm(A.T @ p - np.conj(mu) * p) < 1.0e-12
         assert abs(np.vdot(p, q) - 1.0) < 1.0e-12
@@ -327,7 +327,7 @@ class TestEigenpair:
     def test_flip_vectors_come_from_it(self):
         p = ModelParams(r=3.0, beta=0.5, a=1.0, K=0.5)
         nf = flip_coefficient(p, disease_free(p))
-        q, pv = _eigenpair(shifted_forms(p, disease_free(p).location).A, -1.0)
+        q, pv = _eigenpair(shifted_forms(p, disease_free(p).location).A.ravel(), -1.0)
         assert np.array_equal(nf.q, q) and np.array_equal(nf.p, pv)
 
 
@@ -372,7 +372,8 @@ class TestFormsConsistency:
         u = np.array([0.3, -1.1])
         v = np.array([2.0, 0.7])
         w = np.array([-0.4, 0.9])
-        B, C = forms.B.tolist(), forms.C.tolist()
+        # flat 2x2 slices over the last two indices
+        B, C = forms.B.reshape(2, 4).tolist(), forms.C.reshape(2, 2, 4).tolist()
         assert np.allclose(_apply_B(B, u, v), np.einsum("ijk,j,k->i", forms.B, u, v))
         assert np.allclose(
             _apply_C(C, u, v, w), np.einsum("ijkl,j,k,l->i", forms.C, u, v, w)

@@ -11,20 +11,26 @@ A ``_tangent`` call that binds its fifth result (the r22 log sum) to ``_``
 passes ``det=False``, so the kernel skips that sum, and a call that reads
 it does not.
 numpy functions are called with an ``out=`` buffer only in
-``core._step_into``, in ``positivity._holds``, the one membership
-site, and in ``positivity._trapped``, the one test against the probe's
-trapping ellipse; the only other call with ``out=`` is the probe's
-reduction of the membership table in ``positivity.invariance_probe``.  Likewise the
+``core._step_into`` and in ``positivity._holds``, the one membership
+site (the probe's test against its trapping ellipse, ``_trapped``, is
+plain array expressions); the only other call with ``out=`` is the
+probe's reduction of the membership table in
+``positivity.invariance_probe``.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
 derivative tensors are composed only by ``normal_forms.iterate_forms``,
 the eigenvectors behind ``c`` and ``d`` come only from
 ``normal_forms._eigenpair`` (the one caller of ``_null_vector``), and
 ``NormalFormData`` is built only by ``normal_forms._normal_form``.  E1 is
 located and linearised only by ``equilibria._endemic_point``: its readers
-``endemic``, ``ns_coefficient``, ``rho_prime_at_ns`` and the probe's
-trapping certificate ``positivity._trap`` call neither
-``_jacobian_entries`` nor ``_eigen_quadratic``.  The per-point
-fixed-point and normal-form path is plain-float 2x2 algebra:
+``endemic``, ``normal_forms._complex_pair`` (the one E1 site of both
+``ns_coefficient`` and ``rho_prime_at_ns``, which call it) and the
+probe's trapping certificate ``positivity._trap`` call neither
+``_jacobian_entries`` nor ``_eigen_quadratic``.  The map's second and
+third partials are defined once, in ``core._curvature_entries`` beside
+the Jacobian.  The per-point fixed-point and normal-form path is
+plain-float 2x2 algebra in one format, the flat tuple
+``(m00, m01, m10, m11)``: no pair of pairs ``((a, b), (c, d))`` is
+written or unpacked anywhere in ``src``.  On that path
 ``np.linalg``, ``einsum``, ``np.eye`` and ``np.vdot`` appear only in
 ``normal_forms.iterate_forms`` (its k >= 2 chain rule), and in
 ``equilibria`` and ``normal_forms`` one 2x2 solve helper,
@@ -68,8 +74,10 @@ imports numpy when it loads: each function that builds, reads or steps
 arrays imports it in its own body, so ``import sirmap`` and the scalar
 subcommands run without it.  Array annotations stay the unevaluated
 strings of ``from __future__ import annotations``; nothing resolves them,
-so no ``TYPE_CHECKING`` import of numpy backs them either.  ``dynamics``
-imports nothing from ``equilibria``.
+so no ``TYPE_CHECKING`` import of numpy backs them either.  Which module
+imports which is pinned in ``MODULE_IMPORTS``: ``dynamics`` imports
+nothing from ``equilibria``, and ``positivity`` only ``core`` and
+``equilibria``.
 
 The size of the package is pinned too: ``CODE_LINES`` is the number of
 lines under ``src/sirmap`` that hold code (no docstring, comment or blank
@@ -269,7 +277,6 @@ def test_out_buffers_only_in_ensemble_kernels():
     assert {(path, func) for path, func, _ in sites} == {
         ("core.py", "_step_into"),
         ("positivity.py", "_holds"),
-        ("positivity.py", "_trapped"),
     }, sites
     # the probe reduces the membership table into its `inside` buffer, once
     others = _occurrences(_writes_out(numpy_function=False))
@@ -325,8 +332,8 @@ def test_normal_form_record_built_only_by_normal_form():
     assert sites == [("normal_forms.py", "_normal_form")], sites
 
 
-E1_READERS = {("equilibria.py", "endemic"), ("normal_forms.py", "ns_coefficient"),
-              ("normal_forms.py", "rho_prime_at_ns"), ("positivity.py", "_trap")}
+E1_READERS = {("equilibria.py", "endemic"), ("normal_forms.py", "_complex_pair"),
+              ("positivity.py", "_trap")}
 
 
 def test_endemic_point_linearised_only_by_endemic_point():
@@ -337,6 +344,43 @@ def test_endemic_point_linearised_only_by_endemic_point():
         assert not sites & E1_READERS, (name, sites)
     readers = _occurrences(_calls("_endemic_point"))
     assert sorted((path, func) for path, func, _ in readers) == sorted(E1_READERS), readers
+
+
+def test_one_complex_pair_site():
+    # both NS functions locate E1 and refuse a real pair through _complex_pair
+    readers = _occurrences(_calls("_endemic_point"))
+    assert [func for path, func, _ in readers if path == "normal_forms.py"] == ["_complex_pair"]
+    callers = sorted(func for _, func, _ in _occurrences(_calls("_complex_pair")))
+    assert callers == ["ns_coefficient", "rho_prime_at_ns"], callers
+
+
+def test_curvature_entries_defined_only_in_core():
+    defs = _occurrences(
+        lambda node: isinstance(node, ast.FunctionDef) and node.name == "_curvature_entries"
+    )
+    assert [path for path, _, _ in defs] == ["core.py"], defs
+
+
+def _is_nested_two_by_two(node) -> bool:
+    """``((a, b), (c, d))`` with scalar entries, as a literal or an unpacking target."""
+    return (
+        isinstance(node, (ast.Tuple, ast.List))
+        and len(node.elts) == 2
+        and all(
+            isinstance(row, (ast.Tuple, ast.List))
+            and len(row.elts) == 2
+            and not any(isinstance(x, (ast.Tuple, ast.List)) for x in row.elts)
+            for row in node.elts
+        )
+    )
+
+
+def test_one_two_by_two_format():
+    assert _is_nested_two_by_two(ast.parse("(a, b), (c, d) = M").body[0].targets[0])
+    assert not _is_nested_two_by_two(ast.parse("((a, b, c, d), (e, f, g, h))").body[0].value)
+    assert not _is_nested_two_by_two(ast.parse("(((a, b), (c, d)), e)").body[0].value)
+    sites = _occurrences(_is_nested_two_by_two)
+    assert sites == [], sites
 
 
 ARRAY_ALGEBRA = {"linalg", "einsum", "eye", "vdot"}
@@ -565,22 +609,20 @@ def test_crossings_come_from_the_one_solve():
 
 
 PUBLIC_NAMES = [
-    "BoundaryTag", "CycleBirth", "DEFAULT_MAX_PERIOD", "DEFAULT_TRANSIENT", "DEFAULT_WINDOW",
-    "DIVERGENCE_BOUND", "DivergenceError", "EigenData", "EscapeRecord", "FixedPointReport",
-    "ModelParams", "MultilinearForms", "NormalFormData", "Orbit", "ProbeReport",
-    "RESONANCE_EXCLUSION", "RegionSpec", "ResonanceError", "ScanResult", "StabilityClass",
-    "State", "TOL_BOUNDARY", "TOL_CYCLE", "TOL_HYP", "Thresholds", "__version__",
-    "applicable_region", "beta0_threshold", "beta1_formula", "beta2_threshold",
+    "BoundaryTag", "CycleBirth", "DIVERGENCE_BOUND", "DivergenceError", "EigenData",
+    "EscapeRecord", "FixedPointReport", "ModelParams", "MultilinearForms", "NormalFormData",
+    "Orbit", "ProbeReport", "RESONANCE_EXCLUSION", "RegionSpec", "ResonanceError",
+    "ScanResult", "StabilityClass", "State", "TOL_BOUNDARY", "TOL_HYP", "Thresholds",
+    "__version__", "applicable_region", "beta0_threshold", "beta1_formula", "beta2_threshold",
     "classify_boundary", "detect_period", "disease_free", "endemic", "find_cycle_births",
     "flip_coefficient", "invariance_probe", "iterate", "iterate_forms", "lyapunov",
-    "ns_coefficient", "period2_branch", "reproduction_candidates", "resonance_growth",
-    "rho_prime_at_ns", "scan", "sharkovskii_precedes", "shifted_forms", "step", "thresholds",
-    "u_star",
+    "ns_coefficient", "period2_branch", "reproduction_candidates", "rho_prime_at_ns", "scan",
+    "sharkovskii_precedes", "shifted_forms", "step", "thresholds", "u_star",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 46
     assert sorted(sirmap.__all__) == PUBLIC_NAMES
 
 
@@ -654,9 +696,37 @@ def test_dynamics_imports_nothing_from_equilibria():
     assert not [name for name in names if "equilibria" in name], names
 
 
+#: The package modules each module imports (``from .x import ...`` or ``from . import x``).
+MODULE_IMPORTS = {
+    "__init__": {"core", "dynamics", "equilibria", "normal_forms", "positivity"},
+    "cli": {"core", "dynamics", "equilibria", "normal_forms", "positivity"},
+    "core": set(),
+    "dynamics": {"core"},
+    "equilibria": {"core"},
+    "normal_forms": {"core", "equilibria"},
+    "positivity": {"core", "equilibria"},
+}
+
+
+def _package_imports(tree) -> set:
+    """The sibling modules ``tree`` imports relatively, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_module_imports_are_pinned():
+    # positivity's trapping certificate takes the Hessian from core, beside J
+    table = {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert table == MODULE_IMPORTS, table
+
+
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1521
+CODE_LINES = 1502
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -799,7 +869,7 @@ def test_records_are_immutable_and_keep_their_repr(name):
 
 
 def test_eigenpair_returns_tuples():
-    for A, mu in ((((0.5, 1.5), (0.5, -0.5)), -1.0), (((0.0, -1.0), (1.0, 0.0)), 1j)):
+    for A, mu in (((0.5, 1.5, 0.5, -0.5), -1.0), ((0.0, -1.0, 1.0, 0.0), 1j)):
         q, p = _eigenpair(A, mu)
         assert type(q) is tuple and type(p) is tuple
         assert len(q) == len(p) == 2
