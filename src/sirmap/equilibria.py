@@ -272,7 +272,9 @@ def beta1_formula(r: float, a: float, K: float) -> float:
         + 4.0 * a * a * (r + 1.0) ** 2
         + 4.0 * a * r * (14.0 - 5.0 * K - 2.0 * r + 3.0 * K * r)
     )
-    return 0.5 * (first + math.sqrt(K * K * inner) / g)
+    # below the normal range K*K has lost bits, or is 0: take K out of the root
+    root = math.sqrt(K * K * inner) if K * K >= sys.float_info.min else K * math.sqrt(inner)
+    return 0.5 * (first + root / g)
 
 
 def beta2_threshold(r: float, a: float, K: float) -> float:

@@ -13,8 +13,9 @@ critical coefficients:
   (a stable closed invariant curve branches off).
 
 Flip coefficients are also available for the axis 2-cycle: there the
-expansion is taken for the second iterate of the map, with the chain
-rule applied exactly to the composed derivative tensors.
+expansion is taken for the second iterate of the map, whose B and C are
+the chain rule through the cycle's two points, evaluated exactly on the
+vectors the coefficient reads (no composed tensor is built).
 
 The per-point work is plain-float 2x2 algebra in one matrix format, the
 flat tuple ``(m00, m01, m10, m11)`` of :mod:`sirmap.core`: the Jacobian
@@ -23,29 +24,30 @@ from ``core._curvature_entries`` (B a pair of flat 2x2s, C a pair of
 pairs of them), contracted by the sums of :func:`_apply_B` and
 :func:`_apply_C`; the one linear solve is Cramer's rule in
 :func:`_solve2`, and :func:`_eigenpair` returns its eigenvectors as pairs
-of scalars.  At the 2-cycle the flip coefficient reads
-:func:`iterate_forms`' arrays with their last two axes merged into one
-of length 4.  E1 with a complex eigenvalue pair, the one point both NS
-functions read, comes from :func:`_complex_pair`.  numpy arrays remain
-only in the public return types, the three tensors of
-:class:`MultilinearForms` (reshaped from the flat tuples in
-:func:`_point_tensors`) and ``NormalFormData.q`` and ``.p`` (built in
-:func:`_normal_form`, the one place either coefficient's record is made),
-and in :func:`iterate_forms`' chain-rule composition for k >= 2, where
-they pay off.  numpy is imported only inside the functions that build
-them.  Both records are NamedTuples, like those of
-:mod:`sirmap.equilibria`.
+of scalars.  The flip coefficient reads its B and C as functions of
+vectors: at a fixed point :func:`_point_forms` binds the one-step entries
+to :func:`_apply_B` and :func:`_apply_C`, and at the 2-cycle
+:func:`_second_iterate` applies the second iterate's chain rule, with A
+the ``equilibria._mul`` product of the two Jacobians.  E1 with a complex
+eigenvalue pair, the one point both NS functions read, comes from
+:func:`_complex_pair`.  numpy arrays remain only in the public return
+types, the three tensors of :class:`MultilinearForms` (reshaped from the
+flat tuples in :func:`_point_tensors`) and ``NormalFormData.q`` and
+``.p`` (built in :func:`_normal_form`, the one place either
+coefficient's record is made); no array algebra is left.  numpy is
+imported only inside the functions that build them.  Both records are
+NamedTuples, like those of :mod:`sirmap.equilibria`.
 
-Conventions, the same on the float and the array path: for real (flip)
-data the pairing <p, x> is the plain dot product; for complex (NS) data it
-is conjugate-linear in p, and the adjoint eigenvector satisfies
-A^T p = conj(mu) p with <p, q> = 1.
+Conventions: for real (flip) data the pairing <p, x> is the plain dot
+product; for complex (NS) data it is conjugate-linear in p, and the
+adjoint eigenvector satisfies A^T p = conj(mu) p with <p, q> = 1.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import sys
+from functools import partial
 from typing import Literal, NamedTuple
 
 from .core import ModelParams, State, TOL_HYP, _curvature_entries, _jacobian_entries, step
@@ -57,6 +59,7 @@ from .equilibria import (
     _eigen_quadratic,
     _endemic_boundary,
     _endemic_point,
+    _mul,
     _residual,
 )
 
@@ -65,7 +68,6 @@ __all__ = [
     "MultilinearForms",
     "NormalFormData",
     "shifted_forms",
-    "iterate_forms",
     "flip_coefficient",
     "ns_coefficient",
     "rho_prime_at_ns",
@@ -137,6 +139,48 @@ def _solve2(M, v) -> tuple:
     return (v0 * m11 - m01 * v1) / det, (m00 * v1 - m10 * v0) / det
 
 
+def _add(*vectors) -> tuple:
+    """The sum of pairs, component by component."""
+    return tuple(map(sum, zip(*vectors)))
+
+
+def _matvec(M, v) -> tuple:
+    """M v for a flat 2x2 ``M``, as a pair."""
+    m00, m01, m10, m11 = M
+    v0, v1 = v
+    return m00 * v0 + m01 * v1, m10 * v0 + m11 * v1
+
+
+def _point_forms(p: ModelParams, x) -> tuple:
+    """J of one map step at ``x`` as a flat 2x2, and its B and C as functions of vectors."""
+    A, (B, C) = _jacobian_entries(p, *x), _curvature_entries(p, *x)
+    return A, partial(_apply_B, B), partial(_apply_C, C)
+
+
+def _second_iterate(p: ModelParams, x) -> tuple:
+    """The forms of :func:`_point_forms` for the map's second iterate at ``x``.
+
+    The chain rule through ``y = step(x)``, taken on the vectors it is
+    given instead of composing tensors: ``B2(u, v) = J_y B_x(u, v) +
+    B_y(J_x u, J_x v)`` and ``C2(u, v, w) = J_y C_x(u, v, w) + B_y(J_x u,
+    B_x(v, w)) + B_y(J_x v, B_x(u, w)) + B_y(J_x w, B_x(u, v)) + C_y(J_x u,
+    J_x v, J_x w)``, the middle terms pairing the outer B with the inner one
+    on each of the three argument slots.  A is ``J_y J_x``.
+    """
+    Jx, Bx, Cx = _point_forms(p, x)
+    Jy, By, Cy = _point_forms(p, step(p, x))
+
+    def B2(u, v):
+        return _add(_matvec(Jy, Bx(u, v)), By(_matvec(Jx, u), _matvec(Jx, v)))
+
+    def C2(u, v, w):
+        Ju, Jv, Jw = _matvec(Jx, u), _matvec(Jx, v), _matvec(Jx, w)
+        return _add(_matvec(Jy, Cx(u, v, w)), By(Ju, Bx(v, w)), By(Jv, Bx(u, w)),
+                    By(Jw, Bx(u, v)), Cy(Ju, Jv, Jw))
+
+    return _mul(Jy, Jx), B2, C2
+
+
 def _point_tensors(p: ModelParams, x) -> MultilinearForms:
     """Exact A, B, C of one map step at a point of floats, as arrays."""
     import numpy as np
@@ -174,40 +218,7 @@ def shifted_forms(p: ModelParams, fp) -> MultilinearForms:
     These are the forms of the map shifted so the fixed point sits at the
     origin (shifting does not change derivatives).
     """
-    return iterate_forms(p, _fixed(p, fp, 1), 1)
-
-
-def iterate_forms(p: ModelParams, x, k: int) -> MultilinearForms:
-    """Exact derivative tensors of the k-th iterate of the map at ``x``.
-
-    Starts from the one-step tensors at ``x`` and composes those of each
-    later orbit point with the chain rule for second and third
-    derivatives.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    import numpy as np
-
-    z = (float(x[0]), float(x[1]))
-    forms = _point_tensors(p, z)
-    A, B, C = forms.A, forms.B, forms.C
-    for _ in range(k - 1):
-        z = step(p, z)
-        f = _point_tensors(p, z)
-        # chain rule: the mixed term pairs the outer B with the inner B on
-        # each of the three argument slots, keeping the tensor symmetric
-        C = (
-            np.einsum("im,mjkl->ijkl", f.A, C)
-            + np.einsum("imn,mj,nkl->ijkl", f.B, A, B)
-            + np.einsum("imn,mk,njl->ijkl", f.B, A, B)
-            + np.einsum("imn,ml,njk->ijkl", f.B, A, B)
-            + np.einsum("imnp,mj,nk,pl->ijkl", f.C, A, A, A)
-        )
-        B = np.einsum("im,mjk->ijk", f.A, B) + np.einsum(
-            "imn,mj,nk->ijk", f.B, A, A
-        )
-        A = f.A @ A
-    return MultilinearForms(A=A, B=B, C=C)
+    return _point_tensors(p, _fixed(p, fp, 1))
 
 
 class NormalFormData(NamedTuple):
@@ -282,11 +293,11 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
 
     Accepts a report for the disease-free point, the endemic point, or
     one point of the axis 2-cycle; in the latter case the expansion is
-    taken for the second iterate at that point.  Requires the report's
-    residual and the recomputed one to stay within :data:`TOL_RESIDUAL`
-    times ``max(1, |S|, |I|)``, the relevant Jacobian to have an eigenvalue
-    -1 and ``A - I`` to be invertible; the eigenvectors are
-    :func:`_eigenpair`'s at exactly -1.
+    taken for the second iterate at that point (:func:`_second_iterate`).
+    Requires the report's residual and the recomputed one to stay within
+    :data:`TOL_RESIDUAL` times ``max(1, |S|, |I|)``, the relevant Jacobian
+    to have an eigenvalue -1 and ``A - I`` to be invertible; the
+    eigenvectors are :func:`_eigenpair`'s at exactly -1.
     The eigenvalue test is ``|det(A + I)| <= TOL_HYP * max(1, |1 + mu_far|)``
     with ``mu_far`` the eigenvalue farther from -1: while ``mu_far`` is O(1)
     from -1 that puts the nearer one within about ``TOL_HYP`` of -1, and
@@ -297,10 +308,7 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
     """
     k = 2 if fp.kind == "period2" else 1
     x = _fixed(p, fp.location, k, fp.residual)
-    if k == 1:
-        A, (B, C) = _jacobian_entries(p, *x), _curvature_entries(p, *x)
-    else:
-        A, B, C = (f.reshape(*f.shape[:-2], 4).tolist() for f in iterate_forms(p, x, k))
+    A, B, C = _point_forms(p, x) if k == 1 else _second_iterate(p, x)
     a11, a12, a21, a22 = A
     e = _eigen_quadratic(a11, a12, a21, a22)
     mu, far = sorted((e.mu1, e.mu2), key=lambda m: abs(m + 1.0))
@@ -315,8 +323,8 @@ def flip_coefficient(p: ModelParams, fp: FixedPointReport) -> NormalFormData:
         raise ValueError("A - I is singular (fold degeneracy); flip coefficient undefined")
 
     q, pv = _eigenpair(A, -1.0)
-    w = _solve2((a11 - 1.0, a12, a21, a22 - 1.0), _apply_B(B, q, q))
-    c = _pair(pv, _apply_C(C, q, q, q)) / 6.0 - _pair(pv, _apply_B(B, q, w)) / 2.0
+    w = _solve2((a11 - 1.0, a12, a21, a22 - 1.0), B(q, q))
+    c = _pair(pv, C(q, q, q)) / 6.0 - _pair(pv, B(q, w)) / 2.0
     return _normal_form("flip", c, mu, q, pv)
 
 

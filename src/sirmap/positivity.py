@@ -507,19 +507,21 @@ def invariance_probe(
 
     trap = _trap(p, region)
     rng = np.random.default_rng(seed)
-    S, I = _sample_region(region, samples, rng)
-    index = np.arange(samples)
-    escapes: list[EscapeRecord] = []
-    escape_count = 0
-    # allocated once; once orbits exit or settle, the live ones fill a
-    # prefix of each.  The two rows of `work` are the step's and the
-    # table's scratch
-    work = np.empty((2, samples))
-    table = _table(region, (samples,))
-    inside = np.empty(samples, dtype=bool)
-    s, i, w, ok, ins = S, I, work, table, inside
-
+    # the starts are drawn under the same errstate as the steps: their
+    # membership test can overflow too
     with np.errstate(all="ignore"):
+        S, I = _sample_region(region, samples, rng)
+        index = np.arange(samples)
+        escapes: list[EscapeRecord] = []
+        escape_count = 0
+        # allocated once; once orbits exit or settle, the live ones fill a
+        # prefix of each.  The two rows of `work` are the step's and the
+        # table's scratch
+        work = np.empty((2, samples))
+        table = _table(region, (samples,))
+        inside = np.empty(samples, dtype=bool)
+        s, i, w, ok, ins = S, I, work, table, inside
+
         for k in range(1, steps + 1):
             _step_into(p, s, i, w)
             _holds(region, s, i, MEMBERSHIP_TOL, ok, w)

@@ -2,11 +2,14 @@
 
 ``finite_difference_forms`` differentiates the exact orbit Jacobian
 numerically, independent of the closed-form tensors, and
-``chain_rule_forms`` composes the one-step tensors from the identity, the
-way ``sirmap.normal_forms.iterate_forms`` did before it started from the
-first step's tensors.  ``full_grid_cycle_births`` is the damped Newton
-tangency solve over a 400 x 400 seed grid that ``sirmap.find_cycle_births``
-ran before it enumerated kneading words; ``mpmath_birth`` solves one
+``chain_rule_forms`` composes the one-step tensors of k map steps from
+the identity with ``einsum``, the general-k tensor route the library no
+longer has: at k = 1 it gives ``sirmap.normal_forms._point_tensors``
+(the tensors of ``sirmap.shifted_forms``) bit for bit, and at k = 2 it
+checks ``sirmap.normal_forms._second_iterate``, the 2-cycle's chain rule
+on vectors.  ``full_grid_cycle_births`` is the damped Newton tangency
+solve over a 400 x 400 seed grid that ``sirmap.find_cycle_births`` ran
+before it enumerated kneading words; ``mpmath_birth`` solves one
 birth's defining system at 40 digits, ``mpmath_tangent_sums`` replays a
 float orbit's tangent vector and ``log|det J|`` at 40 digits, and
 ``primitive_orbits`` counts the orbits of minimal period n of

@@ -631,6 +631,11 @@ class TestValidInputExitCodes:
                     0.22726981828990278))
     @example(model=(1.0000000309050967, 33403129.777641818, 0.002325462685221495,
                     0.03232692415528521))
+    # tagged flip by the absolute TOL_BOUNDARY at K this small; beta1 lies above
+    # the fold, so the normal form at the curve point is taken or refused (exit 2)
+    @example(model=(3.1622776601683795, 1.0e-9, 0.0, 1.0e-162))
+    @example(model=(3.3379007236793607, 6.7957259493987875e-130, 1.6892712588434353e-227,
+                    1.6101628948214277e-184))
     @settings(max_examples=150, deadline=None)
     def test_no_traceback(self, command, model):
         flags = [item for key, value in zip(_MODEL_FLAGS, model) for item in (key, repr(value))]
@@ -831,6 +836,14 @@ class TestRegions:
         doc_b = run_json(capsys, *argv, "--seed", "7")
         assert doc_a == doc_b
         assert doc_a["seed"] == 7
+
+    def test_overflowing_starts_print_no_warning(self):
+        # the starts' nullcline height v*(1 - x)*(1 + a*x) overflows here;
+        # the sampler tests them under the probe's errstate, so stderr stays empty
+        proc = _python("-m", "sirmap.cli", "regions", "--r", "3.9", "--beta", "1e-300",
+                       "--a", "1e10", "--K", "0.5", "--samples", "3", "--steps", "3")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["samples"] == 3
 
     def test_negative_seed_is_config_error(self, capsys):
         code, out, err = run_cli(

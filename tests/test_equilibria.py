@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sirmap import (
@@ -230,6 +230,30 @@ class TestTinyK:
         got = (th.beta0, th.beta2, th.r_bar, th.r_tilde, th.r_max)
         for value, exact in zip(got, want):
             assert math.isclose(value, exact, rel_tol=4.0 * sys.float_info.epsilon)
+
+    @given(
+        r=st.floats(3.0, 40.0),
+        log_K=st.floats(-300.0, -150.0),
+        log_a=st.one_of(st.none(), st.floats(-300.0, 150.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(r=math.sqrt(10.0), log_K=-162.0, log_a=None)
+    def test_beta1_where_K_squared_underflows(self, r, log_K, log_a):
+        # sqrt(K*K*inner) lost the root term once K*K left the normal range
+        # (beta1(sqrt 10, 0, 1e-162) came out 7.9e-163, below beta0 = 1.5e-162)
+        K, a = 10.0**log_K, 0.0 if log_a is None else 10.0**log_a
+        with mpmath.workdps(50):
+            R, A, KK = mpmath.mpf(r), mpmath.mpf(a), mpmath.mpf(K)
+            g = 4 + KK * (R - 1)
+            first = KK * (2 * A * (3 + KK * (R - 1) - R) + (KK + 2) * R) / g
+            inner = ((KK + 2) ** 2 * R * R + 4 * A * A * (R + 1) ** 2
+                     + 4 * A * R * (14 - 5 * KK - 2 * R + 3 * KK * R))
+            root = KK * mpmath.sqrt(inner) / g
+            want = (first + root) / 2
+            # the sum's condition: 1 at a = 0, where both terms are positive
+            kappa = float((abs(first) + root) / abs(first + root))
+            ulps = float(abs(beta1_formula(r, a, K) - want) / math.ulp(float(want)))
+        assert ulps <= (2.0 if a == 0.0 else 4.0 * kappa), (r, a, K, ulps, kappa)
 
     def test_endemic_where_K_squared_underflows(self):
         import mpmath as mp

@@ -17,17 +17,24 @@ from sirmap import (
     disease_free,
     endemic,
     flip_coefficient,
-    iterate_forms,
     ns_coefficient,
     period2_branch,
     rho_prime_at_ns,
     shifted_forms,
+    step,
     thresholds,
 )
 from sirmap.cli import main
 from sirmap.core import TOL_BOUNDARY, TOL_HYP
 from sirmap import equilibria, normal_forms
-from sirmap.normal_forms import ResonanceError, _apply_B, _apply_C, _eigenpair
+from sirmap.normal_forms import (
+    ResonanceError,
+    _apply_B,
+    _apply_C,
+    _eigenpair,
+    _point_tensors,
+    _second_iterate,
+)
 
 from oracles import (
     chain_rule_forms,
@@ -341,30 +348,12 @@ class TestFormsConsistency:
         assert np.allclose(forms.B, fd.B, rtol=1.0e-5, atol=1.0e-9)
         assert np.allclose(forms.C, fd.C, rtol=1.0e-5, atol=1.0e-6)
 
-    def test_second_iterate_forms_match_finite_differences(self):
-        p = ModelParams(r=R26, beta=0.5, a=1.0, K=0.5)
-        loc = period2_branch(p)[0].location
-        forms = iterate_forms(p, loc, 2)
-        fd = finite_difference_forms(p, loc, k=2)
-        assert np.allclose(forms.A, fd.A, rtol=1.0e-6, atol=1.0e-9)
-        assert np.allclose(forms.B, fd.B, rtol=1.0e-5, atol=1.0e-9)
-        assert np.allclose(forms.C, fd.C, rtol=1.0e-5, atol=1.0e-6)
-
-    @pytest.mark.parametrize("point", [disease_free, endemic])
-    def test_shifted_forms_are_the_one_step_iterate_forms(self, point):
-        p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
-        x = point(p).location
-        got, want = shifted_forms(p, x), iterate_forms(p, x, 1)
-        for name in ("A", "B", "C"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
-
     def test_tensors_are_symmetric(self):
         p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
-        forms = iterate_forms(p, (0.37, 0.21), 3)
-        assert np.allclose(forms.B, np.transpose(forms.B, (0, 2, 1)), atol=1.0e-12)
+        forms = _point_tensors(p, (0.37, 0.21))
+        assert np.array_equal(forms.B, np.transpose(forms.B, (0, 2, 1)))
         for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]:
-            assert np.allclose(forms.C, np.transpose(forms.C, perm), atol=1.0e-12)
+            assert np.array_equal(forms.C, np.transpose(forms.C, perm))
 
     def test_apply_helpers_contract_tensors(self):
         p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
@@ -384,26 +373,75 @@ class TestFormsConsistency:
         with pytest.raises(ValueError, match="fixed point"):
             shifted_forms(p, (0.4, 0.2))
 
-    def test_iterate_forms_rejects_bad_depth(self):
-        p = ModelParams(r=2.7, beta=1.7, a=0.8, K=0.45)
-        with pytest.raises(ValueError, match="k"):
-            iterate_forms(p, (0.4, 0.2), 0)
 
-
-class TestIterateFormsOracle:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_equals_identity_seeded_chain_rule(self, k):
-        # starting from the first step's tensors instead of the identity
-        # and zeros must not change a single bit
-        rng = np.random.default_rng(k)
+class TestPointTensorsOracle:
+    def test_equals_identity_seeded_chain_rule(self):
+        # one chain-rule step from the identity and zeros must not change a bit
+        rng = np.random.default_rng(1)
         for _ in range(200):
             r, beta, a, K = rng.uniform([0.5, 0.1, 0.0, 0.05], [4.0, 4.0, 3.0, 0.95])
             p = ModelParams(r=r, beta=beta, a=a, K=K)
-            x = rng.uniform(0.0, 1.0, size=2)
-            got = iterate_forms(p, x, k)
-            want = chain_rule_forms(p, x, k)
+            x = tuple(rng.uniform(0.0, 1.0, size=2))
+            got, want = _point_tensors(p, x), chain_rule_forms(p, x, 1)
             for name in ("A", "B", "C"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (name, p, x)
+
+
+#: The second iterate's chain rule on vectors may differ from the composed
+#: tensors contracted on the same vectors by this multiple of eps times that
+#: contraction taken in absolute values (|B|(|u|, |v|) and so on), so a sum
+#: that cancels is not held to its own small size; the largest gap seen over
+#: 4,000 cycle points is under 7 eps of it.
+SECOND_ITERATE_REL = 64.0 * np.finfo(float).eps
+
+
+def _cycle_points(seed, n):
+    """Both points of the axis 2-cycle, with the model, at ``n`` seeded draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        r, beta, a, K = rng.uniform([3.05, 0.1, 0.0, 0.05], [3.95, 4.0, 3.0, 0.95])
+        p = ModelParams(r=r, beta=beta, a=a, K=K)
+        for report in period2_branch(p):
+            yield p, report.location
+
+
+class TestSecondIterate:
+    """``_second_iterate`` against the composed tensors of the second iterate."""
+
+    def test_matches_chain_rule_oracle_on_vectors(self):
+        rng = np.random.default_rng(2)
+        for p, x in _cycle_points(3, 100):
+            A, B2, C2 = _second_iterate(p, x)
+            want = chain_rule_forms(p, x, 2)
+            # the product J_y J_x, against numpy's, within the rounding of its two-term sums
+            Jx, Jy = _point_tensors(p, x).A, _point_tensors(p, step(p, x)).A
+            bound = 4.0 * np.finfo(float).eps * abs(Jy) @ abs(Jx)
+            assert np.all(abs(np.reshape(A, (2, 2)) - want.A) <= bound), (p, x)
+            u, v, w = rng.standard_normal((3, 2))
+            gap = np.subtract(B2(u, v), np.einsum("ijk,j,k->i", want.B, u, v))
+            bound = SECOND_ITERATE_REL * np.einsum("ijk,j,k->i", abs(want.B), abs(u), abs(v))
+            assert np.all(abs(gap) <= bound), (p, x)
+            gap = np.subtract(C2(u, v, w), np.einsum("ijkl,j,k,l->i", want.C, u, v, w))
+            bound = SECOND_ITERATE_REL * np.einsum(
+                "ijkl,j,k,l->i", abs(want.C), abs(u), abs(v), abs(w)
+            )
+            assert np.all(abs(gap) <= bound), (p, x)
+
+    @pytest.mark.parametrize("point", [0, 1])
+    def test_matches_finite_differences(self, point):
+        p = ModelParams(r=R26, beta=0.5, a=1.0, K=0.5)
+        loc = period2_branch(p)[point].location
+        A, B2, C2 = _second_iterate(p, loc)
+        e = np.eye(2)
+        # the full tensors, read off the forms on the basis vectors
+        B = np.array([[B2(e[j], e[k]) for k in (0, 1)] for j in (0, 1)]).transpose(2, 0, 1)
+        C = np.array(
+            [[[C2(e[j], e[k], e[l]) for l in (0, 1)] for k in (0, 1)] for j in (0, 1)]
+        ).transpose(3, 0, 1, 2)
+        fd = finite_difference_forms(p, loc, k=2)
+        assert np.allclose(np.reshape(A, (2, 2)), fd.A, rtol=1.0e-6, atol=1.0e-9)
+        assert np.allclose(B, fd.B, rtol=1.0e-5, atol=1.0e-9)
+        assert np.allclose(C, fd.C, rtol=1.0e-5, atol=1.0e-6)
 
 
 #: The float path's coefficient is held to this relative bound against the

@@ -17,8 +17,11 @@ plain array expressions); the only other call with ``out=`` is the
 probe's reduction of the membership table in
 ``positivity.invariance_probe``.  Likewise the
 fixed-point residual lives only in ``equilibria._residual``, the one-step
-derivative tensors are composed only by ``normal_forms.iterate_forms``,
-the eigenvectors behind ``c`` and ``d`` come only from
+derivative tensors are built as arrays only for
+``normal_forms.shifted_forms`` (by ``_point_tensors``) and no tensors are
+composed in ``src``: the 2-cycle's forms are the chain rule on vectors in
+``normal_forms._second_iterate``, read only by ``flip_coefficient``, the
+eigenvectors behind ``c`` and ``d`` come only from
 ``normal_forms._eigenpair`` (the one caller of ``_null_vector``), and
 ``NormalFormData`` is built only by ``normal_forms._normal_form``.  E1 is
 located and linearised only by ``equilibria._endemic_point``: its readers
@@ -30,9 +33,9 @@ third partials are defined once, in ``core._curvature_entries`` beside
 the Jacobian.  The per-point fixed-point and normal-form path is
 plain-float 2x2 algebra in one format, the flat tuple
 ``(m00, m01, m10, m11)``: no pair of pairs ``((a, b), (c, d))`` is
-written or unpacked anywhere in ``src``.  On that path
-``np.linalg``, ``einsum``, ``np.eye`` and ``np.vdot`` appear only in
-``normal_forms.iterate_forms`` (its k >= 2 chain rule), and in
+written or unpacked anywhere in ``src``.  ``np.linalg``, ``einsum``,
+``np.eye`` and ``np.vdot`` appear nowhere in ``src`` (the general-k
+tensor composition is the test oracle ``oracles.chain_rule_forms``), and in
 ``equilibria`` and ``normal_forms`` one 2x2 solve helper,
 ``normal_forms._solve2``, divides by a determinant (Cramer's rule).  The
 sensitivity recurrence of the cycle-birth Newton solve (its
@@ -57,9 +60,9 @@ the CSV output.  Every ``crossings=`` value of a positivity region is a call
 of ``positivity._crossings``, or a slice of one: the one solve of the
 ceiling line meeting the nullcline.  Each remaining job has one path:
 ``core._advance`` takes no row buffer (``iterate`` records its window
-itself), ``shifted_forms`` is ``iterate_forms`` at k = 1 and nothing calls
-a second fixed-point tensor route (``_cycle_forms``), ``equilibria._mul``
-is the one flat 2x2 product (the period-2 cycle matrix and the probe's
+itself), nothing calls a tensor composition route (``iterate_forms``,
+``_cycle_forms``), ``equilibria._mul`` is the one flat 2x2 product (the
+period-2 cycle matrix, the 2-cycle's flip forms and the probe's
 certificate), and ``RegionSpec`` defines no method, so ``_holds`` is the
 one evaluation of the nullcline.
 
@@ -290,9 +293,9 @@ def test_residual_only_in_equilibria_residual():
     assert {(path, func) for path, func, _ in sites} == {("equilibria.py", "_residual")}, sites
 
 
-def test_point_tensors_composed_only_by_iterate_forms():
+def test_point_tensors_only_for_shifted_forms():
     sites = _occurrences(_calls("_point_tensors"))
-    assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+    assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "shifted_forms")}, sites
 
 
 def test_advance_keeps_no_rows():
@@ -300,11 +303,13 @@ def test_advance_keeps_no_rows():
     assert list(inspect.signature(sirmap.core._advance).parameters) == ["p", "x0", "n"]
 
 
-def test_fixed_point_tensors_come_from_iterate_forms():
-    # one route to the tensors at a fixed point: shifted_forms is iterate_forms at k = 1
-    callers = {(path, func) for path, func, _ in _occurrences(_calls("iterate_forms"))}
-    assert ("normal_forms.py", "shifted_forms") in callers, callers
-    assert _occurrences(_calls("_cycle_forms")) == []
+def test_no_tensor_composition_route():
+    # the 2-cycle's forms are the chain rule on vectors in _second_iterate;
+    # no route composes tensors (iterate_forms) or builds them per cycle (_cycle_forms)
+    for name in ("iterate_forms", "_cycle_forms"):
+        assert _occurrences(_calls(name)) == [], name
+    callers = {(path, func) for path, func, _ in _occurrences(_calls("_second_iterate"))}
+    assert callers == {("normal_forms.py", "flip_coefficient")}, callers
 
 
 def test_one_flat_two_by_two_product():
@@ -427,9 +432,10 @@ def _solve_helpers(tree) -> set:
     return found
 
 
-def test_array_algebra_only_in_iterate_forms():
+def test_no_array_algebra():
+    assert _is_array_algebra(ast.parse("np.einsum('ij->i', m)").body[0].value.func)
     sites = _occurrences(_is_array_algebra)
-    assert {(path, func) for path, func, _ in sites} == {("normal_forms.py", "iterate_forms")}, sites
+    assert sites == [], sites
 
 
 def test_one_two_by_two_solve_helper():
@@ -615,14 +621,14 @@ PUBLIC_NAMES = [
     "ScanResult", "StabilityClass", "State", "TOL_BOUNDARY", "TOL_HYP", "Thresholds",
     "__version__", "applicable_region", "beta0_threshold", "beta1_formula", "beta2_threshold",
     "classify_boundary", "detect_period", "disease_free", "endemic", "find_cycle_births",
-    "flip_coefficient", "invariance_probe", "iterate", "iterate_forms", "lyapunov",
-    "ns_coefficient", "period2_branch", "reproduction_candidates", "rho_prime_at_ns", "scan",
+    "flip_coefficient", "invariance_probe", "iterate", "lyapunov", "ns_coefficient",
+    "period2_branch", "reproduction_candidates", "rho_prime_at_ns", "scan",
     "sharkovskii_precedes", "shifted_forms", "step", "thresholds", "u_star",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 45
     assert sorted(sirmap.__all__) == PUBLIC_NAMES
 
 
@@ -726,7 +732,7 @@ def test_module_imports_are_pinned():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1502
+CODE_LINES = 1498
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
