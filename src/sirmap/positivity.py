@@ -35,32 +35,39 @@ and ``_holds``).
 Orbits that settle are dropped the same way.  Once per call,
 ``_trap`` proves, in closed form with explicit rounding bounds (validated
 numerics in the sense of W. Tucker, *Validated Numerics*, Princeton
-2011), that an ellipse ``|Q(x - x*)| <= rho`` around E1 is mapped into
-itself by every float map step and clears every inequality of the probed
-region; it exists where E1 is a stable node or focus with a
-diagonalisable Jacobian.  The proof is the inequality
+2011), that a chain of ellipses ``|Q_j(x - c_j)| <= rho`` around an
+attracting float cycle ``c_0 ... c_{q-1}`` is mapped link by link into
+itself by every float map step, ``E_j`` into ``E_{j+1}`` and ``E_{q-1}``
+into ``E_0``, and that each ellipse clears every inequality of the probed
+region.  The cycle is E1 (q = 1) where E1 is a stable node or focus with a
+diagonalisable Jacobian; elsewhere it is a float cycle, of period at most
+``_CYCLE_CAP``, that one of a few of the probe's own starts ends on
+(``_float_cycle``, within a fixed share of the probe's steps).  Each link
+is the inequality
 
-    |Q| (res + 2 delta) + q rho + |Q| (M2/2) |P|^2 rho^2  <=  rho,
+    |Q'| (res + 2 delta) + q rho + |Q'| (M2/2) |P|^2 rho^2  <=  rho,
 
-with P = Q^-1 the real Jordan basis of E1's Jacobian J, ``q`` a bound on
-``|Q J P|`` that includes the rounding of J's entries, ``M2`` one on the
-map's second derivatives over the ellipse's box, ``res`` the float
-residual of x* and ``delta`` the rounding of one float step.  Every
-``_SETTLE_EVERY``-th step the probe then drops each orbit whose state x
-passes ``|Q(x - x*)|^2 <= (rho/2)^2`` (``_trapped``, three array
-expressions over the live orbits).  Such an orbit stays inside the
-ellipse, and so inside the region, for good: it would add no record, and
-the count, the records and their order are those of the full run.  The
-constants are ``_ROUNDING`` (8 eps, the rounding bound of every
-expression the proof evaluates or relies on) and ``_DROP`` (1/2, which
-leaves the drop test's own rounding far inside the ellipse); :func:`_trap`
-derives the bound.  Where there is no certificate (E1 absent, unstable,
-non-hyperbolic or defective, or its Jacobian's digits lost) no orbit is
-dropped.
+with P = Q_j^-1, Q' = Q_{j+1}, ``q`` a bound on ``|Q' J P|`` that
+includes the rounding of the Jacobian J's entries at c_j, ``M2`` one on
+the map's second derivatives over the ellipse's box, ``res`` the float
+residual of the cycle and ``delta`` the rounding of one float step.  Every
+``_SETTLE_EVERY``-th step k the probe then drops each orbit whose state x
+passes ``|Q_j(x - c_j)|^2 <= (rho/2)^2`` (``_trapped``, in place over the
+live orbits), for one j that rotates with k so that an orbit near the
+cycle meets the ellipse of its own phase within q settle steps.  Such an
+orbit stays inside the chain, and so inside the region, for good: it
+would add no record, and the count, the records and their order are those
+of the full run.  The constants are ``_ROUNDING`` (8 eps, the rounding
+bound of every expression the proof evaluates or relies on) and ``_DROP``
+(1/2, which leaves the drop test's own rounding far inside the ellipse);
+:func:`_trap` derives the bound.  Where there is no certificate (no such
+cycle, an unstable, non-hyperbolic or defective one, or its Jacobians'
+digits lost) no orbit is dropped.
 
 The module imports only from :mod:`sirmap.core` (the map, the in-place
-step and the second partials ``_curvature_entries``) and
-:mod:`sirmap.equilibria` (E1, the float residual and the flat 2x2
+step, the guarded scalar run ``_advance``, the Jacobian entries and the
+second partials ``_curvature_entries``) and :mod:`sirmap.equilibria` (E1,
+the eigen data of a flat 2x2 matrix, the float residual and the flat 2x2
 product ``_mul``).
 """
 from __future__ import annotations
@@ -69,8 +76,10 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import ModelParams, _curvature_entries, _step_into
-from .equilibria import _endemic_point, _mul, _residual
+from .core import (
+    ModelParams, State, _advance, _curvature_entries, _jacobian_entries, _step_into, step
+)
+from .equilibria import _eigen_quadratic, _endemic_point, _mul, _residual
 
 __all__ = [
     "RegionSpec",
@@ -85,8 +94,14 @@ __all__ = [
 MEMBERSHIP_TOL = 1.0e-12
 #: Constraints in checking order; the last two bound cases 2 and 3 only.
 _CONSTRAINTS = ("S<0", "I<0", "S+I>u*", "S>1", "I>nullcline")
-#: Steps between the probe's checks for orbits inside the trapping ellipse.
+#: Steps between the probe's checks for orbits inside the trapping ellipses.
 _SETTLE_EVERY = 16
+#: Longest float cycle the probe looks for where E1 gives no trapping ellipse,
+#: the most starts it tries, and the share of ``samples*steps`` (one over this)
+#: it may spend on them in scalar steps.
+_CYCLE_CAP = 32
+_SEARCH_STARTS = 4
+_SEARCH_SHARE = 256
 #: Rounding bound of every float expression :func:`_trap` evaluates or relies
 #: on, relative to the sum of the magnitudes of the expression's terms.  With
 #: u = eps/2 and the standard model of each operation, none of them takes
@@ -314,69 +329,121 @@ def _clearance(region: RegionSpec, x, hi, P) -> float:
     return min(room) if all(r > 0.0 for r in room) else 0.0
 
 
-def _trap(p: ModelParams, region: RegionSpec):
-    """A certified trapping ellipse around a stable E1 inside ``region``, or ``None``.
+def _trap(p: ModelParams, region: RegionSpec, starts=((), ()), steps: int = 0):
+    """A certified chain of trapping ellipses around an attracting float cycle in ``region``, or ``None``.
 
-    Returns ``(x, Q, rho)``: the centre x* = E1 as floats, a flat 2x2 ``Q``
-    that is the inverse of the real Jordan basis P of E1's Jacobian J up
-    to scale (the rows are unit left eigenvectors for real eigenvalues, and
-    ``adj(P)`` for a complex pair, P holding an eigenvector's real and
-    imaginary parts), and a radius rho.  With ``|.|`` the 2-norm, two facts
-    hold for the ellipse ``E = {x : |Q(x - x*)| <= rho}``:
+    The cycle is E1 where that gives a chain; elsewhere a float cycle on
+    which one of the probe's ``starts`` ends after ``steps`` steps (see
+    :func:`_float_cycle`).  Returns a tuple of ellipses ``(c_j, Q_j, rho)``
+    for ``E_j = {x : |Q_j(x - c_j)| <= rho}``, j = 0 ... q-1, around the
+    cycle points ``c_j``, with ``c_{j+1} = fl(F(c_j))`` bit for bit (E1 alone
+    is the chain with q = 1); ``|.|`` is the 2-norm and E_q is E_0.  Two
+    facts hold:
 
-    1. every float x in E has its float image ``fl(F(x))`` under
-       ``core.step`` (bit-identical to ``core._step_into``) in E again;
-    2. every point of E meets each inequality of ``region`` with room for
-       the rounding of the probe's membership check.
+    1. every float x in ``E_j`` has its float image ``fl(F(x))`` under
+       ``core.step`` (bit-identical to ``core._step_into``) in ``E_{j+1}``;
+    2. every point of each ``E_j`` meets each inequality of ``region`` with
+       room for the rounding of the probe's membership check.
 
-    For (1), write ``F(x) - x* = (F(x*) - x*) + J h + R(h)`` with
-    ``h = x - x*``, ``|h| <= |P| rho``.  Then ``|Q(fl(F(x)) - x*)|`` is at most
+    ``Q_0`` is the inverse of the real Jordan basis of the cycle's
+    multiplier matrix ``M = J_{q-1} ... J_0`` up to scale (the rows are unit
+    left eigenvectors for real eigenvalues, and ``adj(P)`` for a complex
+    pair, P holding an eigenvector's real and imaginary parts), with J_j the
+    Jacobian at c_j, and ``Q_{j+1} = D Q_j J_j^-1`` for j < q-1, where D
+    scales the row of each multiplier mu_i by ``|mu_i|^(1/q)``.  So
+    ``Q_{j+1} J_j Q_j^-1`` is about D for every link, the last included
+    (there it is ``Q_0 M Q_0^-1 D^(1-q)``), and each link contracts by about
+    the largest ``|mu_i|^(1/q)``: one radius serves the whole chain.
 
-        |Q| (res + 2 delta) + q rho + |Q| (M2/2) |P|^2 rho^2,
+    For (1), write ``F(x) - c_{j+1} = (F(c_j) - c_{j+1}) + J_j h + R(h)`` with
+    ``h = x - c_j``, ``|h| <= |P_j| rho`` and ``P_j = Q_j^-1``.  Then
+    ``|Q_{j+1}(fl(F(x)) - c_{j+1})|`` is at most
+
+        |Q_{j+1}| (res_j + 2 delta_j) + q_j rho + |Q_{j+1}| (M2_j/2) |P_j|^2 rho^2,
 
     which must not exceed rho, where
 
-    * ``q >= |Q J P|``: the norm of the float ``Q J adj(Q)`` over
-      ``|det Q|``, plus the product's rounding and ``|Q| |dJ| |P|``, dJ the
-      rounding of J's float entries (a11 = r - 2rS - I*dphi nearly cancels
-      r at E1; where its digits are gone, q >= 1 and there is no
-      certificate);
-    * ``M2`` bounds the 2-norm of the two components' Hessians
-      (Frobenius norms of entrywise bounds) over the ellipse's box:
-      with a >= 0 and S >= 0 there, ``|d1| = beta/den^2`` and
+    * ``q_j >= |Q_{j+1} J_j P_j|``: the norm of the float product, plus its
+      rounding and ``|Q_{j+1}| |dJ| |P_j|``, dJ the rounding of J_j's float
+      entries (a11 = r - 2rS - I*dphi nearly cancels r at E1; where its
+      digits are gone, q_j >= 1 and there is no certificate);
+    * ``M2_j`` bounds the 2-norm of the two components' Hessians
+      (Frobenius norms of entrywise bounds) over the box of ``E_j``: with
+      a >= 0 and S >= 0 there, ``|d1| = beta/den^2`` and
       ``|I*d2| = 2*a*beta*I/den^3`` are largest at the corner (S_lo, I_hi),
       where ``core._curvature_entries`` gives them;
-    * ``res`` is the float residual ``|fl(F(x*)) - x*|`` of the centre, and
-      ``delta = _ROUNDING * |(r*S*|1 - S| + force, (1 - K)*I + force)|``
-      over the box bounds the rounding of one float step (twice: at x* and
-      at x).
+    * ``res_j`` is the float residual ``|fl(F(c_j)) - c_{j+1}|``: 0 for
+      j < q-1, and ``|fl(F^q(c_0)) - c_0|`` for the closing link (the
+      residual of E1, 0 on a float cycle), and
+      ``delta_j = _ROUNDING * |(r*S*|1 - S| + force, (1 - K)*I + force)|``
+      over the box bounds the rounding of one float step (twice: at c_j
+      and at x).
 
-    The quadratic ``A rho^2 - (1 - q) rho + c0 <= 0`` holds between two
-    roots; rho is their midpoint, or less where (2) needs it: each
-    inequality's value at x*, less its rounding, over the ellipse's reach
-    across it per unit of rho (see :func:`_clearance`).  The constants are
-    those of the box of the ellipse at a radius no smaller than the final
-    one, so they bound those of its own box.  The last test also checks
-    that a state the probe finds within ``_DROP * rho`` through its own
-    rounded ``Q(x - x*)`` lies within rho.
+    Each link's quadratic ``A_j rho^2 - (1 - q_j) rho + c0_j <= 0`` holds
+    between two roots; rho is the midpoint of the range all links allow, or
+    less where (2) needs it: each inequality's value at c_j, less its
+    rounding, over the ellipse's reach across it per unit of rho (see
+    :func:`_clearance`).  The constants are those of the boxes of the
+    ellipses at a radius no smaller than the final one, so they bound those
+    of their own boxes.  The last test checks every link at the final
+    radius, and that a state the probe finds within ``_DROP * rho`` through
+    its own rounded ``Q_j(x - c_j)`` lies within rho.
 
-    ``None`` where E1 is absent (or r <= 1), where its Jacobian is
-    defective (a repeated eigenvalue: a12 = -K is never 0 at E1), where q
-    is not below 1 (E1 unstable or non-hyperbolic, or J's entries lost to
-    rounding), and wherever a bound leaves the float range or the two facts
+    ``None`` where E1 is absent (or r <= 1) or gives no chain and no start
+    ends on a float cycle of period at most ``_CYCLE_CAP`` within the
+    search budget; where the multiplier matrix is defective (a repeated
+    eigenvalue: at E1, a12 = -K is never 0); where a q_j is not below 1
+    (the cycle unstable or non-hyperbolic, or J's entries lost to
+    rounding); and wherever a bound leaves the float range or the two facts
     fail.
     """
     try:
         point = _endemic_point(p)
-        return None if point is None else _ellipse(p, region, *point)
+        chain = None if point is None else _ellipses(p, region, point[:1])
+        if chain is None:
+            cycle = _float_cycle(p, *starts, steps)
+            chain = None if cycle is None else _ellipses(p, region, cycle)
+        return chain
     except (ValueError, ArithmeticError):  # r <= 1, or a value out of float range
         return None
 
 
-def _ellipse(p: ModelParams, region: RegionSpec, x, J, e):
-    """:func:`_trap` around the E1 ``x`` with Jacobian entries ``J`` and eigen data ``e``."""
-    S0, I0 = x
-    a11, a12, a21, a22 = J
+def _float_cycle(p: ModelParams, S, I, steps: int):
+    """A float cycle that one of the starts ``S, I`` ends on after ``steps`` steps, or ``None``.
+
+    Each start runs ``steps`` guarded steps through ``core._advance``, which
+    cuts the run short once it meets an exact float cycle; ``core.step``
+    then iterates the end state until it returns to it, at most
+    ``_CYCLE_CAP`` times.  Returns the first cycle found, its points ``c_j``
+    with ``c_{j+1} = fl(F(c_j))`` in order.  At most ``_SEARCH_STARTS`` starts are tried, and only as
+    many as keep the scalar steps, each start charged ``steps + _CYCLE_CAP``,
+    within a ``1/_SEARCH_SHARE`` share of ``samples * steps``.
+    """
+    cost = steps + _CYCLE_CAP
+    tries = min(_SEARCH_STARTS, len(S) * steps // (_SEARCH_SHARE * cost))
+    for x0 in zip(S[:tries], I[:tries]):
+        S_end, I_end, escaped_at = _advance(p, x0, steps)
+        if escaped_at is not None:
+            continue
+        cycle = [State(S_end, I_end)]
+        y = step(p, cycle[0])
+        while y != cycle[0] and len(cycle) < _CYCLE_CAP:
+            cycle.append(y)
+            y = step(p, y)
+        if y == cycle[0]:
+            return cycle
+    return None
+
+
+def _ellipses(p: ModelParams, region: RegionSpec, cycle):
+    """:func:`_trap` around the float cycle ``cycle`` (E1 alone where q = 1)."""
+    q = len(cycle)
+    Js = [_jacobian_entries(p, *c) for c in cycle]
+    M = Js[0]
+    for J in Js[1:]:
+        M = _mul(J, M)
+    e = _eigen_quadratic(*M)
+    a11, a12 = M[:2]
     if e.omega > 0.0:
         Q = (e.omega, 0.0, a11 - e.sigma, a12)
     elif e.mu1 != e.mu2:
@@ -385,53 +452,93 @@ def _ellipse(p: ModelParams, region: RegionSpec, x, J, e):
         )
     else:
         return None
-    q00, q01, q10, q11 = Q
-    # P = Q^-1 = adj(Q)/det(Q), over det Q rounded down: no entry too small
-    det_lo = abs(q00 * q11 - q01 * q10) - _ROUNDING * (abs(q00 * q11) + abs(q01 * q10))
-    if not det_lo > 0.0:
-        return None
-    P = (q11 / det_lo, -q01 / det_lo, -q10 / det_lo, q00 / det_lo)
-    nQ, nP = _norm2(*Q), _norm2(*P)
-    dJ = _ROUNDING * _length(p.r * (1.0 + 2.0 * S0) + abs(a21), a12, a21, 1.0 + abs(a12))
-    rounded = _ROUNDING * _length(*Q) * _length(*J) * _length(*P)
-    q = _norm2(*_mul(_mul(Q, J), P)) + rounded + nQ * dJ * nP
-    if not q < 1.0:
-        return None
-
-    # the 2-norm of the float residual, from its sup norm
-    res = (1.0 + _ROUNDING) * math.sqrt(2.0) * _residual(p, x)
-    gap = 1.0 - q
-    # a radius (2) allows by the constants at x*, then twice the radius both
-    # allow by the constants over the box of the ellipse at the last radius
-    rho = _clearance(region, x, x, P)
-    for _ in range(2):
-        dS, dI = ((1.0 + _ROUNDING) * rho * _length(*row) for row in (P[:2], P[2:]))
-        S_lo, S_hi, I_hi = S0 - dS, S0 + dS, I0 + dI
-        i_d2, d1 = _curvature_entries(p, S_lo, I_hi)[0][1][:2]
-        M2 = (1.0 + _ROUNDING) * _length(2.0 * p.r + abs(i_d2), i_d2, 2.0 * d1)
-        force = p.beta * S_hi * I_hi / (1.0 + p.a * S_lo)
-        delta = _ROUNDING * _length(
-            p.r * S_hi * max(1.0 - S_lo, S_hi - 1.0) + force, force + (1.0 - p.K) * I_hi
-        )
-        A = 0.5 * nQ * M2 * nP * nP
-        c0 = nQ * (res + 2.0 * delta)
-        disc = gap * gap - 4.0 * A * c0
-        if not disc > 0.0:
+    # each link shrinks the row of Q that belongs to mu_i by |mu_i|^(1/q)
+    g1, g2 = (abs(mu) ** (1.0 / q) for mu in (e.mu1, e.mu2))
+    Qs = [Q]
+    for j00, j01, j10, j11 in Js[:-1]:
+        det = j00 * j11 - j01 * j10
+        m00, m01, m10, m11 = _mul(Qs[-1], (j11 / det, -j01 / det, -j10 / det, j00 / det))
+        Qs.append((g1 * m00, g1 * m01, g2 * m10, g2 * m11))
+    Ps = []
+    for q00, q01, q10, q11 in Qs:
+        # P = Q^-1 = adj(Q)/det(Q), over det Q rounded down: no entry too small
+        det_lo = abs(q00 * q11 - q01 * q10) - _ROUNDING * (abs(q00 * q11) + abs(q01 * q10))
+        if not det_lo > 0.0:
             return None
-        hi = (gap + math.sqrt(disc)) / (2.0 * A)
-        rho = min(rho, _clearance(region, x, (S_hi, I_hi), P), 0.5 * (c0 / (A * hi) + hi))
-    invariant = c0 + q * rho + A * rho * rho <= (1.0 - _ROUNDING) * rho
-    if not (invariant and (1.0 + _ROUNDING) * _DROP <= 1.0 - _ROUNDING * nQ * nP):
-        return None
-    return x, Q, rho
+        Ps.append((q11 / det_lo, -q01 / det_lo, -q10 / det_lo, q00 / det_lo))
+    nQs, nPs = [_norm2(*Q) for Q in Qs], [_norm2(*P) for P in Ps]
+    links = []  # (q_j, res_j), link j mapping E_j into E_{j+1}
+    for j, ((S0, _), J) in enumerate(zip(cycle, Js)):
+        a11, a12, a21, _ = J
+        n, P = (j + 1) % q, Ps[j]
+        dJ = _ROUNDING * _length(p.r * (1.0 + 2.0 * abs(S0)) + abs(a21), a12, a21, 1.0 + abs(a12))
+        rounded = _ROUNDING * _length(*Qs[n]) * _length(*J) * _length(*P)
+        q_j = _norm2(*_mul(_mul(Qs[n], J), P)) + rounded + nQs[n] * dJ * nPs[j]
+        if not q_j < 1.0:
+            return None
+        # the 2-norm of the float residual, from its sup norm
+        res = (1.0 + _ROUNDING) * math.sqrt(2.0) * _residual(p, cycle[0], q) if n == 0 else 0.0
+        links.append((q_j, res))
+
+    # a radius (2) allows by the constants at each c_j, then twice the radius
+    # all allow by the constants over the boxes of the ellipses at the last one
+    rho = min(_clearance(region, c, c, P) for c, P in zip(cycle, Ps))
+    for _ in range(2):
+        lo, hi, bounds, clear = 0.0, math.inf, [], []
+        for j, (q_j, res) in enumerate(links):
+            (S0, I0), P, nQ = cycle[j], Ps[j], nQs[(j + 1) % q]
+            dS, dI = ((1.0 + _ROUNDING) * rho * _length(*row) for row in (P[:2], P[2:]))
+            S_lo, S_hi, I_hi = S0 - dS, S0 + dS, I0 + dI
+            i_d2, d1 = _curvature_entries(p, S_lo, I_hi)[0][1][:2]
+            M2 = (1.0 + _ROUNDING) * _length(2.0 * p.r + abs(i_d2), i_d2, 2.0 * d1)
+            force = p.beta * S_hi * I_hi / (1.0 + p.a * S_lo)
+            delta = _ROUNDING * _length(
+                p.r * S_hi * max(1.0 - S_lo, S_hi - 1.0) + force, force + (1.0 - p.K) * I_hi
+            )
+            A = 0.5 * nQ * M2 * nPs[j] * nPs[j]
+            c0 = nQ * (res + 2.0 * delta)
+            gap = 1.0 - q_j
+            disc = gap * gap - 4.0 * A * c0
+            if not disc > 0.0:
+                return None
+            top = (gap + math.sqrt(disc)) / (2.0 * A)
+            lo, hi = max(lo, c0 / (A * top)), min(hi, top)
+            bounds.append((c0, A))
+            clear.append(_clearance(region, cycle[j], (S_hi, I_hi), P))
+        rho = min(rho, *clear, 0.5 * (lo + hi))
+    for j, (q_j, _) in enumerate(links):
+        c0, A = bounds[j]
+        invariant = 0.0 < rho and c0 + q_j * rho + A * rho * rho <= (1.0 - _ROUNDING) * rho
+        if not (invariant and (1.0 + _ROUNDING) * _DROP <= 1.0 - _ROUNDING * nQs[j] * nPs[j]):
+            return None
+    return tuple((c, Q, rho) for c, Q in zip(cycle, Qs))
 
 
-def _trapped(trap, s, i):
-    """Which states lie within ``_DROP`` of the trap's radius, as a new bool array."""
-    (S0, I0), (q00, q01, q10, q11), rho = trap
-    d0, d1 = s - S0, i - I0
-    y0, y1 = d0 * q00 + d1 * q01, d0 * q10 + d1 * q11
-    return y0 * y0 + y1 * y1 <= (_DROP * rho) ** 2
+def _trapped(ellipse, s, i, rows, out):
+    """Which states lie within ``_DROP`` of the ellipse's radius, written into the bool row ``out``.
+
+    ``rows`` holds four float scratch rows shaped like ``s``.  The ufuncs
+    are those of ``y0*y0 + y1*y1 <= (_DROP*rho)**2`` with ``y = Q(x - c)``,
+    on the same operands in the same order, so every decision keeps its
+    bits, and nothing is allocated.
+    """
+    import numpy as np
+
+    (S0, I0), (q00, q01, q10, q11), rho = ellipse
+    d0, d1, y0, y1 = rows
+    np.subtract(s, S0, out=d0)
+    np.subtract(i, I0, out=d1)
+    np.multiply(d0, q00, out=y0)
+    np.multiply(d1, q01, out=y1)
+    np.add(y0, y1, out=y0)
+    # y1 = d0*q10 + d1*q11, with d0 and d1 read for the last time
+    np.multiply(d0, q10, out=d0)
+    np.multiply(d1, q11, out=d1)
+    np.add(d0, d1, out=y1)
+    np.multiply(y0, y0, out=y0)
+    np.multiply(y1, y1, out=y1)
+    np.add(y0, y1, out=y0)
+    return np.less_equal(y0, (_DROP * rho) ** 2, out=out)
 
 
 def _sample_region(region: RegionSpec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -488,12 +595,14 @@ def invariance_probe(
     The ``region`` override lets a caller probe a hand-built region.
 
     An orbit is dropped at a settle step (every ``_SETTLE_EVERY``-th) once
-    its state x meets ``|Q(x - x*)|^2 <= (rho/2)^2``, the ellipse
-    ``|Q(x - x*)| <= rho`` around E1 being one that ``_trap`` certifies:
-    every float step maps it into itself, and it clears each inequality of
-    ``region`` by more than the rounding of the membership check.  The orbit
-    can never leave, so the report is that of all ``steps`` steps.  The
-    loop ends once every orbit has left or been dropped.
+    its state x meets ``|Q_j(x - c_j)|^2 <= (rho/2)^2`` for the ellipse
+    ``E_j`` tested at that step, one of a chain around an attracting cycle
+    (E1, or a float cycle some starts end on) that ``_trap`` certifies:
+    every float step maps ``E_j`` into ``E_{j+1}``, and each ellipse clears
+    each inequality of ``region`` by more than the rounding of the
+    membership check.  The orbit can never leave, so the report is that of
+    all ``steps`` steps.  The loop ends once every orbit has left or been
+    dropped.
     """
     _check_probe_input(samples, steps, seed)
     if region is None:
@@ -505,31 +614,36 @@ def invariance_probe(
             )
     import numpy as np
 
-    trap = _trap(p, region)
     rng = np.random.default_rng(seed)
     # the starts are drawn under the same errstate as the steps: their
     # membership test can overflow too
     with np.errstate(all="ignore"):
         S, I = _sample_region(region, samples, rng)
+        chain = _trap(p, region, (S, I), steps)
         index = np.arange(samples)
         escapes: list[EscapeRecord] = []
         escape_count = 0
         # allocated once; once orbits exit or settle, the live ones fill a
-        # prefix of each.  The two rows of `work` are the step's and the
-        # table's scratch
-        work = np.empty((2, samples))
+        # prefix of each.  The first two rows of `work` are the step's and
+        # the table's scratch, all four the ellipse test's
+        work = np.empty((4, samples))
         table = _table(region, (samples,))
         inside = np.empty(samples, dtype=bool)
-        s, i, w, ok, ins = S, I, work, table, inside
+        settled = np.empty(samples, dtype=bool)
+        s, i, w, ok, ins = S, I, work[:2], table, inside
+        rows, st = work, settled
 
         for k in range(1, steps + 1):
             _step_into(p, s, i, w)
             _holds(region, s, i, MEMBERSHIP_TOL, ok, w)
             ok.all(axis=0, out=ins)
             keep = ins
-            if trap is not None and k % _SETTLE_EVERY == 0:
-                # an orbit inside the certified ellipse never leaves it
-                keep = ins & ~_trapped(trap, s, i)
+            if chain is not None and k % _SETTLE_EVERY == 0:
+                # an orbit inside E_j stays in the chain.  The tested index
+                # less k gains one per settle step, so within q settle steps
+                # an orbit near the cycle meets the ellipse of its own phase
+                ellipse = chain[(k + k // _SETTLE_EVERY) % len(chain)]
+                keep = ins & ~_trapped(ellipse, s, i, rows, st)
             if not keep.all():
                 hits = np.flatnonzero(~ins)
                 escape_count += hits.size
@@ -542,7 +656,8 @@ def invariance_probe(
                 if n == 0:
                     break
                 S[:n], I[:n], index[:n] = s[live], i[live], index[live]
-                s, i, w, ok, ins = S[:n], I[:n], work[:, :n], table[:, :n], inside[:n]
+                s, i, w, ok, ins = S[:n], I[:n], work[:2, :n], table[:, :n], inside[:n]
+                rows, st = work[:, :n], settled[:n]
 
     return ProbeReport(
         region=region,

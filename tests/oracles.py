@@ -694,36 +694,57 @@ def decay_envelope_holds(p: ModelParams, x0, n: int) -> bool:
     return True
 
 
-def iv_trap_holds(p: ModelParams, region, trap, depth: int = 40) -> bool:
-    """Whether the trap's ellipse lies in ``region`` and every float step maps it into itself.
+def iv_trap_holds(p: ModelParams, region, source, target=None, depth: int = 40) -> bool:
+    """Whether the ellipse ``source`` lies in ``region`` and every float step maps it into ``target``.
 
-    ``trap`` is ``(x*, Q, rho)`` for the ellipse ``|Q(x - x*)| <= rho``, that
-    is ``x* + P y`` with ``|y| <= rho`` and ``P = Q^-1``; everything is taken
-    in 106-bit ``mpmath.iv`` arithmetic.  The ellipse reaches
-    ``n.x* + rho |P^T n|`` along the gradient n of each linear inequality
+    Each ellipse is ``(c, Q, rho)`` for ``|Q(x - c)| <= rho``, that is
+    ``c + P y`` with ``|y| <= rho`` and ``P = Q^-1``; ``target`` defaults to
+    ``source`` (an ellipse that traps itself, as around E1), and everything
+    is taken in 106-bit ``mpmath.iv`` arithmetic.  The source reaches
+    ``n.c + rho |P^T n|`` along the gradient n of each linear inequality
     (S >= 0, I >= 0, S + I <= u*, and S <= 1 for cases 2 and 3), which must
-    stay within it.  Its bounding box is cut into sub-boxes, each halved
-    across its wider side (at most ``depth`` times in all) until it is
-    decided: a box wholly outside the ellipse is skipped; any other must lie
-    under the nullcline (cases 2 and 3), and its interval image under the
-    map, widened by the rounding of one float step (4 eps of
-    ``|r*S*(1 - S)| + force`` and of ``(1 - K)*I + force``: six roundings of
-    half an ulp each, to first order), must lie within the ellipse.  False
-    if a box is still undecided at the depth limit.
+    stay within it.  The square ``|y_i| <= rho`` is cut into sub-boxes Y,
+    each halved across its wider side (at most ``depth`` times in all) until
+    it is decided: a box wholly outside the disk is skipped; any other maps
+    to the box X = c + P Y, which must lie under the nullcline (cases 2 and
+    3), and its image in the target's coordinates must lie within the
+    target's disk.  The image is taken in mean-value form, so that it does
+    not widen with the wrapping of X:
+
+        Q'(F(c + P m) - c') + (Q' DF(X) P)(Y - m) + Q' e,
+
+    with m the centre of Y, DF(X) the Jacobian over X and e the rounding of
+    one float step over X (4 eps of ``|r*S*(1 - S)| + force`` and of
+    ``(1 - K)*I + force``: six roundings of half an ulp each, to first
+    order).  False if a box is still undecided at the depth limit.
     """
     from mpmath import iv
 
     iv.prec = 106
-    (S0, I0), Q, rho = trap
-    q00, q01, q10, q11 = (iv.mpf(c) for c in Q)
     r, beta, a, K = (iv.mpf(c) for c in (p.r, p.beta, p.a, p.K))
-    v, ra, rho = iv.mpf(region.v), iv.mpf(region.params.a), iv.mpf(rho)
+    v, ra = iv.mpf(region.v), iv.mpf(region.params.a)
     eps = iv.mpf(2.0**-52)
-    det = q00 * q11 - q01 * q10
-    p00, p01, p10, p11 = q11 / det, -q01 / det, -q10 / det, q00 / det
+
+    def ellipse(trap):
+        """The centre, ``Q``, ``P = Q^-1`` and ``rho`` on intervals."""
+        c, Q, rho = trap
+        q00, q01, q10, q11 = (iv.mpf(x) for x in Q)
+        det = q00 * q11 - q01 * q10
+        P = (q11 / det, -q01 / det, -q10 / det, q00 / det)
+        return tuple(iv.mpf(x) for x in c), (q00, q01, q10, q11), P, iv.mpf(rho)
+
+    def apply(M, x0, x1):
+        return M[0] * x0 + M[1] * x1, M[2] * x0 + M[3] * x1
+
+    def mul(A, B):
+        return (A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
+                A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
+
+    (S0, I0), _, P, rho = ellipse(source)
+    (T0, U0), Q1, _, to_rho = ellipse(target or source)
 
     def reach(n0, n1):
-        return rho * ((p00 * n0 + p10 * n1) ** 2 + (p01 * n0 + p11 * n1) ** 2) ** 0.5
+        return rho * ((P[0] * n0 + P[2] * n1) ** 2 + (P[1] * n0 + P[3] * n1) ** 2) ** 0.5
 
     walls = [(-S0, reach(-1, 0), 0.0), (-I0, reach(0, -1), 0.0), (S0 + I0, reach(1, 1), region.u_star)]
     if region.case != 1:
@@ -731,30 +752,38 @@ def iv_trap_holds(p: ModelParams, region, trap, depth: int = 40) -> bool:
     if not all((at + far).b <= bound for at, far, bound in walls):
         return False
 
-    def norm2(S, I):
-        dS, dI = S - S0, I - I0
-        return (q00 * dS + q01 * dI) ** 2 + (q10 * dS + q11 * dI) ** 2
+    def parts(S, I):
+        den = 1 + a * S
+        return r * S * (1 - S), beta * S * I / den, (1 - K) * I, den
 
-    wS, wI = float(reach(1, 0).b), float(reach(0, 1).b)
-    boxes = [(iv.mpf([S0 - wS, S0 + wS]), iv.mpf([I0 - wI, I0 + wI]), depth)]
+    w = float(rho.b)
+    boxes = [(iv.mpf([-w, w]), iv.mpf([-w, w]), depth)]
     while boxes:
-        S, I, left = boxes.pop()
-        if norm2(S, I).a > (rho**2).b:
+        Y0, Y1, left = boxes.pop()
+        if (Y0**2 + Y1**2).a > (rho**2).b:
             continue
+        dS, dI = apply(P, Y0, Y1)
+        S, I = S0 + dS, I0 + dI
         under = region.case == 1 or I.b <= (v * (1 - S) * (1 + ra * S)).a
-        force = beta * S * I / (1 + a * S)
-        grow, decay = r * S * (1 - S), (1 - K) * I
-        slack_S = (4 * eps * (abs(grow) + abs(force))).b
-        slack_I = (4 * eps * (abs(decay) + abs(force))).b
-        S1 = grow - force + iv.mpf([-slack_S, slack_S])
-        I1 = decay + force + iv.mpf([-slack_I, slack_I])
-        if under and norm2(S1, I1).b <= (rho**2).a:
+        m0, m1 = iv.mpf(Y0.mid), iv.mpf(Y1.mid)
+        mS, mI = apply(P, m0, m1)
+        grow, force, decay, _ = parts(S0 + mS, I0 + mI)
+        y0, y1 = apply(Q1, grow - force - T0, decay + force - U0)
+        # the Jacobian over X, then Q' DF(X) P applied to Y - m
+        grow, force, decay, den = parts(S, I)
+        J = (r * (1 - 2 * S) - beta * I / den**2, -beta * S / den,
+             beta * I / den**2, (1 - K) + beta * S / den)
+        z0, z1 = apply(mul(mul(Q1, J), P), Y0 - m0, Y1 - m1)
+        e0 = (4 * eps * (abs(grow) + abs(force))).b
+        e1 = (4 * eps * (abs(decay) + abs(force))).b
+        f0, f1 = apply(Q1, iv.mpf([-e0, e0]), iv.mpf([-e1, e1]))
+        if under and ((y0 + z0 + f0) ** 2 + (y1 + z1 + f1) ** 2).b <= (to_rho**2).a:
             continue
         if left == 0:
             return False
-        if S.delta >= I.delta * (wS / wI):
-            halves = [(iv.mpf([S.a, S.mid]), I), (iv.mpf([S.mid, S.b]), I)]
+        if Y0.delta >= Y1.delta:
+            halves = [(iv.mpf([Y0.a, Y0.mid]), Y1), (iv.mpf([Y0.mid, Y0.b]), Y1)]
         else:
-            halves = [(S, iv.mpf([I.a, I.mid])), (S, iv.mpf([I.mid, I.b]))]
-        boxes += [(hS, hI, left - 1) for hS, hI in halves]
+            halves = [(Y0, iv.mpf([Y1.a, Y1.mid])), (Y0, iv.mpf([Y1.mid, Y1.b]))]
+        boxes += [(h0, h1, left - 1) for h0, h1 in halves]
     return True

@@ -416,10 +416,10 @@ def _hand_built(case, r, beta, a, K, v, u=None):
 
 
 def _count_kernel_calls(monkeypatch):
-    """The list that gains one entry per ``positivity._step_into`` call."""
+    """The list that gains one entry per ``positivity._step_into`` call: the orbits it steps."""
     calls = []
     kernel = positivity._step_into
-    monkeypatch.setattr(positivity, "_step_into", lambda *a: calls.append(kernel(*a)))
+    monkeypatch.setattr(positivity, "_step_into", lambda p, s, *a: calls.append(s.size) or kernel(p, s, *a))
     return calls
 
 
@@ -513,8 +513,10 @@ class TestProbeSettledOrbits:
         assert len(calls) < steps / 2
 
     def test_kernel_runs_every_step_while_no_orbit_settles(self, monkeypatch):
-        # the leaking curved-region preset: its orbits escape at step 1 or
-        # never settle on a fixed point
+        # the leaking curved-region preset: most orbits settle on its stable
+        # 9-cycle, but none comes within the certified chain in these 200
+        # steps, and the rest escape or wander on a second attractor; so the
+        # kernel runs every step
         p = ModelParams(r=3.98, beta=2.8, a=1.0, K=0.5)
         samples, steps, seed = 1000, 200, 0
         expected = _scalar_probe(p, applicable_region(p), samples, steps, seed)
@@ -617,10 +619,10 @@ class TestTrapCertificate:
         p = ModelParams(*params)
         region = applicable_region(p)
         trap = _trap(p, region)
-        assert trap is not None
-        assert iv_trap_holds(p, region, trap)
+        assert trap is not None and len(trap) == 1
+        assert iv_trap_holds(p, region, trap[0])
         # the oracle refuses an ellipse 50 times as wide
-        x, Q, rho = trap
+        x, Q, rho = trap[0]
         assert not iv_trap_holds(p, region, (x, Q, 50.0 * rho), depth=12)
 
     @given(base=st.sampled_from(STABLE_SETS), jitter=jitters, factor=st.floats(0.9, 1.0))
@@ -629,7 +631,7 @@ class TestTrapCertificate:
         p, region = _jittered(base, jitter, factor)
         trap = _trap(p, region)
         assume(trap is not None)
-        assert iv_trap_holds(p, region, trap)
+        assert iv_trap_holds(p, region, trap[0])
 
     @given(
         base=st.sampled_from(STABLE_SETS),
@@ -749,3 +751,101 @@ class TestCeilingLemma:
                     continue
                 p = ModelParams(r=float(r), beta=1.0, a=1.0, K=K)
                 assert (u_star(p) > 1.0) == (r > edge)
+
+
+CURVED = (3.98, 2.8, 1.0, 0.5)  # the curved-region preset: E1 unstable, a stable 9-cycle
+
+
+def _curved_chain():
+    p = ModelParams(*CURVED)
+    region = applicable_region(p)
+    S, I = _sample_region(region, 10_000, np.random.default_rng(0))
+    return p, region, _trap(p, region, (S, I), 1000)
+
+
+class TestCycleChain:
+    """``positivity._trap`` around an attracting float cycle where E1 gives no ellipse."""
+
+    def test_trapped_keeps_the_bits_of_the_expression_form(self):
+        p, _, chain = _curved_chain()
+        rng = np.random.default_rng(5)
+        (S0, I0), Q, rho = chain[0]
+        s = S0 + rng.normal(0.0, 2.0 * rho, 3000)
+        i = I0 + rng.normal(0.0, 2.0 * rho, 3000)
+        s[::97], i[1::89], s[2::83], i[3::79] = np.nan, np.inf, -np.inf, np.nan
+        with np.errstate(all="ignore"):
+            d0, d1 = s - S0, i - I0
+            y0, y1 = d0 * Q[0] + d1 * Q[1], d0 * Q[2] + d1 * Q[3]
+            want = y0 * y0 + y1 * y1 <= (positivity._DROP * rho) ** 2
+            got = positivity._trapped(chain[0], s, i, np.empty((4, s.size)), np.empty(s.size, bool))
+        assert 0 < want.sum() < want.size
+        assert np.array_equal(got, want)
+
+    def test_nine_cycle_chain_links_in_interval_arithmetic(self):
+        p, region, chain = _curved_chain()
+        assert chain is not None and len(chain) == 9
+        for j, (x, Q, rho) in enumerate(chain):
+            target = chain[(j + 1) % 9]
+            assert step(p, x) == target[0]
+            assert iv_trap_holds(p, region, (x, Q, rho), target)
+            # each link contracts by about 0.623^(1/9) = 0.949, so a source
+            # 10% wider reaches past its target, and the oracle says so
+            assert not iv_trap_holds(p, region, (x, Q, 1.1 * rho), target, depth=12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curved_region_matches_scalar_orbits_and_drops_orbits(self, monkeypatch, seed):
+        p = ModelParams(*CURVED)
+        region = applicable_region(p)
+        samples, steps = 300, 1000
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        live = _count_kernel_calls(monkeypatch)
+        rep = invariance_probe(p, samples=samples, steps=steps, seed=seed, max_records=samples)
+        assert rep.escape_count == len(expected) > 0
+        assert rep.escapes == expected
+        assert len(live) == steps
+        # 46-54% at seeds 0-2; the parent stepped all but the escapes' tails
+        assert sum(live) < 0.6 * samples * steps
+
+    def test_even_period_cycle_drops_orbits_at_every_phase(self, monkeypatch):
+        # a sealed case-1 region whose orbits settle on an attracting float
+        # 8-cycle: 8 divides _SETTLE_EVERY, so a test whose phase followed k
+        # alone would meet one phase only
+        p = ModelParams(2.82, 3.6, 0.0, 0.85)
+        region = applicable_region(p)
+        samples, steps = 300, 1000
+        assert _trap(p, region) is None
+        drops = {}
+        trapped = positivity._trapped
+
+        def counted(ellipse, s, i, rows, out):
+            trapped(ellipse, s, i, rows, out)
+            drops[ellipse[0]] = drops.get(ellipse[0], 0) + int(out.sum())
+            return out
+
+        monkeypatch.setattr(positivity, "_trapped", counted)
+        rep = invariance_probe(p, samples=samples, steps=steps, seed=0, max_records=samples)
+        assert rep.escapes == _scalar_probe(p, region, samples, steps, 0) == []
+        assert len(drops) == 8 and all(n > 0 for n in drops.values())
+        assert sum(drops.values()) == samples
+
+    def test_cycle_free_region_keeps_its_report_and_budget(self, monkeypatch):
+        # the chaotic logistic axis at r = 3.9 under a case-1 ceiling: no
+        # start ends on a float cycle, and the search spends at most its share
+        p = ModelParams(r=3.9, beta=1.0, a=1.0, K=0.5)
+        region = RegionSpec(case=1, params=p, u_star=0.9745, v=p.r / p.beta)
+        S0 = np.linspace(0.05, 0.95, 300)
+        I0 = np.zeros_like(S0)
+        samples, steps = S0.size, 300
+        expected = _scalar_probe(p, region, samples, steps, 0, starts=(S0, I0))
+        spent = []
+        advance = positivity._advance
+        monkeypatch.setattr(positivity, "_advance", lambda p, x0, n: spent.append(n) or advance(p, x0, n))
+        monkeypatch.setattr(positivity, "_sample_region", lambda *_: (S0.copy(), I0.copy()))
+        assert _trap(p, region, (S0, I0), steps) is None
+        assert 0 < len(spent) <= positivity._SEARCH_STARTS
+        budget = samples * steps / positivity._SEARCH_SHARE
+        assert sum(n + positivity._CYCLE_CAP for n in spent) <= budget
+        rep = invariance_probe(
+            p, samples=samples, steps=steps, seed=0, region=region, max_records=samples
+        )
+        assert rep.escapes == expected
