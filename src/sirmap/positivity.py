@@ -100,7 +100,7 @@ _SETTLE_EVERY = 16
 #: the most starts it tries, and the share of ``samples*steps`` (one over this)
 #: it may spend on them in scalar steps.
 _CYCLE_CAP = 32
-_SEARCH_STARTS = 4
+_SEARCH_STARTS = 8
 _SEARCH_SHARE = 256
 #: Rounding bound of every float expression :func:`_trap` evaluates or relies
 #: on, relative to the sum of the magnitudes of the expression's terms.  With
