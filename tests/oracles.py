@@ -35,8 +35,9 @@ became plain floats.  ``UnscaledParams``, ``scale_params`` and
 from: a step of it, divided by the scale factor, is a step of
 ``sirmap.step``.  ``decay_envelope_holds`` checks the geometric decay of
 the infected mass along a ``sirmap.iterate`` orbit below
-``beta = (1 + a)*K``, and ``iv_trap_holds`` re-proves the invariance
-probe's trapping ellipse in ``mpmath.iv`` interval boxes.  ``nullcline``
+``beta = (1 + a)*K``, and ``iv_trap_holds`` re-proves one link of the
+invariance probe's chain of trapping ellipses (an ellipse that lies in the
+region and is mapped into the next one) in ``mpmath.iv`` interval boxes.  ``nullcline``
 is the height ``v*(1 - x)*(1 + a*x)`` of a region's S' >= 0 frontier, in
 the operation order of ``sirmap.positivity._holds``.  Tests compare the
 library against all of them.
