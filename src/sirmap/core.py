@@ -20,9 +20,11 @@ arrays) and :func:`_advance` the one guarded plain-map loop, behind
 :func:`iterate` and the plain stretches of ``dynamics``.  The invariance
 probe steps its ensemble with :func:`_step_into`, which overwrites the
 state arrays in place with :func:`step`'s operations in :func:`step`'s
-order (bit-identical states, no allocation per step).  Only the tangent
-kernel ``dynamics._tangent`` keeps its own fused step.  numpy is imported
-only inside :func:`iterate` and :func:`_step_into`.
+order (bit-identical states, no allocation per step); it reads ``1 - S``
+and ``1 + a*S`` from the rows that the probe's membership test
+(``positivity._holds``) left at the end of the previous step.  Only the
+tangent kernel ``dynamics._tangent`` keeps its own fused step.  numpy is
+imported only inside :func:`iterate` and :func:`_step_into`.
 
 The map's derivatives live here too, as floats in one matrix format, the
 flat 2x2 tuple ``(m00, m01, m10, m11)``: :func:`_jacobian_entries` gives
@@ -45,8 +47,9 @@ one row and one guarded step at a time, so recorded windows run every
 step.  The tangent kernel ``dynamics._tangent`` stops the same way
 at a repeat of its whole state, then replays one recorded turn's log
 stretches.  The invariance probe drops each ensemble orbit once it lies
-inside an ellipse around a stable E1 that :func:`_step_into` provably
-maps into itself (``positivity._trap``); it does not look for cycles.
+inside a chain of ellipses around an attracting cycle, a stable E1 or a
+float cycle that some of its own starts end on, which every float step
+provably maps link by link into itself (``positivity._trap``).
 """
 from __future__ import annotations
 
@@ -145,28 +148,28 @@ def step(p: ModelParams, x: tuple[float, float]) -> State:
     return State(p.r * S * (1.0 - S) - force, (1.0 - p.K) * I + force)
 
 
-def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work: np.ndarray) -> None:
+def _step_into(p: ModelParams, S: np.ndarray, I: np.ndarray, work) -> None:
     """Overwrite the float arrays ``S`` and ``I`` with their image under :func:`step`.
 
-    ``work`` holds two scratch rows of the same length.  Every ufunc runs
-    in :func:`step`'s operation order with the same operands, so each
-    state is bit-identical to ``step(p, (S, I))``, and nothing is allocated.
+    ``work`` holds four rows of the same length: ``1 - S`` and ``1 + a*S``
+    of the states, as ``positivity._holds`` leaves them with :func:`step`'s
+    operations, then two scratch rows.  Every ufunc runs in :func:`step`'s
+    operation order with the same operands, so each state is bit-identical
+    to ``step(p, (S, I))``, and nothing is allocated.  The first two rows
+    are read, not updated: they describe the old states once this returns.
     """
     import numpy as np
 
-    t, w = work
+    m, d, t, w = work
     # t = (1 - K)*I, kept for the last line
     np.multiply(1.0 - p.K, I, out=t)
     # I <- force = ((beta*S)*I) / (1 + a*S)
     np.multiply(p.beta, S, out=w)
     np.multiply(w, I, out=I)
-    np.multiply(p.a, S, out=w)
-    np.add(1.0, w, out=w)
-    np.divide(I, w, out=I)
+    np.divide(I, d, out=I)
     # S' = (r*S)*(1 - S) - force
-    np.subtract(1.0, S, out=w)
     np.multiply(p.r, S, out=S)
-    np.multiply(S, w, out=S)
+    np.multiply(S, m, out=S)
     np.subtract(S, I, out=S)
     # I' = (1 - K)*I + force, written over its second operand: on a
     # length-1 array numpy's add written over its first operand may return

@@ -280,17 +280,25 @@ def beta1_formula(r: float, a: float, K: float) -> float:
 def beta2_threshold(r: float, a: float, K: float) -> float:
     """Neimark-Sacker threshold: det of the E1 Jacobian equals one here.
 
-    The radicand ``a^2 + 2aq(3K - 1) + q^2 (K + 1)^2`` cancels near
-    ``a = q(1 - 3K)`` for small K; where it keeps less than a quarter of
-    its square terms, it is taken in the equal form
+    It is ``(b + sqrt(D))/2`` with ``b = a(2K - 1) + q(K + 1)``,
+    ``q = r/(r - 1)`` and the radicand ``D = a^2 + 2aq(3K - 1) + q^2 (K + 1)^2``.
+    The radicand cancels near ``a = q(1 - 3K)`` for small K; where it keeps
+    less than a quarter of its square terms, it is taken in the equal form
     ``(a - q(1 - 3K))^2 + 8K(1 - K)q^2``, whose terms are both positive.
+    Where b < 0 (a > q, roughly), b + sqrt(D) cancels instead: at small K
+    the threshold is O(K) while b and sqrt(D) are O(a).  Since
+    ``D - b^2 = 4aK(1 - K)(a + q)``, it is then taken as
+    ``2aK(1 - K)(a + q)/(sqrt(D) - b)``, whose terms are all positive.
     """
     q = r / (r - 1.0)
     aa, qq = a * a, q * q * (K + 1.0) ** 2
     inner = aa + 2.0 * a * q * (3.0 * K - 1.0) + qq
     if inner < 0.25 * (aa + qq):
         inner = (a - q * (1.0 - 3.0 * K)) ** 2 + 8.0 * K * (1.0 - K) * q * q
-    return 0.5 * (a * (2.0 * K - 1.0) + q * (K + 1.0) + math.sqrt(inner))
+    b = a * (2.0 * K - 1.0) + q * (K + 1.0)
+    if b < 0.0:
+        return 2.0 * a * K * (1.0 - K) * ((a + q) / (math.sqrt(inner) - b))
+    return 0.5 * (b + math.sqrt(inner))
 
 
 def _resonance_growth(x: float, a: float, K: float) -> float:

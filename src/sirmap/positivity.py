@@ -23,14 +23,19 @@ case 2 keeps the larger root, case 3 both.
 ``applicable_region`` hands out the region whose sufficient parameter
 conditions hold; ``invariance_probe`` bombards a region with uniform
 starts and reports any escape (these are findings about the region, not
-errors).  The probe allocates its buffers once per call: it steps the
-ensemble in place with ``core._step_into`` and writes every inequality
-into one membership table (``_holds``, also behind the sampler), one
-row per constraint; a column's first False names an orbit's exit.
-Exited orbits are dropped by moving the survivors, with their original
-indices, to the front of each buffer.  numpy is imported only inside the
-functions that make or step arrays (the probe, its sampler and table,
-and ``_holds``).
+errors).  The probe allocates its buffers once per call, every row on a
+64-byte boundary (``_rows``): it steps the ensemble in place with
+``core._step_into`` and writes every inequality into one membership
+table (``_holds``, also behind the sampler), one row per constraint; a
+column's first False names an orbit's exit.  One step is one hand-off
+between the two: ``_holds`` also leaves ``1 - S`` and ``1 + a*S`` of the
+states it tested in two rows, formed as ``core.step`` forms them, and
+the next ``_step_into`` reads them there.  A step that is not a settle
+step (below) reduces the whole table once; only where some orbit failed
+does the probe look for which.  Exited orbits are dropped by moving the
+survivors, with their original indices and their two hand-off values, to
+the front of each row.  numpy is imported only inside the functions that
+make or step arrays (the probe, its sampler and rows, and ``_holds``).
 
 Orbits that settle are dropped the same way.  Once per call,
 ``_trap`` proves, in closed form with explicit rounding bounds (validated
@@ -235,11 +240,26 @@ class ProbeReport(NamedTuple):
     escapes: list[EscapeRecord]
 
 
-def _table(region: RegionSpec, shape: tuple) -> np.ndarray:
-    """An unfilled membership table: a bool row per constraint the region has."""
+def _rows(count: int, n: int, dtype=float) -> np.ndarray:
+    """``count`` unfilled rows of length ``n`` in one block, each starting on a 64-byte boundary.
+
+    numpy's loops store into a row that starts elsewhere up to twice as
+    slowly (measured on 3,000 to 30,000 entries: a float product 1.8-2.1x,
+    a comparison into bools 1.7x), so the probe's speed would follow where
+    the allocator happened to put its arrays.
+    """
     import numpy as np
 
-    return np.empty((3 if region.case == 1 else len(_CONSTRAINTS),) + shape, dtype=bool)
+    per = 64 // np.dtype(dtype).itemsize
+    stride = -(-n // per) * per
+    block = np.empty(count * stride + per, dtype)
+    skip = (-block.ctypes.data % 64) // block.itemsize
+    return block[skip : skip + count * stride].reshape(count, stride)[:, :n]
+
+
+def _table(region: RegionSpec, n: int, extra: int = 0) -> np.ndarray:
+    """An unfilled membership table: a bool row per constraint the region has, then ``extra`` more."""
+    return _rows((3 if region.case == 1 else len(_CONSTRAINTS)) + extra, n, bool)
 
 
 def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
@@ -247,34 +267,41 @@ def _holds(region: RegionSpec, S, I, tol, table=None, work=None):
 
     Each inequality gets outward slack ``tol``; a NaN coordinate fails
     every inequality it enters.  The first False in a column names the
-    point's first violation.  The rows are written into ``table`` (see
-    :func:`_table`) and the sum and the nullcline height go through
-    ``work``, two float rows shaped like ``S``; either is allocated when
-    not given.
+    point's first violation.  The rows are written into ``table``, one
+    bool row view per constraint the region has, and ``work`` holds three
+    float row views shaped like ``S``.  The last of them is scratch for
+    the sum and the nullcline height; the first two are left holding
+    ``1 - S`` and ``1 + a*S`` (also for case 1), formed with the
+    operations of ``core.step``, for ``core._step_into`` to read at the
+    next step.  Without ``table`` a table (see :func:`_table`) is
+    allocated and returned, and without ``work`` its rows are.  Overflow
+    and invalid operations are the caller's to silence: both callers, the
+    sampler and the probe, run under ``np.errstate(all="ignore")``.
     """
     import numpy as np
 
+    full = None
     if table is None:
-        table = _table(region, np.shape(S))
+        full = _table(region, np.size(S))
+        table = list(full)
     if work is None:
-        work = np.empty((2,) + np.shape(S))
-    t, w = work[0, ...], work[1, ...]
-    np.greater_equal(S, -tol, out=table[0, ...])
-    np.greater_equal(I, -tol, out=table[1, ...])
+        work = list(_rows(3, np.size(S)))
+    m, d, t = work
+    np.greater_equal(S, -tol, out=table[0])
+    np.greater_equal(I, -tol, out=table[1])
     np.add(S, I, out=t)
-    np.less_equal(t, region.u_star + tol, out=table[2, ...])
+    np.less_equal(t, region.u_star + tol, out=table[2])
+    np.subtract(1.0, S, out=m)
+    np.multiply(region.params.a, S, out=d)
+    np.add(1.0, d, out=d)
     if region.case != 1:
-        np.less_equal(S, 1.0 + tol, out=table[3, ...])
+        np.less_equal(S, 1.0 + tol, out=table[3])
         # the nullcline as (v*(1 - x))*(1 + a*x), then the slack
-        with np.errstate(invalid="ignore"):
-            np.subtract(1.0, S, out=t)
-            np.multiply(region.v, t, out=t)
-            np.multiply(region.params.a, S, out=w)
-            np.add(1.0, w, out=w)
-            np.multiply(t, w, out=t)
-            np.add(t, tol, out=t)
-        np.less_equal(I, t, out=table[4, ...])
-    return table
+        np.multiply(region.v, m, out=t)
+        np.multiply(t, d, out=t)
+        np.add(t, tol, out=t)
+        np.less_equal(I, t, out=table[4])
+    return full
 
 
 def _norm2(m00: float, m01: float, m10: float, m11: float) -> float:
@@ -603,6 +630,15 @@ def invariance_probe(
     membership check.  The orbit can never leave, so the report is that of
     all ``steps`` steps.  The loop ends once every orbit has left or been
     dropped.
+
+    Each step is ``core._step_into`` followed by ``_holds``, which leaves
+    ``1 - S`` and ``1 + a*S`` for the next step (seeded once for the
+    starts), so the two rows are carried along when the live orbits are
+    compacted.  Since ``_holds`` forms them with ``region.params.a`` and
+    the step reads them as its own, an override ``region`` built for
+    parameters other than ``p`` is refused with ``ValueError``.  Row views
+    are made only at compaction, and a step that is not a settle step
+    tests the whole membership table with one reduction.
     """
     _check_probe_input(samples, steps, seed)
     if region is None:
@@ -612,38 +648,50 @@ def invariance_probe(
                 "no invariance region applies at these parameters; "
                 "pass an explicit region to probe one anyway"
             )
+    elif region.params != p:
+        # the membership test forms 1 + a*S with the region's a, and the
+        # step reads it as its own
+        raise ValueError("the region was built for other parameters than the probe's")
     import numpy as np
 
     rng = np.random.default_rng(seed)
     # the starts are drawn under the same errstate as the steps: their
     # membership test can overflow too
     with np.errstate(all="ignore"):
-        S, I = _sample_region(region, samples, rng)
-        chain = _trap(p, region, (S, I), steps)
+        # allocated once (see _rows); once orbits exit or settle, the live
+        # ones fill a prefix of each row.  Float rows: S and I; 1 - S and
+        # 1 + a*S, which the membership test leaves for the next step; then
+        # scratch (rows 4-5 the step's, 4 the table's, 4-7 the ellipse
+        # test's).  Bool rows: the table, which orbits are inside and which
+        # settled
+        x = _rows(8, samples)
+        x[0], x[1] = _sample_region(region, samples, rng)
+        chain = _trap(p, region, (x[0], x[1]), steps)
+        flags = _table(region, samples, extra=2)
         index = np.arange(samples)
         escapes: list[EscapeRecord] = []
         escape_count = 0
-        # allocated once; once orbits exit or settle, the live ones fill a
-        # prefix of each.  The first two rows of `work` are the step's and
-        # the table's scratch, all four the ellipse test's
-        work = np.empty((4, samples))
-        table = _table(region, (samples,))
-        inside = np.empty(samples, dtype=bool)
-        settled = np.empty(samples, dtype=bool)
-        s, i, w, ok, ins = S, I, work[:2], table, inside
-        rows, st = work, settled
+        # row views are made here and where the live orbits are compacted
+        rows, ok, (*ok_rows, ins, st) = tuple(x), flags[:-2], flags
+        s, i = rows[:2]
+        # 1 - S and 1 + a*S of the starts, for the first step
+        _holds(region, s, i, MEMBERSHIP_TOL, ok_rows, rows[2:5])
 
         for k in range(1, steps + 1):
-            _step_into(p, s, i, w)
-            _holds(region, s, i, MEMBERSHIP_TOL, ok, w)
+            _step_into(p, s, i, rows[2:6])
+            _holds(region, s, i, MEMBERSHIP_TOL, ok_rows, rows[2:5])
+            settle = chain is not None and k % _SETTLE_EVERY == 0
+            # a quiet step costs one reduction of the whole table
+            if not settle and ok.all():
+                continue
             ok.all(axis=0, out=ins)
             keep = ins
-            if chain is not None and k % _SETTLE_EVERY == 0:
+            if settle:
                 # an orbit inside E_j stays in the chain.  The tested index
                 # less k gains one per settle step, so within q settle steps
                 # an orbit near the cycle meets the ellipse of its own phase
                 ellipse = chain[(k + k // _SETTLE_EVERY) % len(chain)]
-                keep = ins & ~_trapped(ellipse, s, i, rows, st)
+                keep = ins & ~_trapped(ellipse, s, i, rows[4:], st)
             if not keep.all():
                 hits = np.flatnonzero(~ins)
                 escape_count += hits.size
@@ -655,9 +703,13 @@ def invariance_probe(
                 n = live.size
                 if n == 0:
                     break
-                S[:n], I[:n], index[:n] = s[live], i[live], index[live]
-                s, i, w, ok, ins = S[:n], I[:n], work[:2, :n], table[:, :n], inside[:n]
-                rows, st = work[:, :n], settled[:n]
+                # S, I and the two rows the next step reads, row by row: a
+                # gather of several rows at once, x[:4, live], takes 5x longer
+                index[:n] = index[live]
+                for j in range(4):
+                    x[j, :n] = rows[j][live]
+                rows, ok, (*ok_rows, ins, st) = tuple(x[:, :n]), flags[:-2, :n], flags[:, :n]
+                s, i = rows[:2]
 
     return ProbeReport(
         region=region,

@@ -18,6 +18,7 @@ from sirmap import (
 from sirmap import core
 from sirmap.cli import PRESETS
 from sirmap.core import _advance, _jacobian_entries, _step_into
+from sirmap.positivity import RegionSpec, _holds
 
 from oracles import UnscaledParams, exact_cycle, plain_advance, scale_params, step_full
 
@@ -344,16 +345,28 @@ def _step_bits(p, S, I):
     return want.S.tobytes(), want.I.tobytes()
 
 
+def _fed_step_into(p, S, I, work):
+    """``core._step_into`` on ``S`` and ``I`` in place, fed by ``positivity._holds``.
+
+    The membership test leaves ``1 - S`` and ``1 + a*S`` in the first two
+    rows of ``work`` (four rows), as it does in the probe; a case-2 region
+    also reads them for its nullcline, so they must come through unchanged.
+    """
+    region = RegionSpec(case=2, params=p, u_star=1.0, v=1.0)
+    with np.errstate(all="ignore"):
+        _holds(region, S, I, 0.0, work=work[:3])
+        _step_into(p, S, I, work)
+
+
 def _step_into_bits(p, S, I):
     """``core._step_into``'s image of copies of ``S`` and ``I``, as bytes."""
     s, i = S.copy(), I.copy()
-    with np.errstate(all="ignore"):
-        _step_into(p, s, i, np.empty((2, s.size)))
+    _fed_step_into(p, s, i, np.empty((4, s.size)))
     return s.tobytes(), i.tobytes()
 
 
 class TestStepInto:
-    """The in-place ensemble kernel writes ``core.step``'s image, bit for bit."""
+    """The in-place ensemble kernel, fed by ``_holds``, writes ``core.step``'s image, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(p=_PARAMS, pts=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40))
@@ -388,9 +401,8 @@ class TestStepInto:
         rng = np.random.default_rng(seed)
         S, I = rng.uniform(-1.0, 2.0, size=(2, n + tail))
         S0, I0 = S.copy(), I.copy()
-        work = np.empty((2, n + tail))
-        with np.errstate(all="ignore"):
-            _step_into(p, S[:n], I[:n], work[:, :n])
+        work = np.empty((4, n + tail))
+        _fed_step_into(p, S[:n], I[:n], work[:, :n])
         assert (S[:n].tobytes(), I[:n].tobytes()) == _step_bits(p, S0[:n], I0[:n])
         assert S[n:].tobytes() == S0[n:].tobytes()
         assert I[n:].tobytes() == I0[n:].tobytes()

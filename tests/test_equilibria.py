@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sirmap import (
@@ -222,6 +222,39 @@ class TestTinyK:
         want = _mp_closed_forms(r, a, K)[1]
         # the result, about 1.8e-9, is what is left of terms of size q
         assert abs(thresholds(r, a, K).beta2 - want) <= 2.0 * sys.float_info.epsilon * q
+
+    @given(
+        log_r1=st.floats(-3.0, 3.0),
+        log_gap=st.floats(-8.0, 6.0),
+        log_K=st.floats(-300.0, math.log10(0.5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(log_r1=math.log10(4.0), log_gap=math.log10(1.4), log_K=-20.0)
+    def test_beta2_where_b_plus_root_cancels(self, log_r1, log_gap, log_K):
+        # a > q: b = a(2K - 1) + q(K + 1) < 0 at small K, and b + sqrt(D)
+        # cancels to O(K).  The example is about beta2_threshold(5, 3, 1e-20)
+        # (below).  The truth is the closed form at 420
+        # digits: at least 50 survive the cancellation of up to ~330.  The
+        # result depends on a - q, so the rounding of q = r/(r - 1) costs up
+        # to a/(a - q) ulp; the bound is 4 ulp times that (2.7 measured on
+        # 4,000 draws)
+        r = 1.0 + 10.0**log_r1
+        q = r / (r - 1.0)
+        a, K = q * (1.0 + 10.0**log_gap), 10.0**log_K
+        assume(a > q)
+        with mpmath.workdps(420):
+            R, A, k = mpmath.mpf(r), mpmath.mpf(a), mpmath.mpf(K)
+            Q = R / (R - 1)
+            root = mpmath.sqrt(A * A + 2 * A * Q * (3 * k - 1) + Q * Q * (k + 1) ** 2)
+            want = (A * (2 * k - 1) + Q * (k + 1) + root) / 2
+            err = abs(mpmath.mpf(beta2_threshold(r, a, K)) - want) / math.ulp(float(want))
+        assert err <= 4.0 * a / (a - q), (r, a, K, float(err))
+
+    def test_beta2_where_b_is_negative_repro(self):
+        # it used to return 0.0; the threshold lies above beta0 = 4.25e-20
+        got = beta2_threshold(5.0, 3.0, 1.0e-20)
+        assert math.isclose(got, 7.2857142857142857e-20, rel_tol=4.0 * sys.float_info.epsilon)
+        assert got > beta0_threshold(5.0, 3.0, 1.0e-20)
 
     def test_thresholds_where_K_squared_underflows(self):
         th = thresholds(3.0, 1.0, 1.0e-170)

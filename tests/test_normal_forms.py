@@ -572,8 +572,12 @@ class TestMpmathOracle:
 
     def test_ns_form_at_a_fixed_point_with_large_coordinates(self, capsys):
         # E1 sits at I ~ 5.9e5, where its one-step residual of 1.16e-10 is a
-        # few ulp of I: the residual bound scales with the coordinates
-        argv = ["--r", "37035.60750267616", "--beta", "4.543153267741701",
+        # few ulp of I: the residual bound scales with the coordinates.  beta
+        # is the code's NS threshold at r, 0.66 ulp from its 80-digit value.
+        # r sits 6 ulp below the first version's 37035.60750267616: there the
+        # threshold, now taken without cancellation (a > q), moved by 16 ulp
+        # and its residual fell to 1.3e-12
+        argv = ["--r", "37035.60750267612", "--beta", "4.543153267741685",
                 "--a", "288.2651573648773", "--K", "0.0156513624059114"]
         assert main(["analyze", *argv]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -476,6 +476,63 @@ class TestProbeOracle:
         assert rep.escapes == []
 
 
+_SPECIAL = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+
+
+class TestHandOff:
+    """One ensemble step: ``_holds`` leaves ``1 - S`` and ``1 + a*S`` for the next ``core._step_into``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(ALL_SETS),
+        pts=st.lists(
+            st.tuples(*[st.one_of(st.floats(), st.sampled_from(_SPECIAL))] * 2),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_rows_are_the_steps_intermediates(self, case, pts):
+        # every case, the triangle included, leaves both rows, bit-equal to
+        # what core.step forms from S
+        p = ModelParams(*case[0])
+        region = applicable_region(p)
+        S = np.array([x for x, _ in pts])
+        I = np.array([y for _, y in pts])
+        work = np.empty((3, S.size))
+        # a = 0 meets 0*inf, an invalid operation the probe silences
+        with np.errstate(all="ignore"):
+            _holds(region, S, I, MEMBERSHIP_TOL, work=work)
+            want = (1.0 - S, 1.0 + p.a * S)
+        assert (work[0].tobytes(), work[1].tobytes()) == tuple(w.tobytes() for w in want)
+
+    def test_probe_refuses_a_region_built_for_other_parameters(self):
+        # the region's a forms 1 + a*S, which the step reads as its own
+        p = ModelParams(*CASE2_SETS[0])
+        region = applicable_region(p)
+        for other in (ModelParams(2.9, 0.8, 0.0, 0.25), ModelParams(2.9, 0.81, 0.5, 0.25)):
+            with pytest.raises(ValueError, match="other parameters"):
+                invariance_probe(other, samples=10, steps=10, region=region)
+        assert invariance_probe(p, samples=10, steps=10, region=region).escape_count == 0
+
+    @pytest.mark.parametrize("params", [CASE1_SETS[0], CASE2_SETS[0], (3.98, 2.8, 1.0, 0.5)])
+    def test_presets_match_scalar_orbits(self, params):
+        # the triangle-region, capped-region and curved-region presets
+        p = ModelParams(*params)
+        region = applicable_region(p)
+        samples, steps, seed = 150, 300, 1234
+        expected = _scalar_probe(p, region, samples, steps, seed)
+        rep = invariance_probe(p, samples=samples, steps=steps, seed=seed, max_records=samples)
+        assert rep.escape_count == len(expected)
+        assert rep.escapes == expected
+
+    @pytest.mark.parametrize("dtype", [float, bool])
+    @pytest.mark.parametrize("n", [1, 7, 13, 64])
+    def test_rows_start_on_cache_lines(self, dtype, n):
+        rows = positivity._rows(5, n, dtype)
+        assert rows.shape == (5, n) and rows.dtype == dtype
+        assert all(row.ctypes.data % 64 == 0 for row in rows)
+
+
 class TestProbeSettledOrbits:
     """The probe drops an orbit once it lies inside the certified trapping ellipse.
 

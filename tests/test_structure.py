@@ -733,7 +733,7 @@ def test_module_imports_are_pinned():
 
 #: Code lines under ``src/sirmap``, by :func:`_code_lines`.  A change that
 #: moves the total updates this pin and states old -> new in CHANGES.md.
-CODE_LINES = 1562
+CODE_LINES = 1575
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
